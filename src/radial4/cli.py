@@ -35,12 +35,9 @@ from .errors import (
     BlowUpError,
     BracketError,
     ConvergenceError,
-    DomainError,
     Radial4Error,
     RegimeError,
     StepFailureError,
-    TailError,
-    ValidationError,
 )
 from .identities import (
     IdentityId,
@@ -246,6 +243,24 @@ def _cmd_best_constant(args) -> int:
     return 0
 
 
+def _parse_case(case) -> tuple:
+    """(identity, function, n, alpha, lambda, mu) of one manifest case."""
+    if not isinstance(case, dict):
+        raise _UsageError(f"manifest case {case!r} must be a JSON object")
+    try:
+        ident = IdentityId(case["identity"])
+        fname = case["function"]
+        n, alpha = int(case["n"]), float(case["alpha"])
+        lam, mu = float(case.get("lambda", 0.0)), float(case.get("mu", 0.0))
+    except KeyError as exc:
+        raise _UsageError(f"manifest case {case!r} lacks the field {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _UsageError(f"malformed manifest case {case!r}: {exc}")
+    if fname not in TEST_FUNCTIONS:
+        raise _UsageError(f"unknown test function {fname!r} in manifest")
+    return ident, fname, n, alpha, lam, mu
+
+
 def _cmd_verify(args) -> int:
     if args.manifest is not None:
         try:
@@ -259,20 +274,14 @@ def _cmd_verify(args) -> int:
         records = []
         grid = QuadratureGrid.build(T=args.T)
         for case in cases:
-            ident = IdentityId(case["identity"])
-            fname = case["function"]
-            if fname not in TEST_FUNCTIONS:
-                raise _UsageError(f"unknown test function {fname!r} in manifest")
+            ident, fname, n, alpha, lam, mu = _parse_case(case)
             rec = {
                 "identity": ident.value,
                 "function": fname,
-                "n": int(case["n"]),
-                "alpha": float(case["alpha"]),
+                "n": n,
+                "alpha": alpha,
             }
-            report = verify_identity(
-                ident, TEST_FUNCTIONS[fname], int(case["n"]), float(case["alpha"]),
-                float(case.get("lambda", 0.0)), float(case.get("mu", 0.0)), grid,
-            )
+            report = verify_identity(ident, TEST_FUNCTIONS[fname], n, alpha, lam, mu, grid)
             rec["status"] = "ok"
             rec.update(report.to_dict())
             records.append(rec)
@@ -330,7 +339,10 @@ def _parse_vary(specs: Sequence[str]) -> List:
             raise _UsageError(f"malformed --vary range {rng!r}: {exc}")
         if count < 1:
             raise _UsageError(f"--vary count must be >= 1, got {count}")
-        values = np.linspace(start, stop, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(start, stop, count)
+        if not np.all(np.isfinite(values)):
+            raise _UsageError(f"--vary range {rng!r} gives non-finite grid values")
         if name == "n":
             ints = np.round(values)
             if np.any(np.abs(ints - values) > 1e-9):
@@ -481,8 +493,6 @@ def _exit_code_for(exc: Exception) -> int:
         return _EXIT_CONVERGENCE
     if isinstance(exc, RegimeError):
         return _EXIT_REGIME
-    if isinstance(exc, (ValidationError, DomainError, TailError)):
-        return _EXIT_VALIDATION
     return _EXIT_VALIDATION
 
 

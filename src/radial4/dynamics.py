@@ -2,10 +2,18 @@
 
 The fourth-order equation v'''' - K2 v'' + K0 v = v^p is integrated as the
 first-order system y = (v, v', v'', v''').  The integrator is an embedded
-Dormand-Prince 5(4) pair with PI step-size control, cubic Hermite dense
+Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4) with PI step-size control, cubic Hermite dense
 output, and terminal events refined by bisection with single-step
 re-integration from the bracketing node (so event states carry the full
 integration accuracy, not just the interpolant's).
+
+Every step -- in the integration loop, in event refinement and in extrema
+detection -- goes through one scalar kernel, ``_dp5_step``: its seven
+stages are unrolled on four Python floats with the right-hand side
+inlined, because numpy's per-call overhead on 4-element arrays costs more
+than the arithmetic.  Accepted nodes collect in plain lists and become the
+``Trajectory`` arrays once, when the run ends.
 
 The flow conserves the first integral
 
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,26 +44,23 @@ from .params import ProblemParams, derive_coefficients
 BLOWUP_BOUND = 1e12
 _MIN_TOL, _MAX_TOL = 1e-13, 1e-6
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+State = Tuple[float, float, float, float]
+
+# Dormand-Prince 5(4) tableau (FSAL): stage i is evaluated at
+# y + h * sum_j _Aij k_j, and the seventh stage sits at the new solution.
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
+)
+_A71, _A73, _A74, _A75, _A76 = (
+    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0,
 )
 # Error weights: 5th-order solution minus 4th-order embedded estimate.
-_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 )
 
 
@@ -64,7 +69,7 @@ class OdeState:
     """Phase point (t, (v, v', v'', v''')) of the reduced system."""
 
     t: float
-    y: Tuple[float, float, float, float]
+    y: State
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
@@ -99,14 +104,23 @@ class ReducedProblem:
         return f"ReducedProblem(K2={self.K2}, K0={self.K0}, p={self.p})"
 
 
+def _domain_error(v: float) -> DomainError:
+    return DomainError(f"rhs evaluated at v={v} < 0; nonlinearity undefined")
+
+
+def _field(y, K2: float, K0: float, p: float) -> State:
+    """Right-hand side as a 4-tuple of floats; requires v >= 0."""
+    v = y[0]
+    if v < 0.0:
+        raise _domain_error(v)
+    return (y[1], y[2], y[3], v ** p + K2 * y[2] - K0 * v)
+
+
 def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
     """Right-hand side of the first-order system; requires v >= 0."""
     if isinstance(y, OdeState):
         y = y.y
-    v = y[0]
-    if v < 0.0:
-        raise DomainError(f"rhs evaluated at v={v} < 0; nonlinearity undefined")
-    return np.array([y[1], y[2], y[3], v ** p + K2 * y[2] - K0 * v], dtype=float)
+    return np.array(_field(y, K2, K0, p), dtype=float)
 
 
 def energy(y, K2: float, K0: float, p: float) -> float:
@@ -129,13 +143,15 @@ def energy(y, K2: float, K0: float, p: float) -> float:
 class Event:
     """Terminal event: integration stops at the first root of fn.
 
-    direction +1 triggers on rising crossings (g goes from < 0 to >= 0),
-    -1 on falling crossings, 0 on both.  A g that starts at exactly zero
-    does not trigger until it has left zero first.
+    fn(t, y) receives the state y as a 4-tuple of floats (v, v', v'', v'''),
+    so it may index y but not apply array operations to it.  direction +1
+    triggers on rising crossings (g goes from < 0 to >= 0), -1 on falling
+    crossings, 0 on both.  A g that starts at exactly zero does not trigger
+    until it has left zero first.
     """
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, State], float]
     direction: int = 0
 
 
@@ -221,49 +237,95 @@ class Trajectory:
         return header, rows
 
 
-def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, tol: float) -> float:
-    scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _dp5_step(y: State, f: State, h: float, K2: float, K0: float, p: float):
+    """One Dormand-Prince 5(4) step of size h from y, where f is the RHS at y.
 
+    Returns (y_new, f_new, err) as 4-tuples: the 5th-order solution, the
+    RHS there (the FSAL seventh stage) and the embedded error estimate.  A
+    stage with v < 0 raises DomainError; a stage whose v**p overflows
+    raises OverflowError.  Every sum associates left to right in tableau
+    order, as a loop over the tableau would, so results are reproducible
+    bit for bit; unrolling must keep that order.  The stage derivative
+    k = (z1, z2, z3, z0**p + K2 z2 - K0 z0) of a stage state z shares its
+    first three entries with z, so only z0 is kept apart.
+    """
+    y0, y1, y2, y3 = y
+    k10, k11, k12, k13 = f
 
-def _dp_step(f, t: float, y: np.ndarray, h: float, k1: Optional[np.ndarray] = None):
-    """One Dormand-Prince step: returns (y_new, f_new, err_vector)."""
-    k = [None] * 7
-    k[0] = f(t, y) if k1 is None else k1
-    for i in range(1, 7):
-        acc = _A[i][0] * k[0]
-        for j in range(1, i):
-            if _A[i][j] != 0.0:
-                acc = acc + _A[i][j] * k[j]
-        k[i] = f(t + _C[i] * h, y + h * acc)
-    y_new = y + h * (
-        _A[6][0] * k[0]
-        + _A[6][2] * k[2]
-        + _A[6][3] * k[3]
-        + _A[6][4] * k[4]
-        + _A[6][5] * k[5]
+    v = y0 + h * (_A21 * k10)
+    k20 = y1 + h * (_A21 * k11)
+    k21 = y2 + h * (_A21 * k12)
+    k22 = y3 + h * (_A21 * k13)
+    if v < 0.0:
+        raise _domain_error(v)
+    k23 = v ** p + K2 * k21 - K0 * v
+
+    v = y0 + h * (_A31 * k10 + _A32 * k20)
+    k30 = y1 + h * (_A31 * k11 + _A32 * k21)
+    k31 = y2 + h * (_A31 * k12 + _A32 * k22)
+    k32 = y3 + h * (_A31 * k13 + _A32 * k23)
+    if v < 0.0:
+        raise _domain_error(v)
+    k33 = v ** p + K2 * k31 - K0 * v
+
+    v = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+    k40 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+    k41 = y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+    k42 = y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33)
+    if v < 0.0:
+        raise _domain_error(v)
+    k43 = v ** p + K2 * k41 - K0 * v
+
+    v = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+    k50 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+    k51 = y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+    k52 = y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43)
+    if v < 0.0:
+        raise _domain_error(v)
+    k53 = v ** p + K2 * k51 - K0 * v
+
+    v = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+    k60 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+    k61 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+    k62 = y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53)
+    if v < 0.0:
+        raise _domain_error(v)
+    k63 = v ** p + K2 * k61 - K0 * v
+
+    v = y0 + h * (_A71 * k10 + _A73 * k30 + _A74 * k40 + _A75 * k50 + _A76 * k60)
+    k70 = y1 + h * (_A71 * k11 + _A73 * k31 + _A74 * k41 + _A75 * k51 + _A76 * k61)
+    k71 = y2 + h * (_A71 * k12 + _A73 * k32 + _A74 * k42 + _A75 * k52 + _A76 * k62)
+    k72 = y3 + h * (_A71 * k13 + _A73 * k33 + _A74 * k43 + _A75 * k53 + _A76 * k63)
+    if v < 0.0:
+        raise _domain_error(v)
+    k73 = v ** p + K2 * k71 - K0 * v
+
+    err = (
+        h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70),
+        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71),
+        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72),
+        h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73),
     )
-    # k[6] was evaluated at (t+h, y_new) by construction of the last row
-    err = h * (
-        _E[0] * k[0]
-        + _E[2] * k[2]
-        + _E[3] * k[3]
-        + _E[4] * k[4]
-        + _E[5] * k[5]
-        + _E[6] * k[6]
-    )
-    return y_new, k[6], err
+    return (v, k70, k71, k72), (k70, k71, k72, k73), err
 
 
-def _initial_step(f, t0, y0, f0, tol, span):
-    scale = tol + tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+def _rms(q0: float, q1: float, q2: float, q3: float) -> float:
+    """Root mean square of four scaled components, summed in order."""
+    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
+
+
+def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: float, p: float):
+    """Starting step size from the scaled size of y, f and a one-Euler-step probe of f'."""
+    s0, s1, s2, s3 = (tol + tol * abs(c) for c in y)
+    d0 = _rms(y[0] / s0, y[1] / s1, y[2] / s2, y[3] / s3)
+    d1 = _rms(f[0] / s0, f[1] / s1, f[2] / s2, f[3] / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     try:
-        f1 = f(t0 + h0, y0 + h0 * f0)
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+        f1 = _field(tuple(yc + h0 * fc for yc, fc in zip(y, f)), K2, K0, p)
+        d2 = _rms(
+            (f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1, (f1[2] - f[2]) / s2, (f1[3] - f[3]) / s3
+        ) / h0
     except DomainError:
         d2 = d1
     dm = max(d1, d2)
@@ -287,7 +349,9 @@ def integrate(
     when the step size underflows away from the v = 0 boundary, and
     TrajectoryDomainError when the solution runs into v = 0 so that the
     nonlinearity cannot be evaluated.  Partial trajectories ride along on
-    those exceptions.
+    those exceptions.  A step with a stage below v = 0 is retried at half
+    the size; one whose error estimate is not finite (or whose v**p
+    overflows) at a quarter.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValidationError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
@@ -297,19 +361,16 @@ def integrate(
         raise ValidationError(f"t_end={t_end} must exceed the initial time {t0}")
 
     K2, K0, p = problem.K2, problem.K0, problem.p
-
-    def f(t, y):
-        return rhs(y, K2, K0, p)
-
-    y = np.array(y0.y, dtype=float)
+    y = y0.y
     if y[0] < 0.0:
         raise DomainError(f"initial state has v={y[0]} < 0")
     t = t0
-    f_now = f(t, y)
+    f = _field(y, K2, K0, p)
+    v_floor = 1e-9 * max(1.0, abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
 
     ts: List[float] = [t]
-    ys: List[np.ndarray] = [y.copy()]
-    fs: List[np.ndarray] = [f_now.copy()]
+    ys: List[State] = [y]
+    fs: List[State] = [f]
     n_acc = 0
     n_rej = 0
 
@@ -328,7 +389,7 @@ def integrate(
             event_t=ev_t,
         )
 
-    h = min(_initial_step(f, t, y, f_now, tol, t_end - t0), max_step)
+    h = min(_initial_step(y, f, tol, t_end - t0, K2, K0, p), max_step)
     err_prev = 1.0
     steps = 0
     while t < t_end:
@@ -340,7 +401,7 @@ def integrate(
         h = min(h, t_end - t, max_step)
         h_floor = 1e-14 * max(1.0, abs(t))
         if h < h_floor:
-            if y[0] <= 1e-9 * max(1.0, float(np.max(np.abs(ys[0])))):
+            if y[0] <= v_floor:
                 raise TrajectoryDomainError(
                     f"solution reached the v=0 boundary near t={t}",
                     crossing_time=t,
@@ -349,18 +410,23 @@ def integrate(
             raise StepFailureError(f"step size underflowed at t={t} (h={h})")
 
         try:
-            y_new, f_new, err_vec = _dp_step(f, t, y, h, k1=f_now)
+            y_new, f_new, (e0, e1, e2, e3) = _dp5_step(y, f, h, K2, K0, p)
         except DomainError:
             n_rej += 1
             h *= 0.5
             continue
-
-        if y_new[0] < 0.0:
+        except OverflowError:
             n_rej += 1
-            h *= 0.5
+            h *= 0.25
             continue
 
-        err = _error_norm(err_vec, y, y_new, tol)
+        n0, n1, n2, n3 = y_new
+        err = _rms(
+            e0 / (tol + tol * max(abs(y[0]), abs(n0))),
+            e1 / (tol + tol * max(abs(y[1]), abs(n1))),
+            e2 / (tol + tol * max(abs(y[2]), abs(n2))),
+            e3 / (tol + tol * max(abs(y[3]), abs(n3))),
+        )
         if not math.isfinite(err):
             n_rej += 1
             h *= 0.25
@@ -384,23 +450,23 @@ def integrate(
                 e.direction == 0 and (rising or falling)
             )
             if hit and triggered is None:
-                triggered = (i, e, g_old)
+                triggered = (e, g_old)
             ev_prev[i] = g_new
 
         if triggered is not None:
-            i, e, g_old = triggered
-            t_ev, y_ev, f_ev = _refine_event(f, t, y, f_now, h, e, g_old)
+            e, g_old = triggered
+            t_ev, y_ev, f_ev = _refine_event(t, y, f, h, e, g_old, problem)
             ts.append(t_ev)
             ys.append(y_ev)
             fs.append(f_ev)
             return build(("event", e.name, t_ev), ev_name=e.name, ev_t=t_ev)
 
-        t, y, f_now = t_new, y_new, f_new
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f_now.copy())
+        ys.append(y)
+        fs.append(f)
 
-        if float(np.max(np.abs(y))) > BLOWUP_BOUND:
+        if max(abs(n0), abs(n1), abs(n2), abs(n3)) > BLOWUP_BOUND:
             raise BlowUpError(
                 f"trajectory escaped |y| > {BLOWUP_BOUND:g} at t={t}",
                 escape_time=t,
@@ -414,12 +480,14 @@ def integrate(
     return build(("t_end",))
 
 
-def _refine_event(f, t_node, y_node, f_node, h, event: Event, g_old: float):
+def _refine_event(t_node, y_node, f_node, h, event: Event, g_old: float, problem: ReducedProblem):
     """Locate an event root inside one accepted step by substep bisection.
 
     Each probe re-integrates a single Dormand-Prince step of size delta
     from the bracketing node, so the refined state has one-step accuracy.
+    Returns (t, y, f) at the root, with v clipped to >= 0.
     """
+    K2, K0, p = problem.K2, problem.K0, problem.p
     lo, hi = 0.0, h
     y_hi = None
     for _ in range(80):
@@ -427,7 +495,7 @@ def _refine_event(f, t_node, y_node, f_node, h, event: Event, g_old: float):
         if hi - lo < 1e-13 * max(1.0, abs(t_node) + h):
             break
         try:
-            y_mid, _, _ = _dp_step(f, t_node, y_node, mid, k1=f_node)
+            y_mid = _dp5_step(y_node, f_node, mid, K2, K0, p)[0]
             g_mid = event.fn(t_node + mid, y_mid)
         except DomainError:
             # Stage poked past v=0: the crossing is earlier.
@@ -440,11 +508,12 @@ def _refine_event(f, t_node, y_node, f_node, h, event: Event, g_old: float):
             lo = mid
     delta = hi
     if y_hi is None:
-        y_hi, _, _ = _dp_step(f, t_node, y_node, delta, k1=f_node)
-    y_hi = np.maximum(y_hi, [0.0, -math.inf, -math.inf, -math.inf])
-    t_ev = t_node + delta
-    f_ev = f(t_ev, y_hi)
-    return t_ev, y_hi, f_ev
+        y_hi = _dp5_step(y_node, f_node, delta, K2, K0, p)[0]
+    y_hi = (max(y_hi[0], 0.0), y_hi[1], y_hi[2], y_hi[3])
+    return t_node + delta, y_hi, _field(y_hi, K2, K0, p)
+
+
+_DV_ZERO = Event("dv_zero", lambda t, y: y[1], 0)
 
 
 def detect_extrema(traj: Trajectory, tol_t: float = 1e-10) -> List[Tuple[float, str]]:
@@ -463,11 +532,6 @@ def detect_extrema(traj: Trajectory, tol_t: float = 1e-10) -> List[Tuple[float, 
     v_scale = max(1.0, float(np.max(np.abs(ys[:, 0]))))
     if float(np.max(np.abs(vp))) <= 1e-13 * v_scale:
         return []
-
-    K2, K0, p = traj.problem.K2, traj.problem.K0, traj.problem.p
-
-    def f(t, y):
-        return rhs(y, K2, K0, p)
 
     span = ts[-1] - ts[0]
     right_cut = ts[-1] - 1e-9 * max(1.0, abs(span))
@@ -496,8 +560,10 @@ def detect_extrema(traj: Trajectory, tol_t: float = 1e-10) -> List[Tuple[float, 
         crossed = (g0 > 0.0 and g1 <= 0.0) or (g0 < 0.0 and g1 >= 0.0)
         if not crossed:
             continue
-        ev = Event("dv_zero", lambda t, y: y[1], 0)
-        t_star, y_star, _ = _refine_event(f, ts[k], ys[k], fs[k], ts[k + 1] - ts[k], ev, g0)
+        t_star, y_star, _ = _refine_event(
+            float(ts[k]), tuple(ys[k].tolist()), tuple(fs[k].tolist()),
+            float(ts[k + 1] - ts[k]), _DV_ZERO, float(g0), traj.problem,
+        )
         if t_star >= right_cut:
             continue
         if found and abs(t_star - found[-1][0]) <= max(tol_t, 1e-9 * max(1.0, abs(t_star))):

@@ -47,7 +47,14 @@ def beta_from_hyperbola(n: int, alpha: float, p: float) -> float:
     return (p + 1.0) * ((n - 2.0) - (n + alpha) / 2.0) - n
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {name}={value}")
+
+
 def _check_base(n: int, alpha: float, p: float) -> None:
+    _check_finite(n=n, alpha=alpha, p=p)
     if int(n) != n or n < 5:
         raise ValidationError(f"dimension must be an integer >= 5, got n={n}")
     if not (-float(n) < alpha < n - 4.0):
@@ -76,6 +83,9 @@ class ProblemParams:
 
     def __post_init__(self):
         _check_base(self.n, self.alpha, self.p)
+        _check_finite(lam=self.lam, mu=self.mu)
+        if self.beta is not None:
+            _check_finite(beta=self.beta)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "p", float(self.p))

@@ -162,6 +162,25 @@ class TestVerify:
         assert main(["verify", "--manifest", str(manifest)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"identity": "Rellich99", "function": "gaussian", "n": 6, "alpha": 0.0},
+            {"identity": "Rellich22", "function": "gaussian", "n": 6},
+            {"identity": "Rellich22", "function": "gaussian", "n": "six", "alpha": 0.0},
+            ["Rellich22", "gaussian", 6, 0.0],
+        ],
+        ids=["unknown-identity", "missing-alpha", "malformed-n", "not-an-object"],
+    )
+    def test_malformed_case_is_usage_error(self, capsys, tmp_path, case):
+        manifest = tmp_path / "bad_case.json"
+        manifest.write_text(json.dumps([case]))
+        assert main(["verify", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert "Traceback" not in captured.err
+
     def test_full_suite_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -232,6 +251,8 @@ class TestSweep:
             ["--vary", "q=0:1:3"],
             ["--vary", "n=5:6:3"],
             ["--vary", "lambda=0:1"],
+            ["--vary", "mu=-1e308:1e308:3"],
+            ["--vary", "mu=0:nan:2"],
         ],
     )
     def test_malformed_axes_are_usage_errors(self, capsys, vary):
@@ -292,6 +313,23 @@ class TestExitCodes:
     def test_alpha_outside_admissible_range(self, capsys):
         assert main(["info", "--n", "6", "--alpha", "3", "--p", "5"]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda", "nan"],
+            ["--mu", "inf"],
+            ["--p", "inf"],
+            ["--alpha", "nan"],
+            ["--beta", "nan"],
+        ],
+    )
+    def test_non_finite_parameter_is_validation_error(self, capsys, flags):
+        # the flag given last wins, so each case overrides one B0 value
+        assert main(["info"] + B0_FLAGS + flags) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
 
 class TestJsonEmission:

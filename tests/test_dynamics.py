@@ -20,9 +20,11 @@ from radial4 import (
     detect_extrema,
     energy,
     eval_v,
+    find_periodic,
     integrate,
     rhs,
 )
+from radial4.dynamics import _dp5_step, _field, _rms
 
 B0 = ReducedProblem(10.0, 9.0, 5.0)
 EQUILIBRIUM = 3.0 ** 0.5  # K0^{1/(p-1)} for (K0, p) = (9, 5)
@@ -250,3 +252,137 @@ class TestDenseOutputAndExtrema:
         states = traj.states
         assert isinstance(states[0], OdeState)
         assert states[0].y[0] == pytest.approx(EQUILIBRIUM)
+
+
+def _final_state(traj):
+    return repr(tuple(float(c) for c in traj.ys[-1]))
+
+
+class TestPinnedArithmetic:
+    """Exact step counts and digits, so a kernel rewrite must keep every rounding."""
+
+    def test_event_run(self):
+        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
+        ev = Event("crest", lambda t, y: y[1], direction=-1)
+        traj = integrate(y0, 3.0, 1e-10, B0, events=(ev,))
+        assert (traj.n_accepted, traj.n_rejected) == (120, 0)
+        assert repr(traj.event_t) == "2.2185678741936554"
+        assert _final_state(traj) == (
+            "(2.112009425473248, -1.5958935561943832e-13, "
+            "-1.5839589923103228, -1.0238354233860214e-07)"
+        )
+
+    def test_domain_crossing_run(self):
+        # the dive into v = 0 rejects most of its steps on negative-v stages
+        with pytest.raises(TrajectoryDomainError) as info:
+            integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        traj = info.value.trajectory
+        assert (traj.n_accepted, traj.n_rejected) == (34, 91)
+        assert repr(traj.t_end) == "0.24970292650469178"
+        assert _final_state(traj) == (
+            "(5.691384092809336e-15, -2.009037295341816, "
+            "-0.09923397216574671, -0.6512939293764524)"
+        )
+
+    def test_blow_up_run(self):
+        with pytest.raises(BlowUpError) as info:
+            integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        traj = info.value.trajectory
+        assert (traj.n_accepted, traj.n_rejected) == (354, 0)
+        assert repr(traj.t_end) == "1.05963062661038"
+        assert _final_state(traj) == (
+            "(1172.7095832075954, 621339.2017177903, "
+            "658409948.0611593, 1046539871385.1346)"
+        )
+
+    def test_overflowing_stage_run(self):
+        # on the way up a stage's v**p overflows; that step is retried at a
+        # quarter of its size, as for a non-finite error estimate
+        with pytest.raises(BlowUpError) as info:
+            integrate(
+                OdeState(0.0, (0.5, 0.0, 1e4, 0.0)), 50.0, 1e-6, ReducedProblem(10.0, 9.0, 100.0)
+            )
+        traj = info.value.trajectory
+        assert (traj.n_accepted, traj.n_rejected) == (62, 17)
+        assert repr(traj.t_end) == "0.013423670744757645"
+
+    def test_extrema_times(self):
+        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
+        traj = integrate(y0, 7.0, 1e-11, B0)
+        assert (traj.n_accepted, traj.n_rejected) == (598, 0)
+        assert repr(detect_extrema(traj)) == (
+            "[(0.0, 'min'), (2.218567877084046, 'max'), "
+            "(4.437137465925562, 'min'), (6.65434670175892, 'max')]"
+        )
+
+    def test_periodic_orbit_digits(self):
+        orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))
+        assert repr(orbit.b) == "0.7836654928917256"
+        assert repr(orbit.period) == "4.437135754762106"
+        assert repr(orbit.energy_drift) == "1.2384493430772636e-10"
+        assert repr(orbit.max_value) == "2.1120094268555403"
+
+
+# Dormand-Prince 5(4) tableau rows and error weights, in the loop form the
+# scalar kernel unrolls.
+_DP_A = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+)
+_DP_E = (
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+    -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
+)
+
+
+def _reference_step(y, f, h, K2, K0, p):
+    """DP5 step on numpy arrays, summing each stage in tableau order."""
+
+    def field(z):
+        if z[0] < 0.0:
+            raise DomainError("negative v")
+        return np.array([z[1], z[2], z[3], z[0] ** p + K2 * z[2] - K0 * z[0]])
+
+    y = np.array(y)
+    k = [np.array(f)]
+    for row in _DP_A:
+        acc = row[0] * k[0]
+        for a, kj in zip(row[1:], k[1:]):
+            if a != 0.0:
+                acc = acc + a * kj
+        k.append(field(y + h * acc))
+    err = _DP_E[0] * k[0]
+    for e, kj in zip(_DP_E[1:], k[1:]):
+        if e != 0.0:
+            err = err + e * kj
+    return y + h * acc, k[6], h * err
+
+
+class TestScalarKernel:
+    """The unrolled kernel reproduces the array form bit for bit."""
+
+    @pytest.mark.parametrize("K2, K0, p", [(10.0, 9.0, 5.0), (-1.5, 2.0, 2.7)])
+    def test_matches_array_reference(self, K2, K0, p):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            y = (rng.uniform(0.5, 2.0), *rng.normal(0.0, 1.0, size=3))
+            f = _field(y, K2, K0, p)
+            h = 10.0 ** rng.uniform(-4.0, -1.0)
+            got = _dp5_step(y, f, h, K2, K0, p)
+            want = _reference_step(y, f, h, K2, K0, p)
+            for got_part, want_part in zip(got, want):
+                assert list(got_part) == want_part.tolist()
+
+    def test_negative_stage_raises(self):
+        with pytest.raises(DomainError):
+            _dp5_step((1e-3, -1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), 0.5, 10.0, 9.0, 5.0)
+
+    def test_rms_matches_numpy_mean(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            q = rng.normal(0.0, 1.0, size=4) * 10.0 ** rng.uniform(-20.0, 20.0, size=4)
+            assert _rms(*q.tolist()) == float(np.sqrt(np.mean(q ** 2)))

@@ -77,6 +77,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ProblemParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n", "alpha", "p", "lam", "mu", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        kwargs = dict(n=6, alpha=0.0, p=5.0)
+        kwargs[name] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            ProblemParams(**kwargs)
+
     def test_dict_roundtrip_uses_lambda_key(self):
         params = ProblemParams(n=6, alpha=0.5, p=4.0, lam=2.5, mu=-1.0)
         d = params.to_dict()
