@@ -111,9 +111,13 @@ def _build_params(args) -> ProblemParams:
     lam = pick(args.lam, "lambda", 0.0)
     mu = pick(args.mu, "mu", 0.0)
     beta = pick(args.beta, "beta", None)
-    return ProblemParams(n=int(n), alpha=float(alpha), p=float(p_exp),
-                         lam=float(lam), mu=float(mu),
-                         beta=None if beta is None else float(beta))
+    try:
+        n, alpha, p_exp = int(n), float(alpha), float(p_exp)
+        lam, mu = float(lam), float(mu)
+        beta = None if beta is None else float(beta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _UsageError(f"parameter values must be numbers: {exc}")
+    return ProblemParams(n=n, alpha=alpha, p=p_exp, lam=lam, mu=mu, beta=beta)
 
 
 def _write(args, text: str) -> None:

@@ -321,6 +321,8 @@ def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: fl
     d1 = _rms(f[0] / s0, f[1] / s1, f[2] / s2, f[3] / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:
+        raise StepFailureError(f"initial step size underflowed to h={h0}: y' is too large at y0")
     try:
         f1 = _field(tuple(yc + h0 * fc for yc, fc in zip(y, f)), K2, K0, p)
         d2 = _rms(
@@ -349,7 +351,8 @@ def integrate(
     when the step size underflows away from the v = 0 boundary, and
     TrajectoryDomainError when the solution runs into v = 0 so that the
     nonlinearity cannot be evaluated.  Partial trajectories ride along on
-    those exceptions.  A step with a stage below v = 0 is retried at half
+    those exceptions; a BlowUpError raised because v**p overflows at y0
+    itself carries none.  A step with a stage below v = 0 is retried at half
     the size; one whose error estimate is not finite (or whose v**p
     overflows) at a quarter.
     """
@@ -365,7 +368,12 @@ def integrate(
     if y[0] < 0.0:
         raise DomainError(f"initial state has v={y[0]} < 0")
     t = t0
-    f = _field(y, K2, K0, p)
+    try:
+        f = _field(y, K2, K0, p)
+    except OverflowError:
+        raise BlowUpError(
+            f"v**p overflows at the initial state v={y[0]}", escape_time=t0
+        ) from None
     v_floor = 1e-9 * max(1.0, abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
 
     ts: List[float] = [t]

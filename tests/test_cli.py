@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import radial4
 from radial4 import jsonio
 from radial4.cli import main
 from radial4.errors import ValidationError
@@ -131,6 +135,25 @@ class TestBestConstant:
         assert doc["source"] == "Numerical"
         assert doc["L"] == 20.0 and doc["h"] == 0.05
         assert doc["iterations"] >= 1
+
+
+class TestDependencies:
+    def test_numerical_best_constant_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import radial4.cli\n"
+            "rc = radial4.cli.main(['best-constant', '--n', '6', '--alpha', '0', '--p', '5',"
+            " '--method', 'numerical', '--grid-L', '20', '--grid-h', '0.05'])\n"
+            "assert rc == 0, rc\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(radial4.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["source"] == "Numerical"
 
 
 class TestVerify:
@@ -283,6 +306,19 @@ class TestConfig:
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path):
         assert main(["info", "--config", str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        '{"n": NaN, "alpha": 0, "p": 5}',
+        '{"n": "six", "alpha": 0, "p": 5}',
+        '{"n": 6, "alpha": "zero", "p": 5}',
+    ])
+    def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["info", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: parameter values must be numbers")
 
 
 class TestExitCodes:

@@ -13,6 +13,7 @@ from radial4 import (
     OdeState,
     ProblemParams,
     ReducedProblem,
+    StepFailureError,
     Trajectory,
     TrajectoryDomainError,
     ValidationError,
@@ -150,6 +151,21 @@ class TestFailureModes:
         assert exc.trajectory is not None
         assert exc.crossing_time == pytest.approx(exc.trajectory.t_end, abs=1e-6)
         assert exc.trajectory.ys[-1, 0] >= 0.0
+
+    def test_initial_overflow_is_blow_up(self):
+        # 30**300 overflows a float before the first step
+        with pytest.raises(BlowUpError) as info:
+            integrate(OdeState(0.0, (30.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
+                      ReducedProblem(10.0, 9.0, 300.0))
+        assert info.value.escape_time == 0.0
+        assert info.value.trajectory is None
+
+    def test_initial_step_underflow_is_step_failure(self):
+        # 1000**50 is finite, but its size in tol units is not, so the
+        # first-step estimate rounds to zero
+        with pytest.raises(StepFailureError):
+            integrate(OdeState(0.0, (1000.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
+                      ReducedProblem(0.0, 0.0, 50.0))
 
     def test_max_steps_guard(self):
         y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))

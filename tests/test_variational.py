@@ -19,6 +19,11 @@ from radial4 import (
     phi_closed_form,
     rayleigh_quotient,
 )
+from radial4.variational import (
+    _band_cholesky,
+    _band_cholesky_solve,
+    _quadratic_form_bands,
+)
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -128,9 +133,48 @@ class TestMinimize:
         assert np.all(v >= 0.0)
         assert np.max(np.abs(v - v[::-1])) < 1e-8 * np.max(v)
 
+    @pytest.mark.parametrize("h, iterations, value", [
+        (0.02, 4, 25.05374197173979),
+        (0.01, 3, 25.0548002337041),
+    ])
+    def test_pinned_iterations_and_value(self, h, iterations, value):
+        res = minimize_rayleigh(B0, L=40.0, h=h)
+        assert res.iterations == iterations
+        assert res.value == pytest.approx(value, rel=1e-12)
+
     def test_requires_coercive_coefficients(self):
         with pytest.raises(RegimeError):
             minimize_rayleigh(ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0), L=20.0, h=0.05)
+
+
+class TestBandCholesky:
+    @staticmethod
+    def dense_operator(n, h, K2, K0):
+        d2 = np.zeros((n - 2, n))
+        d1 = np.zeros((n - 2, n))
+        for i in range(n - 2):
+            d2[i, i:i + 3] = np.array([1.0, -2.0, 1.0]) / (h * h)
+            d1[i, i], d1[i, i + 2] = -1.0 / (2.0 * h), 1.0 / (2.0 * h)
+        return h * (d2.T @ d2 + K2 * (d1.T @ d1)) + K0 * h * np.eye(n)
+
+    @pytest.mark.parametrize("n, h, K2, K0", [
+        (21, 0.5, 10.0, 9.0),
+        (41, 0.25, 10.0 - 80.0 / 9.0, 9.0),
+        (31, 0.1, 0.3, 2.5),
+    ])
+    def test_matches_dense_solve(self, n, h, K2, K0):
+        a = self.dense_operator(n, h, K2, K0)
+        bands = _quadratic_form_bands(n, h, K2, K0)
+        for k, band in enumerate(bands):
+            np.testing.assert_allclose(band, np.diagonal(a, k), rtol=1e-14, atol=0.0)
+        rhs = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        x = _band_cholesky_solve(_band_cholesky(*(b.tolist() for b in bands)), rhs.tolist())
+        ref = np.linalg.solve(a, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_indefinite_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            _band_cholesky([1.0, 1.0, 1.0], [2.0, 0.0], [0.0])
 
 
 class TestClosedFormConstant:
