@@ -5,7 +5,8 @@ for sampled profiles and sweeps) with a top-level schema tag, and maps the
 library's exception taxonomy onto stable exit codes:
 
     0  success
-    1  usage error (bad flags, malformed grid, unreadable config)
+    1  usage error (bad flags, malformed grid, unreadable config,
+       unwritable output, or a reader that closed stdout early)
     2  bracket failure in a root scan
     3  non-convergence, blow-up, or step failure
     4  regime violation (no explicit solution, wrong coefficient signs)
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -93,6 +95,14 @@ def _load_config(path: Optional[str]) -> Dict:
     return doc
 
 
+def _as_int(value) -> int:
+    """int(value), refusing a float with a fraction that int() would truncate."""
+    result = int(value)
+    if isinstance(value, float) and value != result:
+        raise _UsageError(f"n must be an integer, got {value!r}")
+    return result
+
+
 def _build_params(args) -> ProblemParams:
     cfg = _load_config(getattr(args, "config", None))
 
@@ -112,7 +122,7 @@ def _build_params(args) -> ProblemParams:
     mu = pick(args.mu, "mu", 0.0)
     beta = pick(args.beta, "beta", None)
     try:
-        n, alpha, p_exp = int(n), float(alpha), float(p_exp)
+        n, alpha, p_exp = _as_int(n), float(alpha), float(p_exp)
         lam, mu = float(lam), float(mu)
         beta = None if beta is None else float(beta)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -122,8 +132,11 @@ def _build_params(args) -> ProblemParams:
 
 def _write(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file {args.output}: {exc}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -254,7 +267,7 @@ def _parse_case(case) -> tuple:
     try:
         ident = IdentityId(case["identity"])
         fname = case["function"]
-        n, alpha = int(case["n"]), float(case["alpha"])
+        n, alpha = _as_int(case["n"]), float(case["alpha"])
         lam, mu = float(case.get("lambda", 0.0)), float(case.get("mu", 0.0))
     except KeyError as exc:
         raise _UsageError(f"manifest case {case!r} lacks the field {exc}")
@@ -508,13 +521,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 0 for --help, 2 for usage problems; remap the latter.
         return 0 if exc.code in (0, None) else _EXIT_USAGE
     try:
-        return args.fn(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
+        try:
+            code = args.fn(args)
+        except _UsageError as exc:
+            sys.stderr.write(f"usage error: {exc}\n")
+            code = _EXIT_USAGE
+        except Radial4Error as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            code = _exit_code_for(exc)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`radial4 ... | head`).  Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_USAGE
-    except Radial4Error as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return _exit_code_for(exc)
+    return code
 
 
 def console_main() -> None:

@@ -343,10 +343,16 @@ def integrate(
     events: Sequence[Event] = (),
     max_step: float = math.inf,
     max_steps: int = 1_000_000,
+    *,
+    escaped: Optional[Callable[[State], bool]] = None,
 ) -> Trajectory:
     """Integrate forward from y0.t to t_end with local error per step <= tol.
 
-    Stops early at the first triggered terminal event.  Raises BlowUpError
+    Stops early at the first triggered terminal event.  When escaped is
+    given, it is called on each accepted state y (a 4-tuple) after the
+    events, so an event in the same step wins; once it returns true the run
+    stops there, unrefined, with stop_reason ("escape", t) and no event
+    name.  The caller vouches that no event can follow.  Raises BlowUpError
     (with escape time) when the state norm passes 1e12, StepFailureError
     when the step size underflows away from the v = 0 boundary, and
     TrajectoryDomainError when the solution runs into v = 0 so that the
@@ -480,6 +486,8 @@ def integrate(
                 escape_time=t,
                 trajectory=build(("blowup", t)),
             )
+        if escaped is not None and escaped(y):
+            return build(("escape", t))
 
         fac = 0.9 * err ** -0.2 * err_prev ** 0.04 if err > 1e-12 else 5.0
         h *= min(5.0, max(0.2, fac))

@@ -3,7 +3,11 @@
 Periodic orbits with a prescribed minimum a use the even-symmetry structure
 of the equation: at an extremum both odd derivatives vanish, so the orbit
 is determined by the single unknown b = v''(0) and the matching condition
-is v''' = 0 at the next extremum.  The homoclinic (even, positive,
+is v''' = 0 at the next extremum.  The scan and the bisection read only
+the sign of each shot, and a shot that cannot reach a turning point is an
+upward escape; when K2 >= 0, one that enters the forward-invariant cone
+{v >= l, v' > 0, v'' >= 0, v''' >= 0} is stopped there instead of being
+integrated on to blow-up or the time limit.  The homoclinic (even, positive,
 decaying) profile lives on the zero level of the conserved energy, which
 pins v''(0) given the peak value, leaving a one-parameter shooting problem
 resolved by a dichotomy bisection.  Singularity classification compares
@@ -134,8 +138,25 @@ class _ShotOutcome:
         return 1.0 if self.kind == "escape_up" else -1.0
 
 
+def _escape_cone(problem: ReducedProblem):
+    """Test for the escape cone {v >= l, v' > 0, v'' >= 0, v''' >= 0}; None if K2 < 0.
+
+    The cone is forward invariant only for K2 >= 0 (see find_periodic).  v
+    is compared with l (1 + 1e-12) rather than l, so that the rounding in
+    l = K0^{1/(p-1)} cannot admit a state that lies outside the true cone.
+    """
+    if problem.K2 < 0.0:
+        return None
+    v_min = problem.K0 ** (1.0 / (problem.p - 1.0)) * (1.0 + 1e-12)
+    return lambda y: y[0] >= v_min and y[1] > 0.0 and y[2] >= 0.0 and y[3] >= 0.0
+
+
 def _shoot_half_period(problem: ReducedProblem, a: float, b: float, t_max: float) -> _ShotOutcome:
-    """Integrate from the minimum (a,0,b,0) to the first falling v'=0."""
+    """Integrate from the minimum (a,0,b,0) to the first falling v'=0.
+
+    A shot that enters the escape cone stops there: it can no longer turn,
+    so it is an upward escape, as its full run to blow-up or t_max would be.
+    """
     ev = Event("turning_point", lambda t, y: y[1], direction=-1)
     omega = linearized_frequency(problem.K2, problem.K0, problem.p)
     # Keep the first node well before a sharp turning point for large b.
@@ -148,6 +169,7 @@ def _shoot_half_period(problem: ReducedProblem, a: float, b: float, t_max: float
             problem,
             events=(ev,),
             max_step=max_step,
+            escaped=_escape_cone(problem),
         )
     except BlowUpError:
         return _ShotOutcome("escape_up")
@@ -171,9 +193,16 @@ def find_periodic(
     zero-energy cap (1/2) b_cap^2 = -G(a) and doubles on bracket failure up
     to 8 times.  The matching function F(b) = v'''(t*) at the first falling
     root of v' is driven below tol by bisection plus a secant polish.
-    Raises BracketError when F never changes sign, ConvergenceError when
-    the residual tolerance cannot be met, ValidationError for a outside
-    (0, l), RegimeError when no positive equilibrium exists.
+    A shot with no such root escapes upward (blow-up, or no turn by t_max)
+    or downward (v reaches 0).  For K2 >= 0 an upward escape is known as
+    soon as the shot enters the cone {v >= l, v' > 0, v'' >= 0, v''' >= 0}:
+    there v'''' = K2 v'' + v (v^{p-1} - K0) >= 0, so v''', v'', v' and v
+    never decrease and v' never returns to 0.  The shot stops there, and
+    since only its sign is read, the result is the same as integrating it
+    to the end.  Raises BracketError when F never changes sign,
+    ConvergenceError when the residual tolerance cannot be met,
+    ValidationError for a outside (0, l), RegimeError when no positive
+    equilibrium exists.
     """
     problem = ReducedProblem.from_params(params)
     coeff = derive_coefficients(params)

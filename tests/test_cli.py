@@ -171,6 +171,18 @@ class TestVerify:
         assert hardy["ratio"] == pytest.approx(2.0, abs=1e-8)
         assert hardy["constant"] == pytest.approx(1.0)
 
+    def test_manifest_accepts_integral_float_n(self, capsys, tmp_path):
+        docs = []
+        for n in (6, 6.0):
+            manifest = tmp_path / f"case_{n}.json"
+            manifest.write_text(json.dumps(
+                [{"identity": "Rellich22", "function": "gaussian", "n": n, "alpha": 0.0}]
+            ))
+            rc, doc = run_json(capsys, ["verify", "--manifest", str(manifest)])
+            assert rc == 0
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_manifest_must_hold_case_list(self, capsys, tmp_path):
         manifest = tmp_path / "bad.json"
         manifest.write_text('{"cases": 7}')
@@ -192,8 +204,10 @@ class TestVerify:
             {"identity": "Rellich22", "function": "gaussian", "n": 6},
             {"identity": "Rellich22", "function": "gaussian", "n": "six", "alpha": 0.0},
             ["Rellich22", "gaussian", 6, 0.0],
+            {"identity": "Rellich22", "function": "gaussian", "n": 6.9, "alpha": 0.0},
         ],
-        ids=["unknown-identity", "missing-alpha", "malformed-n", "not-an-object"],
+        ids=["unknown-identity", "missing-alpha", "malformed-n", "not-an-object",
+             "non-integral-n"],
     )
     def test_malformed_case_is_usage_error(self, capsys, tmp_path, case):
         manifest = tmp_path / "bad_case.json"
@@ -320,6 +334,21 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.startswith("usage error: parameter values must be numbers")
 
+    def test_integral_float_n_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 6.0, "alpha": 0, "p": 5}')
+        rc_cfg, out_cfg = run_text(capsys, ["info", "--config", str(cfg)])
+        rc_flags, out_flags = run_text(capsys, ["info"] + B0_FLAGS)
+        assert rc_cfg == 0 and out_cfg == out_flags
+
+    def test_non_integral_n_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 6.9, "alpha": 0, "p": 5}')
+        assert main(["info", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: n must be an integer, got 6.9\n"
+
 
 class TestExitCodes:
     def test_missing_required_parameter(self, capsys):
@@ -366,6 +395,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "doc.json"
+        assert main(["info"] + B0_FLAGS + ["--output", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: cannot write output file")
+
+    def test_reader_closing_stdout_exits_quietly(self):
+        # the CSV (about 250 kB) overfills the pipe, so the write that follows
+        # the close fails; unbuffered stdout would drop partial writes silently
+        src = os.path.dirname(os.path.dirname(radial4.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radial4.cli", "explicit"] + B0_FLAGS + ["--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(8)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert head == b"t,v,dv,d"
+        assert err == b""
 
 
 class TestJsonEmission:

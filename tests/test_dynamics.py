@@ -18,6 +18,7 @@ from radial4 import (
     TrajectoryDomainError,
     ValidationError,
     build_cosh_solution,
+    derive_coefficients,
     detect_extrema,
     energy,
     eval_v,
@@ -337,6 +338,20 @@ class TestPinnedArithmetic:
         assert repr(orbit.period) == "4.437135754762106"
         assert repr(orbit.energy_drift) == "1.2384493430772636e-10"
         assert repr(orbit.max_value) == "2.1120094268555403"
+
+    def test_periodic_orbit_digits_near_equilibrium(self):
+        # most shots of this orbit escape upward
+        params = ProblemParams(n=6, alpha=0.0, p=5.0)
+        orbit = find_periodic(derive_coefficients(params).l - 1e-3, params)
+        assert repr(orbit.b) == "0.002807142454379319"
+        assert repr(orbit.period) == "3.7480695542313773"
+        assert repr(orbit.max_value) == "1.7330496218585996"
+
+    def test_periodic_orbit_digits_shifted(self):
+        orbit = find_periodic(0.4, ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0))
+        assert repr(orbit.b) == "0.028532183659176567"
+        assert repr(orbit.period) == "12.39469803047531"
+        assert repr(orbit.max_value) == "0.6844071248032523"
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

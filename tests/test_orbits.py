@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from radial4 import (
+    BlowUpError,
+    Event,
+    OdeState,
     ProblemParams,
+    ReducedProblem,
     RegimeError,
+    TrajectoryDomainError,
     ValidationError,
     Verdict,
     classify_singularity,
     find_homoclinic,
     find_periodic,
+    integrate,
     linearized_frequency,
     potential,
 )
+from radial4 import orbits
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -101,6 +108,89 @@ class TestFindPeriodic:
             "a", "b", "period", "max_value", "energy",
             "residual_sup", "in_proven_regime", "energy_drift",
         }
+
+
+def _record_integrate(monkeypatch):
+    """Wrap orbits.integrate; returns the list of (args, kwargs, trajectory, exception)."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        try:
+            traj = integrate(*args, **kwargs)
+        except (BlowUpError, TrajectoryDomainError) as exc:
+            calls.append((args, kwargs, exc.trajectory, exc))
+            raise
+        calls.append((args, kwargs, traj, None))
+        return traj
+
+    monkeypatch.setattr(orbits, "integrate", recording)
+    return calls
+
+
+class TestEscapeCone:
+    """Half-period shots stop once they enter the forward-invariant escape cone."""
+
+    @pytest.mark.parametrize("a", [1.0, EQUILIBRIUM - 1e-3])
+    def test_stopped_shots_escape_without_the_cone(self, monkeypatch, a):
+        calls = _record_integrate(monkeypatch)
+        find_periodic(a, B0)
+        stopped = [c for c in calls if c[2] is not None and c[2].stop_reason[0] == "escape"]
+        assert stopped
+        steps_stopped = steps_full = 0
+        for args, kwargs, traj, _ in stopped:
+            assert traj.event_name is None
+            full = {k: v for k, v in kwargs.items() if k != "escaped"}
+            try:
+                rerun = integrate(*args, **full)
+            except BlowUpError as exc:
+                rerun = exc.trajectory
+            else:
+                assert rerun.stop_reason == ("t_end",) and rerun.event_name is None
+            steps_stopped += traj.n_accepted
+            steps_full += rerun.n_accepted
+        # 3158 of 27168 steps at a = 1.0, 608 of 39930 near l
+        assert steps_stopped < 0.15 * steps_full
+
+    def test_escape_shots_take_a_small_share_of_steps(self, monkeypatch):
+        calls = _record_integrate(monkeypatch)
+        find_periodic(EQUILIBRIUM - 1e-3, B0)
+        # a shot is a run with events; it escapes when it ends without a turning point
+        escape_steps = sum(
+            traj.n_accepted for _, kwargs, traj, exc in calls
+            if kwargs.get("events") and (exc is not None or traj.event_name is None)
+        )
+        total = sum(traj.n_accepted for _, _, traj, _ in calls if traj is not None)
+        # run to blow-up or t_max, the escape shots took 94% of the steps;
+        # stopped at the cone they take 608 of 3363
+        assert escape_steps < 0.2 * total
+
+    def test_each_cone_condition_is_needed(self):
+        # from inside the cone the shot escapes; breaking v >= l, v'' >= 0 or
+        # v''' >= 0 alone lets it turn back
+        problem = ReducedProblem(10.0, 9.0, 5.0)
+        cone = orbits._escape_cone(problem)
+        turn = Event("turning_point", lambda t, y: y[1], direction=-1)
+        inside = (1.01 * EQUILIBRIUM, 0.1, 0.0, 0.0)
+        assert cone(inside)
+        with pytest.raises(BlowUpError):
+            integrate(OdeState(0.0, inside), 20.0, 1e-12, problem, events=(turn,))
+        for y in [
+            (0.9 * EQUILIBRIUM, 0.1, 0.0, 0.0),
+            (1.01 * EQUILIBRIUM, 0.1, -1.0, 0.0),
+            (1.01 * EQUILIBRIUM, 0.1, 0.1, -5.0),
+        ]:
+            assert not cone(y)
+            traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(turn,))
+            assert traj.event_name == "turning_point"
+        # v = l itself stays out, so the rounding in l cannot admit v < l
+        assert not cone((EQUILIBRIUM, 0.1, 0.0, 0.0))
+
+    def test_no_cone_when_k2_negative(self, monkeypatch):
+        params = ProblemParams(n=6, alpha=0.0, p=5.0, lam=12.0, mu=5.0)  # K2 = -2, K0 = 2
+        calls = _record_integrate(monkeypatch)
+        find_periodic(0.8 * 2.0 ** 0.25, params)
+        shots = [kwargs for _, kwargs, _, _ in calls if kwargs.get("events")]
+        assert shots and all(kwargs["escaped"] is None for kwargs in shots)
 
 
 class TestFindHomoclinic:
