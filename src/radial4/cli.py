@@ -138,9 +138,26 @@ def _write(args, text: str) -> None:
         except OSError as exc:
             raise _UsageError(f"cannot write output file {args.output}: {exc}")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write_stdout(text if text.endswith("\n") else text + "\n")
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError.
+
+    An unbuffered text layer (PYTHONUNBUFFERED=1) drops the rest of a partial
+    write, so the encoded bytes go to the binary layer in a loop that honours
+    the returned count; the write after a partial one then reports a closed
+    pipe.  A stream with no binary layer (io.StringIO) takes the text as is.
+    """
+    out = sys.stdout
+    buf = getattr(out, "buffer", None)
+    if buf is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buf.write(data):]
 
 
 def _sorted_eigenvalues(coeff) -> List:

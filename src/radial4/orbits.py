@@ -10,7 +10,11 @@ upward escape; when K2 >= 0, one that enters the forward-invariant cone
 integrated on to blow-up or the time limit.  The homoclinic (even, positive,
 decaying) profile lives on the zero level of the conserved energy, which
 pins v''(0) given the peak value, leaving a one-parameter shooting problem
-resolved by a dichotomy bisection.  Singularity classification compares
+resolved by a dichotomy bisection.  Its shots are read only as 'turn' or
+'cross', and since K2 > 0 there, one that enters the forward-invariant dive
+cone {v < l, v' < 0, v'' <= 0, v''' <= 0} is stopped there as a crossing.
+Both scans classify their grid in order and stop at the first sign change.
+Singularity classification compares
 the slowest linear decay rate of the reduced equation against the
 Emden-Fowler weight exponent (n-4-alpha)/2.
 """
@@ -244,15 +248,17 @@ def find_periodic(
         candidates.append((lo0, hi0 * 2.0 ** expansion))
 
     for lo, hi in candidates:
-        grid = np.linspace(lo, hi, 17)
-        signs = [classify(float(b)).sign for b in grid]
-        for k in range(len(grid) - 1):
-            if signs[k] != 0.0 and signs[k + 1] != 0.0 and signs[k] != signs[k + 1]:
-                bracket = (float(grid[k]), float(grid[k + 1]))
+        grid = [float(b) for b in np.linspace(lo, hi, 17)]
+        s_prev = classify(grid[0]).sign
+        for b_prev, b in zip(grid, grid[1:]):
+            if s_prev == 0.0:
+                bracket = (b_prev, b_prev)
                 break
-            if signs[k] == 0.0:
-                bracket = (float(grid[k]), float(grid[k]))
+            s = classify(b).sign
+            if s != 0.0 and s != s_prev:
+                bracket = (b_prev, b)
                 break
+            s_prev = s
         if bracket is not None:
             break
     if bracket is None:
@@ -334,13 +340,27 @@ def find_periodic(
     )
 
 
-def _classify_homoclinic_shot(problem: ReducedProblem, v0: float, t_max: float, floor: float):
+def _dive_cone(problem: ReducedProblem):
+    """Test for the dive cone {v < l, v' < 0, v'' <= 0, v''' <= 0}.
+
+    The cone is forward invariant for K2 > 0 (see find_homoclinic).  v is
+    compared with l (1 - 1e-12) rather than l, so that the rounding in
+    l = K0^{1/(p-1)} cannot admit a state with v >= l.
+    """
+    v_max = problem.K0 ** (1.0 / (problem.p - 1.0)) * (1.0 - 1e-12)
+    return lambda y: y[0] < v_max and y[1] < 0.0 and y[2] <= 0.0 and y[3] <= 0.0
+
+
+def _classify_homoclinic_shot(
+    problem: ReducedProblem, v0: float, t_max: float, floor: float, dive=None
+):
     """One zero-energy shot from the peak; returns ('turn'|'cross', trajectory).
 
     A shot whose peak exceeds the homoclinic value turns back up at a
     positive local minimum ('turn'); a shot below it tracks the profile for
     a while and then dives through v = 0 ('cross').  The profile itself is
-    the boundary between the two behaviors.
+    the boundary between the two behaviors.  A shot stopped by the dive
+    predicate (integrate's escaped hook) is a crossing.
     """
     g0 = potential(v0, problem.K0, problem.p)
     if g0 > 0.0:
@@ -356,6 +376,7 @@ def _classify_homoclinic_shot(problem: ReducedProblem, v0: float, t_max: float, 
             problem,
             events=(ev_min, ev_floor),
             max_step=0.25,
+            escaped=dive,
         )
     except BlowUpError as exc:
         return "turn", exc.trajectory
@@ -363,7 +384,7 @@ def _classify_homoclinic_shot(problem: ReducedProblem, v0: float, t_max: float, 
         return "cross", exc.trajectory
     if traj.event_name == "local_min":
         return "turn", traj
-    if traj.event_name == "v_floor":
+    if traj.event_name == "v_floor" or traj.stop_reason[0] == "escape":
         return "cross", traj
     return "turn", traj
 
@@ -374,10 +395,17 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     The peak v(0) is searched in (l, s*) where s* is the positive zero of
     the potential G; v''(0) is fixed by E = 0.  Shots above the profile
     turn back up at a positive local minimum, shots below it cross zero;
-    the profile sits on the boundary between the two behaviors.  The
-    returned samples are truncated a safety margin before the shot departs
-    along the unstable direction, and the decay rate is a least-squares
-    log-slope over the trailing fifth.
+    the profile sits on the boundary between the two behaviors.  A
+    classification shot stops as a crossing once it enters the dive cone
+    D = {v < l, v' < 0, v'' <= 0, v''' <= 0}: there K2 > 0 and 0 <= v < l
+    give v'''' = K2 v'' + v (v^{p-1} - K0) <= 0, so v''', v'', v' and v
+    never increase, v' <= v'(t_e) < 0 never returns to 0 (no local minimum)
+    and v reaches 0 by t_e + v(t_e)/|v'(t_e)|, as the full shot would.  The
+    scan stops at its first turn -> cross pair, the only one it reads, and
+    the final shot at the peak runs without the cone.  The returned samples
+    are truncated a safety margin before the shot departs along the
+    unstable direction, and the decay rate is a least-squares log-slope
+    over the trailing fifth.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
@@ -397,19 +425,23 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     margin = 1e-6 * (s_star - l)
     floor_frac = 1e-10
 
+    dive = _dive_cone(problem)
+
     def classify(v0: float) -> str:
-        kind, _ = _classify_homoclinic_shot(problem, v0, t_max, floor_frac * v0)
+        kind, _ = _classify_homoclinic_shot(problem, v0, t_max, floor_frac * v0, dive)
         return kind
 
     bracket = None
     for shrink in range(3):
         m = margin * 10.0 ** (-2 * shrink)
-        grid = np.linspace(s_star - m, l + m, 24)
-        kinds = [classify(float(v)) for v in grid]
-        for k in range(len(grid) - 1):
-            if kinds[k] == "turn" and kinds[k + 1] == "cross":
-                bracket = (float(grid[k + 1]), float(grid[k]))
+        grid = [float(v) for v in np.linspace(s_star - m, l + m, 24)]
+        kind_prev = classify(grid[0])
+        for v_prev, v in zip(grid, grid[1:]):
+            kind = classify(v)
+            if kind_prev == "turn" and kind == "cross":
+                bracket = (v, v_prev)
                 break
+            kind_prev = kind
         if bracket is not None:
             break
     if bracket is None:

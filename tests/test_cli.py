@@ -401,21 +401,37 @@ class TestExitCodes:
         assert main(["info"] + B0_FLAGS + ["--output", str(target)]) == 1
         assert capsys.readouterr().err.startswith("usage error: cannot write output file")
 
-    def test_reader_closing_stdout_exits_quietly(self):
-        # the CSV (about 250 kB) overfills the pipe, so the write that follows
-        # the close fails; unbuffered stdout would drop partial writes silently
+    @staticmethod
+    def _close_after(nbytes, unbuffered):
+        """Run the CSV explicit command, read nbytes of stdout and close it."""
         src = os.path.dirname(os.path.dirname(radial4.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "radial4.cli", "explicit"] + B0_FLAGS + ["--format", "csv"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        head = proc.stdout.read(8)
+        head = proc.stdout.read(nbytes)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 1
+        return proc.returncode, head, err
+
+    def test_reader_closing_stdout_exits_quietly(self):
+        # the CSV (about 250 kB) overfills the pipe, so the write that follows
+        # the close fails
+        code, head, err = self._close_after(8, unbuffered=False)
+        assert code == 1
         assert head == b"t,v,dv,d"
+        assert err == b""
+
+    def test_reader_closing_unbuffered_stdout_exits_quietly(self):
+        # unbuffered, the write in progress at the close returns short; the
+        # rest must still be written, so the close is noticed and not dropped
+        code, head, err = self._close_after(16, unbuffered=True)
+        assert code == 1
+        assert head.startswith(b"t,v,dv,d")
         assert err == b""
 
 

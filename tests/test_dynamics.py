@@ -22,6 +22,7 @@ from radial4 import (
     detect_extrema,
     energy,
     eval_v,
+    find_homoclinic,
     find_periodic,
     integrate,
     rhs,
@@ -352,6 +353,18 @@ class TestPinnedArithmetic:
         assert repr(orbit.b) == "0.028532183659176567"
         assert repr(orbit.period) == "12.39469803047531"
         assert repr(orbit.max_value) == "0.6844071248032523"
+
+    def test_homoclinic_profile_digits(self):
+        prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))
+        assert repr(prof.peak) == "2.213363839400719"
+        assert repr(prof.decay_rate) == "0.9999073253253943"
+        assert len(prof.samples.ts) == 530
+
+    def test_homoclinic_profile_digits_shifted(self):
+        prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0))
+        assert repr(prof.peak) == "0.7377879464670356"
+        assert repr(prof.decay_rate) == "0.33338387439872574"
+        assert len(prof.samples.ts) == 305
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

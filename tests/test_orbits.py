@@ -148,7 +148,7 @@ class TestEscapeCone:
                 assert rerun.stop_reason == ("t_end",) and rerun.event_name is None
             steps_stopped += traj.n_accepted
             steps_full += rerun.n_accepted
-        # 3158 of 27168 steps at a = 1.0, 608 of 39930 near l
+        # 1449 of 10323 steps at a = 1.0, 447 of 17296 near l
         assert steps_stopped < 0.15 * steps_full
 
     def test_escape_shots_take_a_small_share_of_steps(self, monkeypatch):
@@ -161,7 +161,7 @@ class TestEscapeCone:
         )
         total = sum(traj.n_accepted for _, _, traj, _ in calls if traj is not None)
         # run to blow-up or t_max, the escape shots took 94% of the steps;
-        # stopped at the cone they take 608 of 3363
+        # stopped at the cone they take 447 of 3202
         assert escape_steps < 0.2 * total
 
     def test_each_cone_condition_is_needed(self):
@@ -191,6 +191,69 @@ class TestEscapeCone:
         find_periodic(0.8 * 2.0 ** 0.25, params)
         shots = [kwargs for _, kwargs, _, _ in calls if kwargs.get("events")]
         assert shots and all(kwargs["escaped"] is None for kwargs in shots)
+
+
+def _homoclinic_fate(problem, y):
+    """'turn' or 'cross' for a run from y with the classification shot's events."""
+    ev_min = Event("local_min", lambda t, y: y[1], direction=+1)
+    ev_floor = Event("v_floor", lambda t, y: y[0] - 1e-10, direction=-1)
+    try:
+        traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(ev_min, ev_floor))
+    except BlowUpError:
+        return "turn"
+    except TrajectoryDomainError:
+        return "cross"
+    return "cross" if traj.event_name == "v_floor" else "turn"
+
+
+class TestDiveCone:
+    """Homoclinic classification shots stop once they enter the forward-invariant dive cone."""
+
+    @pytest.mark.parametrize(
+        "params", [B0, SHIFTED, ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)]
+    )
+    def test_stopped_shots_cross_without_the_cone(self, monkeypatch, params):
+        calls = _record_integrate(monkeypatch)
+        find_homoclinic(params)
+        stopped = [c for c in calls if c[2] is not None and c[2].stop_reason[0] == "escape"]
+        assert stopped
+        for args, kwargs, traj, _ in stopped:
+            assert traj.event_name is None
+            full = {k: v for k, v in kwargs.items() if k != "escaped"}
+            try:
+                rerun = integrate(*args, **full)
+            except TrajectoryDomainError:
+                continue
+            assert rerun.event_name == "v_floor"
+
+    def test_each_cone_condition_is_needed(self):
+        # from inside the cone the shot crosses; breaking any one condition
+        # alone lets it turn back up (or blow up, which also reads 'turn')
+        problem = ReducedProblem(10.0, 9.0, 5.0)
+        cone = orbits._dive_cone(problem)
+        for inside in [(0.3 * EQUILIBRIUM, -0.01, 0.0, 0.0), (0.9 * EQUILIBRIUM, -0.01, 0.0, 0.0)]:
+            assert cone(inside)
+            assert _homoclinic_fate(problem, inside) == "cross"
+        for y in [
+            (1.01 * EQUILIBRIUM, -0.01, 0.0, 0.0),
+            (0.9 * EQUILIBRIUM, 1.0, 0.0, 0.0),
+            (0.3 * EQUILIBRIUM, -0.01, 0.1, 0.0),
+            (0.3 * EQUILIBRIUM, -0.01, 0.0, 1.0),
+        ]:
+            assert not cone(y)
+            assert _homoclinic_fate(problem, y) == "turn"
+        # v = l itself stays out, so the rounding in l cannot admit v > l
+        assert not cone((EQUILIBRIUM, -0.01, 0.0, 0.0))
+
+    def test_work_count(self, monkeypatch):
+        calls = _record_integrate(monkeypatch)
+        find_homoclinic(B0)
+        # 65 shots and 26317 accepted steps (1783 rejected) before the cone
+        # and the lazy scan; 45 and 20273 (0 rejected) with them
+        assert len(calls) <= 45
+        assert sum(traj.n_accepted for _, _, traj, _ in calls) <= 21000
+        # the kept shot at the peak runs to its end
+        assert calls[-1][1].get("escaped") is None
 
 
 class TestFindHomoclinic:
