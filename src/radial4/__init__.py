@@ -8,182 +8,54 @@ monitoring and event detection, periodic and homoclinic orbit solvers,
 singularity classification, Rayleigh-quotient minimization with closed-form
 best constants, and quadrature verification of the weighted integral
 identities underlying the norm estimates.
+
+The exports below resolve lazily (PEP 562): ``import radial4`` loads no
+submodule, and the first access to a name imports only the module that
+defines it.  Scalar work (coefficients, conditions, the cosh solution, the
+closed-form best constant) therefore never loads numpy.
 """
 
-from .closed_form import (
-    CoshSolution,
-    EmdenFowlerMap,
-    build_cosh_solution,
-    cosh_profile_derivatives,
-    curve_rows,
-    emden_fowler_roundtrip,
-    eval_u,
-    eval_v,
-    ode_residual,
-    radial_curve_rows,
-)
-from .dynamics import (
-    BLOWUP_BOUND,
-    Event,
-    OdeState,
-    ReducedProblem,
-    Trajectory,
-    detect_extrema,
-    energy,
-    integrate,
-    rhs,
-)
-from .errors import (
-    BlowUpError,
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    NoExplicitSolutionError,
-    PoleError,
-    Radial4Error,
-    RegimeError,
-    StepFailureError,
-    TailError,
-    TrajectoryDomainError,
-    ValidationError,
-)
-from .identities import (
-    IdentityId,
-    IdentityReport,
-    QuadratureGrid,
-    RadialTestFunction,
-    TEST_FUNCTIONS,
-    norm_alpha,
-    record_deviation,
-    run_identity_suite,
-    t_operator,
-    verify_identity,
-    weighted_integral,
-    weighted_power_integral,
-)
-from .orbits import (
-    HomoclinicProfile,
-    PeriodicOrbit,
-    SingularityVerdict,
-    Verdict,
-    classify_singularity,
-    find_homoclinic,
-    find_periodic,
-    linearized_frequency,
-    potential,
-)
-from .params import (
-    ConditionReport,
-    DerivedCoefficients,
-    ProblemParams,
-    SolutionCase,
-    beta_from_hyperbola,
-    check_conditions,
-    derive_coefficients,
-    explicit_lambda_branches,
-    explicit_lambda_unified,
-    k0_value,
-    k2_value,
-    quartic_residual,
-)
-from .specfun import (
-    SphereMeasure,
-    beta_fn,
-    cosh_power_integral,
-    gamma_fn,
-    omega_n,
-    sphere_measure,
-)
-from .variational import (
-    BestConstantResult,
-    ConstantSource,
-    Grid1D,
-    MinimizeResult,
-    best_constant_numerical,
-    minimize_rayleigh,
-    phi_closed_form,
-    rayleigh_quotient,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLOWUP_BOUND",
-    "BestConstantResult",
-    "BlowUpError",
-    "BracketError",
-    "ConditionReport",
-    "ConstantSource",
-    "ConvergenceError",
-    "CoshSolution",
-    "DerivedCoefficients",
-    "DomainError",
-    "EmdenFowlerMap",
-    "Event",
-    "Grid1D",
-    "HomoclinicProfile",
-    "IdentityId",
-    "IdentityReport",
-    "MinimizeResult",
-    "NoExplicitSolutionError",
-    "OdeState",
-    "PeriodicOrbit",
-    "PoleError",
-    "ProblemParams",
-    "QuadratureGrid",
-    "Radial4Error",
-    "RadialTestFunction",
-    "ReducedProblem",
-    "RegimeError",
-    "SingularityVerdict",
-    "SolutionCase",
-    "SphereMeasure",
-    "StepFailureError",
-    "TEST_FUNCTIONS",
-    "TailError",
-    "Trajectory",
-    "TrajectoryDomainError",
-    "ValidationError",
-    "Verdict",
-    "beta_fn",
-    "beta_from_hyperbola",
-    "best_constant_numerical",
-    "build_cosh_solution",
-    "check_conditions",
-    "classify_singularity",
-    "cosh_power_integral",
-    "cosh_profile_derivatives",
-    "curve_rows",
-    "derive_coefficients",
-    "detect_extrema",
-    "emden_fowler_roundtrip",
-    "energy",
-    "eval_u",
-    "eval_v",
-    "explicit_lambda_branches",
-    "explicit_lambda_unified",
-    "find_homoclinic",
-    "find_periodic",
-    "gamma_fn",
-    "integrate",
-    "k0_value",
-    "k2_value",
-    "linearized_frequency",
-    "minimize_rayleigh",
-    "norm_alpha",
-    "ode_residual",
-    "omega_n",
-    "phi_closed_form",
-    "potential",
-    "radial_curve_rows",
-    "quartic_residual",
-    "rayleigh_quotient",
-    "record_deviation",
-    "rhs",
-    "run_identity_suite",
-    "sphere_measure",
-    "t_operator",
-    "verify_identity",
-    "weighted_integral",
-    "weighted_power_integral",
-]
+# Defining module of every public name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "closed_form": "CoshSolution EmdenFowlerMap build_cosh_solution cosh_profile_derivatives"
+                       " curve_rows emden_fowler_roundtrip eval_u eval_v ode_residual"
+                       " radial_curve_rows",
+        "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory detect_extrema energy"
+                    " integrate rhs",
+        "errors": "BlowUpError BracketError ConvergenceError DomainError NoExplicitSolutionError"
+                  " PoleError Radial4Error RegimeError StepFailureError TailError"
+                  " TrajectoryDomainError ValidationError",
+        "identities": "IdentityId IdentityReport QuadratureGrid RadialTestFunction TEST_FUNCTIONS"
+                      " norm_alpha record_deviation run_identity_suite t_operator verify_identity"
+                      " weighted_integral weighted_power_integral",
+        "orbits": "HomoclinicProfile PeriodicOrbit SingularityVerdict Verdict classify_singularity"
+                  " find_homoclinic find_periodic linearized_frequency potential",
+        "params": "ConditionReport DerivedCoefficients ProblemParams SolutionCase beta_from_hyperbola"
+                  " check_conditions derive_coefficients explicit_lambda_branches"
+                  " explicit_lambda_unified k0_value k2_value quartic_residual",
+        "specfun": "SphereMeasure beta_fn cosh_power_integral gamma_fn omega_n sphere_measure",
+        "variational": "BestConstantResult ConstantSource Grid1D MinimizeResult"
+                       " best_constant_numerical minimize_rayleigh phi_closed_form"
+                       " rayleigh_quotient",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,25 +14,22 @@ library's exception taxonomy onto stable exit codes:
 
 so that parameter sweeps and scripted studies can sort outcomes without
 parsing messages.
+
+Each handler imports the solver modules it needs, so commands that do
+scalar arithmetic only (info, sweep info, explicit as JSON, best-constant
+in closed form) never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import jsonio
-from .closed_form import (
-    EmdenFowlerMap,
-    build_cosh_solution,
-    curve_rows,
-    radial_curve_rows,
-)
 from .errors import (
     BlowUpError,
     BracketError,
@@ -41,17 +38,7 @@ from .errors import (
     RegimeError,
     StepFailureError,
 )
-from .identities import (
-    IdentityId,
-    TEST_FUNCTIONS,
-    QuadratureGrid,
-    record_deviation,
-    run_identity_suite,
-    verify_identity,
-)
-from .orbits import classify_singularity, find_homoclinic, find_periodic
 from .params import ProblemParams, check_conditions, derive_coefficients
-from .variational import best_constant_numerical, phi_closed_form
 
 SCHEMA = "1"
 
@@ -60,6 +47,8 @@ _EXIT_BRACKET = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_REGIME = 4
 _EXIT_VALIDATION = 5
+
+_MAX_SWEEP_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -189,6 +178,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_explicit(args) -> int:
+    from .closed_form import EmdenFowlerMap, build_cosh_solution, curve_rows, radial_curve_rows
+
     params = _build_params(args)
     sol = build_cosh_solution(params)
     if args.format == "csv":
@@ -215,6 +206,8 @@ def _cmd_explicit(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from .orbits import find_periodic
+
     params = _build_params(args)
     if args.a is None:
         raise _UsageError("--a (orbit minimum value) is required")
@@ -230,6 +223,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_homoclinic(args) -> int:
+    from .orbits import classify_singularity, find_homoclinic
+
     params = _build_params(args)
     profile = find_homoclinic(params)
     if args.format == "csv":
@@ -251,6 +246,8 @@ def _cmd_homoclinic(args) -> int:
 
 
 def _cmd_best_constant(args) -> int:
+    from .variational import best_constant_numerical, phi_closed_form
+
     params = _build_params(args)
     if args.method == "numerical":
         result, mres = best_constant_numerical(params, L=args.grid_L, h=args.grid_h)
@@ -279,6 +276,8 @@ def _cmd_best_constant(args) -> int:
 
 def _parse_case(case) -> tuple:
     """(identity, function, n, alpha, lambda, mu) of one manifest case."""
+    from .identities import TEST_FUNCTIONS, IdentityId
+
     if not isinstance(case, dict):
         raise _UsageError(f"manifest case {case!r} must be a JSON object")
     try:
@@ -296,6 +295,12 @@ def _parse_case(case) -> tuple:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise _UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    from .identities import (
+        TEST_FUNCTIONS, QuadratureGrid, record_deviation, run_identity_suite, verify_identity,
+    )
+
     if args.manifest is not None:
         try:
             with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -373,24 +378,37 @@ def _parse_vary(specs: Sequence[str]) -> List:
             raise _UsageError(f"malformed --vary range {rng!r}: {exc}")
         if count < 1:
             raise _UsageError(f"--vary count must be >= 1, got {count}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.linspace(start, stop, count)
-        if not np.all(np.isfinite(values)):
+        if count > _MAX_SWEEP_POINTS:
+            axes.append((name, count, None))  # never built: the cap check below fails
+            continue
+        values = _linspace(start, stop, count)
+        if not all(map(math.isfinite, values)):
             raise _UsageError(f"--vary range {rng!r} gives non-finite grid values")
         if name == "n":
-            ints = np.round(values)
-            if np.any(np.abs(ints - values) > 1e-9):
+            ints = [math.copysign(round(v), v) for v in values]  # np.round, signed zeros too
+            if any(abs(i - v) > 1e-9 for i, v in zip(ints, values)):
                 raise _UsageError("--vary n requires integer grid values")
             values = ints
-        axes.append((name, values))
-    total = 1
-    for _, values in axes:
-        total *= len(values)
-    if total > 10_000:
-        raise _UsageError(f"sweep grid has {total} points, exceeding the cap of 10000")
-    if total == 0:
-        raise _UsageError("sweep grid is empty")
-    return axes
+        axes.append((name, count, values))
+    total = math.prod(count for _, count, _ in axes)
+    if total > _MAX_SWEEP_POINTS:
+        raise _UsageError(f"sweep grid has {total} points, exceeding the cap of {_MAX_SWEEP_POINTS}")
+    return [(name, values) for name, _, values in axes]
+
+
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    """np.linspace(start, stop, num) on Python floats, equal bit for bit."""
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:  # numpy's branch for a step that underflows to zero
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
 def _sweep_point(command: str, args, overrides: Dict[str, float]) -> Dict:
@@ -419,6 +437,8 @@ def _sweep_point(command: str, args, overrides: Dict[str, float]) -> Dict:
         else:
             if flat.a is None:
                 raise _UsageError("--a is required for orbit sweeps (fixed or varied)")
+            from .orbits import find_periodic
+
             orbit = find_periodic(float(flat.a), params, tol=args.tol)
             row.update(orbit.to_dict())
         row["error"] = ""

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError, NoExplicitSolutionError, ValidationError
 from .params import ProblemParams, SolutionCase, derive_coefficients
 
@@ -38,6 +36,7 @@ class EmdenFowlerMap:
 
     def forward(self, u: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         """Map a radial profile u(r) to the translated profile v(t)."""
+        import numpy as np
         q = self.exponent
 
         def v(t):
@@ -49,6 +48,7 @@ class EmdenFowlerMap:
 
     def inverse(self, v: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         """Map a translated profile v(t) back to the radial profile u(r)."""
+        import numpy as np
         q = self.exponent
 
         def u(r):
@@ -142,6 +142,7 @@ def cosh_profile_derivatives(sol: CoshSolution, t) -> Tuple[np.ndarray, ...]:
     Powers of cosh are taken through log-cosh so large |t| underflows to
     zero instead of overflowing; odd derivatives carry tanh factors.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     m, nu, C = sol.m, sol.nu, sol.C
     ax = np.abs(nu * t)
@@ -175,6 +176,7 @@ def eval_u(sol: CoshSolution, efmap: EmdenFowlerMap, r):
     Evaluated in log space so extreme radii neither overflow nor lose the
     power-law tails.
     """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("radial profile is defined for r > 0 only")
@@ -200,6 +202,7 @@ def ode_residual(
     vfun: Callable[[np.ndarray], Sequence[np.ndarray]], t, K2: float, K0: float, p: float
 ):
     """v'''' - K2 v'' + K0 v - v^p for a profile given with derivatives 0..4."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     d = vfun(t)
     v0, v2, v4 = np.asarray(d[0], dtype=float), np.asarray(d[2], dtype=float), np.asarray(d[4], dtype=float)
@@ -210,6 +213,7 @@ def ode_residual(
 
 def curve_rows(sol: CoshSolution, t_lo: float = -12.0, t_hi: float = 12.0, num: int = 2001):
     """Sampled profile rows (t, v, dv, d2v, d3v, residual) for CSV output."""
+    import numpy as np
     ts = np.linspace(t_lo, t_hi, num)
     v0, v1, v2, v3, v4 = cosh_profile_derivatives(sol, ts)
     res = v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** sol.p
@@ -222,6 +226,7 @@ def radial_curve_rows(
     sol: CoshSolution, efmap: EmdenFowlerMap, r_lo: float = 1e-6, r_hi: float = 1e6, num: int = 2001
 ):
     """Sampled radial rows (r, u) on a log-spaced grid for CSV output."""
+    import numpy as np
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), num)
     us = eval_u(sol, efmap, rs)
     return ("r", "u"), list(zip(rs.tolist(), us.tolist()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -56,8 +57,9 @@ def _emit(obj, out: list) -> None:
             _emit(v, out)
         out.append("]")
     else:
-        try:
-            import numpy as np
+        # A numpy value implies a loaded numpy: look it up, never import it.
+        np = sys.modules.get("numpy")
+        if np is not None:
             if isinstance(obj, np.integer):
                 out.append(str(int(obj)))
                 return
@@ -70,8 +72,6 @@ def _emit(obj, out: list) -> None:
             if isinstance(obj, np.ndarray):
                 _emit(obj.tolist(), out)
                 return
-        except ImportError:
-            pass
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 

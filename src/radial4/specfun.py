@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PoleError, ValidationError
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error on the
@@ -79,6 +77,7 @@ def sphere_measure(n: int) -> SphereMeasure:
 
 def _gl_panels(t_lo: float, t_hi: float, n_points: int, panel_width: float):
     """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]."""
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(n_points)
     n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
     edges = np.linspace(t_lo, t_hi, n_panels + 1)
@@ -105,6 +104,7 @@ def cosh_power_integral(gamma_exp: float, nu: float, method: str = "closed_form"
     if method == "closed_form":
         return 0.5 * beta_fn(-0.5 * g, 0.5) / nu
     if method == "quadrature":
+        import numpy as np
         # Truncate where the integrand is below 1e-18 relative to its peak.
         t_max = (42.0 / (-g) + math.log(2.0)) / nu
         nodes, weights = _gl_panels(0.0, t_max, 16, min(0.5, t_max / 8.0))

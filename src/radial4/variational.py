@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from .closed_form import build_cosh_solution
 from .errors import (
     ConvergenceError,
@@ -41,6 +39,7 @@ class Grid1D:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         L = float(self.L)
         h = float(self.h)
         if not (L > 0.0 and h > 0.0):
@@ -66,6 +65,7 @@ class Grid1D:
 
     @property
     def ts(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(-self.L, self.L, self.n_nodes)
 
     def with_values(self, values: np.ndarray) -> "Grid1D":
@@ -91,6 +91,7 @@ class BestConstantResult:
 
 def _derivatives(v: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """Second-order first and second differences, one-sided at the ends."""
+    import numpy as np
     d1 = np.empty_like(v)
     d2 = np.empty_like(v)
     d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -103,6 +104,7 @@ def _derivatives(v: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    import numpy as np
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
@@ -110,6 +112,7 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 def rayleigh_quotient(grid: Grid1D, K2: float, K0: float, p: float) -> float:
     """Discrete quotient; raises DomainError when the denominator vanishes."""
+    import numpy as np
     v = grid.values
     if grid.n_nodes < 5:
         raise ValidationError("quotient needs at least 5 grid nodes")
@@ -125,6 +128,7 @@ def rayleigh_quotient(grid: Grid1D, K2: float, K0: float, p: float) -> float:
 def _gram_bands(stencil: Tuple[float, float, float], n: int):
     """Diagonal and first two superdiagonals of D^T D, where D is the
     (n-2) x n matrix whose row i holds the 3-point stencil at columns i..i+2."""
+    import numpy as np
     a, b, c = stencil
     m = n - 2
     d0 = np.zeros(n)
@@ -177,6 +181,7 @@ def _band_cholesky(diag, off1, off2):
 
 def _band_cholesky_solve(factor, rhs) -> np.ndarray:
     """Solve L L^T x = rhs by one forward and one back substitution."""
+    import numpy as np
     g, e, f = factor
     y: List[float] = []
     y2 = y1 = 0.0
@@ -193,6 +198,11 @@ def _band_cholesky_solve(factor, rhs) -> np.ndarray:
         x2, x1 = x1, xi
     x.reverse()
     return np.array(x)
+
+
+# Largest grid minimize_rayleigh accepts; its band factor then holds about
+# 100 MB of Python floats.
+_MAX_NODES = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,9 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
     substitution), renormalizes in L^{p+1}, and damps the update whenever
     the quotient would increase.  Stops when the
     relative quotient change drops below 1e-10.  Warns when the minimizer
-    has not decayed below 1e-8 at the grid ends.
+    has not decayed below 1e-8 at the grid ends.  Raises ValidationError,
+    before allocating, for L or h that is not finite and positive and for
+    grids of more than _MAX_NODES nodes.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
@@ -228,10 +240,15 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             f"quotient minimization requires K2 > 0 and K0 > 0, got K2={K2}, K0={K0}"
         )
 
+    if not (0.0 < L < math.inf and 0.0 < h < math.inf):
+        raise ValidationError(f"grid needs finite L > 0 and h > 0, got L={L}, h={h}")
+    if 2.0 * L / h + 1.0 > _MAX_NODES:
+        raise ValidationError(f"grid with L/h = {L / h} exceeds the cap of {_MAX_NODES} nodes")
     n_half = int(round(L / h))
     if abs(L / h - n_half) > 1e-9 * max(1.0, L / h):
         raise ValidationError(f"L/h must be integral, got {L / h}")
     n_nodes = 2 * n_half + 1
+    import numpy as np
     ts = np.linspace(-L, L, n_nodes)
 
     with np.errstate(over="ignore", under="ignore"):

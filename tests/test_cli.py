@@ -1,5 +1,6 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -136,6 +137,15 @@ class TestBestConstant:
         assert doc["L"] == 20.0 and doc["h"] == 0.05
         assert doc["iterations"] >= 1
 
+    @pytest.mark.parametrize("grid", [
+        ["--grid-h", "0"], ["--grid-h", "nan"], ["--grid-L", "-1"], ["--grid-L", "1e9"],
+    ])
+    def test_bad_grid_is_validation_error(self, capsys, grid):
+        rc = main(["best-constant"] + B0_FLAGS + ["--method", "numerical"] + grid)
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.out == "" and captured.err.startswith("error: grid")
+
 
 class TestDependencies:
     def test_numerical_best_constant_loads_no_scipy(self):
@@ -154,6 +164,45 @@ class TestDependencies:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["source"] == "Numerical"
+
+    def test_scalar_commands_load_no_numpy(self):
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import radial4.cli\n"
+            "from radial4 import jsonio\n"
+            "b0 = ['--n', '6', '--alpha', '0', '--p', '5']\n"
+            "for argv in (['info'] + b0, ['sweep', 'info'] + b0 + ['--vary', 'lambda=0:8:5'],\n"
+            "             ['explicit'] + b0, ['best-constant'] + b0):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert radial4.cli.main(argv) == 0, argv\n"
+            "try:\n"
+            "    jsonio.dumps(object())\n"
+            "except radial4.ValidationError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('an object() was serialized')\n"
+            "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(radial4.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lazy_exports_are_the_defining_modules_objects(self):
+        for name in radial4.__all__:
+            module = importlib.import_module(f"radial4.{radial4._EXPORTS[name]}")
+            obj = getattr(radial4, name)
+            assert obj is getattr(module, name), name
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+        namespace = {}
+        exec("from radial4 import *", namespace)
+        assert set(radial4.__all__) <= set(namespace)
+        assert set(radial4.__all__) <= set(dir(radial4))
+        with pytest.raises(AttributeError):
+            radial4.no_such_name
 
 
 class TestVerify:
@@ -217,6 +266,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
+    def test_bad_tolerance_is_usage_error_before_any_quadrature(self, capsys, monkeypatch,
+                                                                tolerance):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the identity suite ran")
+
+        monkeypatch.setattr("radial4.identities.run_identity_suite", refuse)
+        assert main(["verify", f"--tolerance={tolerance}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --tolerance must be a finite number >= 0")
 
     def test_full_suite_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"

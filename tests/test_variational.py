@@ -146,6 +146,14 @@ class TestMinimize:
         with pytest.raises(RegimeError):
             minimize_rayleigh(ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0), L=20.0, h=0.05)
 
+    @pytest.mark.parametrize("L, h", [
+        (20.0, 0.0), (20.0, math.nan), (math.inf, 0.05), (-20.0, 0.05), (1e9, 0.01),
+    ])
+    def test_bad_grid_rejected_before_allocation(self, L, h):
+        # (1e9, 0.01) would need 2e11 nodes; the cap refuses it up front
+        with pytest.raises(ValidationError, match="grid"):
+            minimize_rayleigh(B0, L=L, h=h)
+
 
 class TestBandCholesky:
     @staticmethod
