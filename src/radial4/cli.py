@@ -213,7 +213,7 @@ def _cmd_orbit(args) -> int:
         raise _UsageError("--a (orbit minimum value) is required")
     orbit = find_periodic(args.a, params, tol=args.tol)
     if args.format == "csv":
-        header, rows = orbit.trajectory.rows()
+        header, rows = orbit.rows()
         _write(args, jsonio.write_csv(header, rows))
         return 0
     doc = {"schema": SCHEMA, "params": params.to_dict()}
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_orb)
     _add_output_flags(p_orb)
     p_orb.add_argument("--a", type=float, default=None, help="orbit minimum value in (0, l)")
-    p_orb.add_argument("--tol", type=float, default=1e-8, help="matching residual tolerance")
+    p_orb.add_argument("--tol", type=float, default=1e-8, help="Newton residual tolerance, relative to max v^p")
     p_orb.set_defaults(fn=_cmd_orbit)
 
     p_hom = sub.add_parser("homoclinic", help="even decaying zero-energy profile")
@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_sw)
     _add_output_flags(p_sw, formats=("csv", "json"))
     p_sw.add_argument("--a", type=float, default=None, help="orbit minimum (for orbit sweeps)")
-    p_sw.add_argument("--tol", type=float, default=1e-8, help="orbit matching tolerance")
+    p_sw.add_argument("--tol", type=float, default=1e-8, help="orbit Newton residual tolerance")
     p_sw.add_argument("--vary", action="append", default=[],
                       help="axis spec name=start:stop:count (repeat for a 2-D grid)")
     p_sw.set_defaults(fn=_cmd_sweep)

@@ -1,30 +1,30 @@
 """Orbit solvers for the reduced equation: periodic, homoclinic, decay rates.
 
-Periodic orbits with a prescribed minimum a use the even-symmetry structure
-of the equation: at an extremum both odd derivatives vanish, so the orbit
-is determined by the single unknown b = v''(0) and the matching condition
-is v''' = 0 at the next extremum.  The scan and the bisection read only
-the sign of each shot, and a shot that cannot reach a turning point is an
-upward escape; when K2 >= 0, one that enters the forward-invariant cone
-{v >= l, v' > 0, v'' >= 0, v''' >= 0} is stopped there instead of being
-integrated on to blow-up or the time limit.  The homoclinic (even, positive,
-decaying) profile lives on the zero level of the conserved energy, which
-pins v''(0) given the peak value, leaving a one-parameter shooting problem
-resolved by a dichotomy bisection.  Its shots are read only as 'turn' or
-'cross', and since K2 > 0 there, one that enters the forward-invariant dive
-cone {v < l, v' < 0, v'' <= 0, v''' <= 0} is stopped there as a crossing.
-Both scans classify their grid in order and stop at the first sign change.
-Singularity classification compares
-the slowest linear decay rate of the reduced equation against the
-Emden-Fowler weight exponent (n-4-alpha)/2.
+Periodic orbits with a prescribed minimum a are even about t = 0 and about
+the half period, so they are computed as a cosine series in tau = omega t
+whose coefficients and frequency solve a collocation system by Newton's
+method (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001;
+Viswanath, SIAM Rev. 43 (2001) 478), continued from the small orbits about
+the equilibrium l.  A global method has none of the e^{lambda t} growth of
+round-off that limits shooting on these hyperbolic loops.
+
+The homoclinic (even, positive, decaying) profile lives on the zero level
+of the conserved energy, which pins v''(0) given the peak value, leaving a
+one-parameter shooting problem resolved by a dichotomy bisection.  Its
+shots are read only as 'turn' or 'cross', and since K2 > 0 there, one that
+enters the forward-invariant dive cone {v < l, v' < 0, v'' <= 0, v''' <= 0}
+is stopped there as a crossing.  The scan classifies its grid in order and
+stops at the first sign change.
+
+Singularity classification compares the slowest linear decay rate of the
+reduced equation against the Emden-Fowler weight exponent (n-4-alpha)/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .dynamics import (
 )
 from .errors import (
     BlowUpError,
-    BracketError,
     ConvergenceError,
     DomainError,
     RegimeError,
@@ -47,6 +46,11 @@ from .errors import (
 from .params import ProblemParams, check_conditions, derive_coefficients
 
 _SHOOT_TOL = 1e-12
+_MODES, _MAX_MODES = 32, 512  # first and largest Fourier truncation N
+_TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
+_STEP_TOL = 1e-11  # relative Newton correction taken as converged
+_MAX_NEWTON = 40
+_MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
 
 
 def potential(s: float, K0: float, p: float) -> float:
@@ -70,7 +74,12 @@ def linearized_frequency(K2: float, K0: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """Even periodic orbit of the reduced equation with minimum a at t=0."""
+    """Even periodic orbit of the reduced equation with minimum a at t=0.
+
+    The orbit is the cosine series v(t) = sum_k coefficients[k] cos(k omega t),
+    which sample and rows evaluate.  newton_iterations, continuation_steps
+    and modes count the work of the solve; to_dict leaves them out.
+    """
 
     a: float
     b: float
@@ -80,7 +89,32 @@ class PeriodicOrbit:
     residual_sup: float
     in_proven_regime: bool
     energy_drift: float
-    trajectory: Trajectory = field(repr=False, compare=False)
+    omega: float
+    coefficients: np.ndarray = field(repr=False, compare=False)
+    problem: ReducedProblem = field(repr=False, compare=False)
+    newton_iterations: int = field(compare=False)
+    continuation_steps: int = field(compare=False)
+
+    @property
+    def modes(self) -> int:
+        return len(self.coefficients)
+
+    def sample(self, t) -> np.ndarray:
+        """States (v, v', v'', v''') of the series at time(s) t."""
+        w = self.omega * np.arange(self.modes)
+        phase = np.multiply.outer(np.asarray(t, dtype=float), w)
+        cos, sin, c = np.cos(phase), np.sin(phase), self.coefficients
+        states = [cos @ c, sin @ (-w * c), cos @ (-w ** 2 * c), sin @ (w ** 3 * c)]
+        return np.stack(states, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+    def rows(self):
+        """(t, v, dv, d2v, d3v, E) rows at 8 N + 1 uniform times over one period."""
+        ts = np.linspace(0.0, self.period, 8 * self.modes + 1)
+        rows = [
+            (float(t), *[float(x) for x in y], float(self.problem.energy(y)))
+            for t, y in zip(ts, self.sample(ts))
+        ]
+        return ("t", "v", "dv", "d2v", "d3v", "E"), rows
 
     def to_dict(self) -> dict:
         return {
@@ -124,88 +158,69 @@ class SingularityVerdict:
         return {"verdict": self.verdict.value, "rate_gap": self.rate_gap}
 
 
-class _ShotOutcome:
-    """Result of one half-period shot: matching value or escape class."""
+def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: float, p: float):
+    """Newton's method for the collocation system at N = len(d) modes.
 
-    __slots__ = ("kind", "value", "t_star", "y_star")
-
-    def __init__(self, kind, value=math.nan, t_star=math.nan, y_star=None):
-        self.kind = kind  # "matched" | "escape_up" | "escape_down"
-        self.value = value
-        self.t_star = t_star
-        self.y_star = y_star
-
-    @property
-    def sign(self) -> float:
-        if self.kind == "matched":
-            return math.copysign(1.0, self.value) if self.value != 0.0 else 0.0
-        return 1.0 if self.kind == "escape_up" else -1.0
-
-
-def _escape_cone(problem: ReducedProblem):
-    """Test for the escape cone {v >= l, v' > 0, v'' >= 0, v''' >= 0}; None if K2 < 0.
-
-    The cone is forward invariant only for K2 >= 0 (see find_periodic).  v
-    is compared with l (1 + 1e-12) rather than l, so that the rounding in
-    l = K0^{1/(p-1)} cannot admit a state that lies outside the true cone.
+    The unknowns are omega and the coefficients d of w = v - l.  Since
+    K0 l = l^p, the equation reads L[w] = K0 l expm1(p log1p(w/l)), whose
+    round-off is relative to w rather than to l; otherwise a small orbit's
+    period would carry an error of order 1e-16 / (1 - a/l).  Returns (d,
+    omega, iterations, residual).  The iteration stops once a correction is
+    at round-off level, or after _MAX_NEWTON steps; residual is the sup of
+    the collocation residual over the sup of v^p at the nodes, and inf when
+    the Jacobian is singular or a correction is not finite.
     """
-    if problem.K2 < 0.0:
-        return None
-    v_min = problem.K0 ** (1.0 / (problem.p - 1.0)) * (1.0 + 1e-12)
-    return lambda y: y[0] >= v_min and y[1] > 0.0 and y[2] >= 0.0 and y[3] >= 0.0
+    n = len(d)
+    k = np.arange(n, dtype=float)
+    k2, k4 = k * k, k ** 4
+    cos = np.cos(np.outer(np.pi * (np.arange(n) + 0.5) / n, k))
+    jac = np.zeros((n + 1, n + 1))
+    jac[n, :n] = 1.0
+    rhs = np.empty(n + 1)
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iteration in range(_MAX_NEWTON + 1):
+            symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
+            x = np.maximum(cos @ d / l, -1.0)
+            rhs[:n] = cos @ (symbol * d) - K0 * l * np.expm1(p * np.log1p(x))
+            if converged or iteration == _MAX_NEWTON:
+                break
+            rhs[n] = d.sum() - w0
+            jac[:n, :n] = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
+            jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
+            try:
+                step = np.linalg.solve(jac, -rhs)
+            except np.linalg.LinAlgError:
+                return d, omega, iteration + 1, math.inf
+            if not np.all(np.isfinite(step)):
+                return d, omega, iteration + 1, math.inf
+            d = d + step[:n]
+            omega += step[n]
+            converged = (np.max(np.abs(step[:n])) <= _STEP_TOL * np.max(np.abs(d))
+                         and abs(step[n]) <= _STEP_TOL * omega)
+        residual = float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+    return d, omega, iteration, residual
 
 
-def _shoot_half_period(problem: ReducedProblem, a: float, b: float, t_max: float) -> _ShotOutcome:
-    """Integrate from the minimum (a,0,b,0) to the first falling v'=0.
+def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> PeriodicOrbit:
+    """Periodic orbit whose minimum value is a, by Fourier collocation.
 
-    A shot that enters the escape cone stops there: it can no longer turn,
-    so it is an upward escape, as its full run to blow-up or t_max would be.
-    """
-    ev = Event("turning_point", lambda t, y: y[1], direction=-1)
-    omega = linearized_frequency(problem.K2, problem.K0, problem.p)
-    # Keep the first node well before a sharp turning point for large b.
-    max_step = min(0.05 * math.pi / omega, 0.1 * math.sqrt(max(a, 1e-3) / max(b, 1.0)))
-    try:
-        traj = integrate(
-            OdeState(0.0, (a, 0.0, b, 0.0)),
-            t_max,
-            _SHOOT_TOL,
-            problem,
-            events=(ev,),
-            max_step=max_step,
-            escaped=_escape_cone(problem),
-        )
-    except BlowUpError:
-        return _ShotOutcome("escape_up")
-    except TrajectoryDomainError:
-        return _ShotOutcome("escape_down")
-    if traj.event_name is None:
-        return _ShotOutcome("escape_up")
-    y_star = traj.ys[-1]
-    return _ShotOutcome("matched", float(y_star[3]), float(traj.ts[-1]), y_star)
-
-
-def find_periodic(
-    a: float,
-    params: ProblemParams,
-    tol: float = 1e-8,
-    b_hint: Optional[float] = None,
-) -> PeriodicOrbit:
-    """Periodic orbit whose minimum value is a, by shooting on b = v''(0).
-
-    The scan interval for b starts at [1e-6, b_cap] with b_cap set by the
-    zero-energy cap (1/2) b_cap^2 = -G(a) and doubles on bracket failure up
-    to 8 times.  The matching function F(b) = v'''(t*) at the first falling
-    root of v' is driven below tol by bisection plus a secant polish.
-    A shot with no such root escapes upward (blow-up, or no turn by t_max)
-    or downward (v reaches 0).  For K2 >= 0 an upward escape is known as
-    soon as the shot enters the cone {v >= l, v' > 0, v'' >= 0, v''' >= 0}:
-    there v'''' = K2 v'' + v (v^{p-1} - K0) >= 0, so v''', v'', v' and v
-    never decrease and v' never returns to 0.  The shot stops there, and
-    since only its sign is read, the result is the same as integrating it
-    to the end.  Raises BracketError when F never changes sign,
-    ConvergenceError when the residual tolerance cannot be met,
-    ValidationError for a outside (0, l), RegimeError when no positive
+    The orbit is even about its minimum at t = 0 and about the half period,
+    so v(t) = sum_{k<N} c_k cos(k tau) with tau = omega t.  The N equations
+    omega^4 v'''' - K2 omega^2 v'' + K0 v - max(v, 0)^p = 0 (derivatives in
+    tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine
+    (c, omega); Newton's method solves them with the analytic Jacobian,
+    written for w = v - l (see _collocate).  The minimum a is reached by
+    continuation in eps = 1 - a/l, doubling eps from min(1e-3, 1 - a/l)
+    and starting from the linearized orbit c_0 = l, c_1 = -eps l, omega =
+    linearized_frequency.  A step on which Newton fails (a singular
+    Jacobian, a non-finite correction, a relative residual above tol) is
+    halved and tried again.  N starts at 32 and doubles, from the last
+    orbit, until the last four coefficients of w are below 1e-15 of its
+    largest.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
+    are read off the coefficients.  Raises ConvergenceError after the
+    sixth halving or when N would pass 512, ValidationError for a outside
+    (0, l) or tol outside (0, 1e-4], RegimeError when no positive
     equilibrium exists.
     """
     problem = ReducedProblem.from_params(params)
@@ -218,126 +233,67 @@ def find_periodic(
     if not (0.0 < a < l):
         raise ValidationError(f"minimum value a={a} must lie strictly inside (0, {l})")
     if not (0.0 < tol <= 1e-4):
-        raise ValidationError(f"matching tolerance {tol} out of range (0, 1e-4]")
+        raise ValidationError(f"Newton residual tolerance {tol} out of range (0, 1e-4]")
 
     report = check_conditions(params)
     in_regime = report.periodicity_regime or report.uniqueness_ok
 
-    omega = linearized_frequency(problem.K2, problem.K0, problem.p)
-    t_max = 200.0 / omega
-    g_a = potential(a, problem.K0, problem.p)
-    b_cap = math.sqrt(max(-2.0 * g_a, 1e-12))
-
-    def shoot(b: float) -> _ShotOutcome:
-        return _shoot_half_period(problem, a, b, t_max)
-
-    bracket = None
-    shots = {}
-
-    def classify(b: float) -> _ShotOutcome:
-        if b not in shots:
-            shots[b] = shoot(b)
-        return shots[b]
-
-    candidates: List[Tuple[float, float]] = []
-    if b_hint is not None and b_hint > 0.0:
-        candidates.append((max(b_hint / 2.0, 1e-9), b_hint * 2.0))
-    lo0 = 1e-6
-    hi0 = max(b_cap, 10.0 * lo0)
-    for expansion in range(9):
-        candidates.append((lo0, hi0 * 2.0 ** expansion))
-
-    for lo, hi in candidates:
-        grid = [float(b) for b in np.linspace(lo, hi, 17)]
-        s_prev = classify(grid[0]).sign
-        for b_prev, b in zip(grid, grid[1:]):
-            if s_prev == 0.0:
-                bracket = (b_prev, b_prev)
-                break
-            s = classify(b).sign
-            if s != 0.0 and s != s_prev:
-                bracket = (b_prev, b)
-                break
-            s_prev = s
-        if bracket is not None:
+    K2, K0, p = problem.K2, problem.K0, problem.p
+    eps_target = 1.0 - a / l
+    eps = min(1e-3, eps_target)
+    d = np.zeros(_MODES)
+    d[1] = -eps * l
+    omega = linearized_frequency(K2, K0, p)
+    done = 0.0  # eps of the last orbit solved; 0 is the equilibrium
+    iterations = steps = retries = 0
+    while True:
+        w0 = a - l if eps >= eps_target else -eps * l
+        trial, trial_omega, its, residual = _collocate(d, omega, w0, l, K2, K0, p)
+        iterations += its
+        where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
+        if not residual <= tol:
+            # halve the continuation step
+            retries += 1
+            if retries > _MAX_RETRIES:
+                raise ConvergenceError(
+                    f"collocation residual {residual:.3e} did not reach tol={tol:.3e} {where}"
+                )
+            eps = 0.5 * (done + eps)
+            continue
+        if np.max(np.abs(trial[-4:])) > _TAIL_TOL * np.max(np.abs(trial)):
+            # solve again with twice the modes, from the last orbit
+            if 2 * len(d) > _MAX_MODES:
+                raise ConvergenceError(f"Fourier tail still above 1e-15 {where}")
+            d = np.concatenate([d, np.zeros_like(d)])
+            continue
+        d, omega, done = trial, trial_omega, eps
+        steps += 1
+        if eps >= eps_target:
             break
-    if bracket is None:
-        raise BracketError(
-            f"matching function has no sign change for b in [1e-06, {hi0 * 2.0 ** 8:g}] at a={a}"
-        )
+        eps = min(eps_target, 2.0 * eps)
 
-    b_lo, b_hi = bracket
-    s_lo = classify(b_lo).sign
-    for _ in range(90):
-        if b_hi - b_lo <= 1e-15 * max(1.0, b_hi):
-            break
-        mid = 0.5 * (b_lo + b_hi)
-        s_mid = classify(mid).sign
-        if s_mid == 0.0:
-            b_lo = b_hi = mid
-            break
-        if s_mid == s_lo:
-            b_lo = mid
-        else:
-            b_hi = mid
-
-    best_b = 0.5 * (b_lo + b_hi)
-    best = classify(best_b) if best_b in shots else shoot(best_b)
-    if best.kind != "matched":
-        for cand in (b_lo, b_hi):
-            out = classify(cand)
-            if out.kind == "matched":
-                best_b, best = cand, out
-                break
-    if best.kind != "matched":
-        raise ConvergenceError(f"shooting failed to produce a turning point near b={best_b}")
-
-    # Secant polish on the matched residual.
-    prev_b, prev_f = None, None
-    cur_b, cur_f = best_b, best.value
-    for _ in range(8):
-        if abs(cur_f) < tol * 1e-2:
-            break
-        if prev_b is not None and cur_f != prev_f:
-            step = cur_f * (cur_b - prev_b) / (cur_f - prev_f)
-            nxt = cur_b - step
-        else:
-            nxt = cur_b * (1.0 + 1e-9) + 1e-12
-        if not (0.0 < nxt):
-            break
-        out = shoot(nxt)
-        if out.kind != "matched":
-            break
-        prev_b, prev_f = cur_b, cur_f
-        cur_b, cur_f = nxt, out.value
-        if abs(cur_f) < abs(best.value):
-            best_b, best = nxt, out
-
-    residual = abs(best.value)
-    if residual >= tol:
-        raise ConvergenceError(
-            f"matching residual |v'''(t*)|={residual:.3e} did not reach tol={tol:.3e} at a={a}"
-        )
-
-    t_half = best.t_star
-    period = 2.0 * t_half
-    max_value = float(best.y_star[0])
-    y0 = OdeState(0.0, (a, 0.0, best_b, 0.0))
-    energy0 = problem.energy(y0.y)
-    traj = integrate(y0, period, 1e-11, problem)
-    drift = float(np.max(np.abs(traj.energies - energy0)))
-
-    return PeriodicOrbit(
+    k = np.arange(len(d), dtype=float)
+    b = float(-omega * omega * np.sum(k * k * d))
+    energy0 = float(problem.energy((a, 0.0, b, 0.0)))
+    c = d.copy()
+    c[0] += l
+    orbit = PeriodicOrbit(
         a=float(a),
-        b=float(best_b),
-        period=float(period),
-        max_value=max_value,
-        energy=float(energy0),
-        residual_sup=float(residual),
+        b=b,
+        period=float(2.0 * math.pi / omega),
+        max_value=float(l + np.sum(np.where(k % 2 == 0, d, -d))),
+        energy=energy0,
+        residual_sup=residual,
         in_proven_regime=bool(in_regime),
-        energy_drift=drift,
-        trajectory=traj,
+        energy_drift=0.0,
+        omega=float(omega),
+        coefficients=c,
+        problem=problem,
+        newton_iterations=iterations,
+        continuation_steps=steps,
     )
+    drift = max(abs(row[-1] - energy0) for row in orbit.rows()[1])
+    return replace(orbit, energy_drift=float(drift))
 
 
 def _dive_cone(problem: ReducedProblem):

@@ -119,6 +119,21 @@ def test_small_amplitude_period_approaches_linearized_limit():
     )
 
 
+def test_periodic_work_counts():
+    # the solver's work repeats exactly from run to run, so it is gated as
+    # counts next to the wall-time bound above
+    coeff = derive_coefficients(B0)
+    counts = []
+    for a in (1.0, coeff.l - 1e-3):
+        orbit = find_periodic(a, B0)
+        counts.append((orbit.newton_iterations, orbit.continuation_steps, orbit.modes))
+    _report(
+        "periodic work counts",
+        counts == [(44, 10, 32), (3, 1, 32)],
+        f"(Newton iterations, continuation steps, modes) = {counts} at a = 1 and l - 1e-3",
+    )
+
+
 def test_homoclinic_matches_closed_forms():
     base = find_homoclinic(B0)
     target_base = 24.0 ** 0.25

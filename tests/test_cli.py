@@ -104,6 +104,34 @@ class TestOrbit:
         assert doc["period"] == pytest.approx(4.4371357547621058, rel=1e-8)
         assert doc["in_proven_regime"] is True
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # shooting on v''(0) exited 5 and 3 on these
+            ["--n", "6", "--alpha", "1.1767380444873858", "--p", "2.6777381037533425",
+             "--a", "1.43067752523473"],
+            ["--n", "5", "--alpha", "0.13930734865417538", "--p", "4.4861357549337875",
+             "--a", "0.4185843747442016"],
+        ],
+    )
+    def test_former_shooting_failures(self, capsys, flags):
+        rc, doc = run_json(capsys, ["orbit"] + flags)
+        assert rc == 0
+        assert doc["residual_sup"] < 1e-8
+        assert doc["energy_drift"] < 1e-8
+
+    def test_orbit_csv_spans_one_period(self, capsys):
+        rc, out = run_text(capsys, ["orbit"] + B0_FLAGS + ["--a", "1.0", "--format", "csv"])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "t,v,dv,d2v,d3v,E"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert rows[0][0] == 0.0
+        assert rows[-1][0] == pytest.approx(4.4371357547621058, rel=1e-8)
+        steps = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
+        assert max(steps) - min(steps) < 1e-12
+        assert rows[0][1:5] == pytest.approx((1.0, 0.0, 0.7836654928917256, 0.0), abs=1e-9)
+
 
 class TestHomoclinic:
     def test_profile_document_with_verdict(self, capsys):
@@ -426,6 +454,15 @@ class TestExitCodes:
 
     def test_orbit_outside_oscillation_regime(self, capsys):
         assert main(["orbit"] + B0_FLAGS + ["--lambda", "12", "--a", "1.0"]) == 4
+        capsys.readouterr()
+
+    def test_orbit_tolerance_out_of_range(self, capsys):
+        assert main(["orbit"] + B0_FLAGS + ["--a", "1.0", "--tol", "1e-3"]) == 5
+        capsys.readouterr()
+
+    def test_orbit_tolerance_out_of_reach(self, capsys):
+        # the Newton residual stops near 1e-16
+        assert main(["orbit"] + B0_FLAGS + ["--a", "1.0", "--tol", "1e-20"]) == 3
         capsys.readouterr()
 
     def test_homoclinic_complex_eigenvalues(self, capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial4 import (
     BlowUpError,
+    ConvergenceError,
     Event,
     OdeState,
     ProblemParams,
@@ -16,6 +19,7 @@ from radial4 import (
     ValidationError,
     Verdict,
     classify_singularity,
+    derive_coefficients,
     find_homoclinic,
     find_periodic,
     integrate,
@@ -65,25 +69,53 @@ class TestFindPeriodic:
         assert orbit_b0.in_proven_regime
 
     def test_trajectory_closes(self, orbit_b0):
-        # hyperbolicity amplifies integration noise by ~1e7 over one loop,
-        # which caps how tightly the endpoint can return to the start
-        y_start = orbit_b0.trajectory.ys[0]
-        y_end = orbit_b0.trajectory.sample(orbit_b0.period)
-        assert np.max(np.abs(y_end - y_start)) < 5e-5
+        # the series is periodic by construction and starts at (a, 0, b, 0)
+        y_start = orbit_b0.sample(0.0)
+        assert np.max(np.abs(y_start - (orbit_b0.a, 0.0, orbit_b0.b, 0.0))) < 1e-12
+        assert np.max(np.abs(orbit_b0.sample(orbit_b0.period) - y_start)) < 1e-12
+        # a DP run from that anchor closes the loop as well; hyperbolicity
+        # amplifies integration noise by ~1e7 over one loop, which caps how
+        # tightly its endpoint can return to the start
+        loop = integrate(OdeState(0.0, tuple(y_start)), orbit_b0.period, 1e-11, orbit_b0.problem)
+        assert np.max(np.abs(loop.ys[-1] - y_start)) < 5e-5
 
     def test_orbit_symmetric_about_half_period(self, orbit_b0):
         tq = np.linspace(0.0, orbit_b0.period / 2.0, 40)
-        fwd = orbit_b0.trajectory.sample(tq)[:, 0]
-        bwd = orbit_b0.trajectory.sample(orbit_b0.period - tq)[:, 0]
-        assert np.max(np.abs(fwd - bwd)) < 1e-5
+        fwd = orbit_b0.sample(tq)
+        bwd = orbit_b0.sample(orbit_b0.period - tq)
+        assert np.max(np.abs(fwd[:, 0] - bwd[:, 0])) < 1e-12
+        # the odd derivatives change sign under the reflection
+        assert np.max(np.abs(fwd * (1.0, -1.0, 1.0, -1.0) - bwd)) < 1e-11
 
-    def test_hint_reproduces_orbit(self):
-        orbit = find_periodic(1.0, B0, b_hint=0.78)
-        assert orbit.b == pytest.approx(0.7836654928917256, rel=1e-9)
+    def test_rows_cover_one_period(self, orbit_b0):
+        header, rows = orbit_b0.rows()
+        assert header == ("t", "v", "dv", "d2v", "d3v", "E")
+        assert len(rows) == 8 * orbit_b0.modes + 1
+        assert rows[0][0] == 0.0 and rows[-1][0] == orbit_b0.period
+        assert max(abs(row[-1] - orbit_b0.energy) for row in rows) == orbit_b0.energy_drift
 
     def test_small_amplitude_limit(self):
         orbit = find_periodic(EQUILIBRIUM - 1e-3, B0)
         assert orbit.period == pytest.approx(SMALL_ORBIT_PERIOD, abs=1e-2)
+
+    @pytest.mark.parametrize("fraction", [1e-4, 1e-3, 1e-2, 0.05])
+    def test_orbits_near_the_homoclinic_loop(self, fraction):
+        # shooting on b failed for every a <= 0.05 l: its matching value
+        # v'''(t*) amplifies round-off by about e^{3 t*}
+        orbit = find_periodic(fraction * derive_coefficients(B0).l, B0)
+        assert orbit.residual_sup < 1e-8
+        assert orbit.energy_drift < 1e-8
+        assert EQUILIBRIUM < orbit.max_value < (0.5 * 6.0 * 9.0) ** 0.25
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+    def test_orbits_as_alpha_approaches_n_minus_4(self, gap):
+        # K0 -> 0, so l and omega -> 0 and the period grows without bound;
+        # in tau = omega t the orbit stays smooth (l = 5e-24 at the last gap)
+        params = ProblemParams(n=5, alpha=1.0 - gap, p=1.5)
+        l = derive_coefficients(params).l
+        orbit = find_periodic(0.5 * l, params)
+        assert orbit.residual_sup < 1e-8
+        assert l < orbit.max_value
 
     def test_max_value_between_equilibrium_and_barrier(self, orbit_b0):
         s_star = (0.5 * 6.0 * 9.0) ** 0.25
@@ -102,12 +134,152 @@ class TestFindPeriodic:
         with pytest.raises(RegimeError):
             find_periodic(0.1, ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0))
 
+    def test_residual_tolerance_out_of_reach(self):
+        # the collocation residual stops near 1e-16, so tol = 1e-20 fails
+        with pytest.raises(ConvergenceError):
+            find_periodic(1.0, B0, tol=1e-20)
+
+    @pytest.mark.parametrize("fault", ["singular", "non-finite"])
+    def test_newton_faults_are_convergence_errors(self, monkeypatch, fault):
+        def solve(jac, rhs):
+            if fault == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(ConvergenceError):
+            find_periodic(1.0, B0)
+
     def test_to_dict_keys(self, orbit_b0):
         d = orbit_b0.to_dict()
         assert set(d) >= {
             "a", "b", "period", "max_value", "energy",
             "residual_sup", "in_proven_regime", "energy_drift",
         }
+
+
+def _dp_half_period_error(orbit, segments=1):
+    """Largest mismatch between DP runs over [0, period/2] and the series.
+
+    The first run starts from the anchor (a, 0, b, 0); a run ends on the
+    series state at the end of its segment, which at period/2 is
+    (max_value, 0, v'', 0).  Each later run restarts from the series, so a
+    segment amplifies round-off only by its own e^{lambda dt}.  Time is
+    tau = omega t and v is scaled by omega^{-4/(p-1)}: the equation keeps
+    its form with K2/omega^2 and K0/omega^4, and the DP tolerance means the
+    same on every instance.  Mismatches are relative to each component's
+    sup over the half period.
+    """
+    problem, omega = orbit.problem, orbit.omega
+    scale = omega ** (-4.0 / (problem.p - 1.0)) * omega ** -np.arange(4.0)
+    scaled = ReducedProblem(problem.K2 / omega ** 2, problem.K0 / omega ** 4, problem.p)
+    taus = np.linspace(0.0, math.pi, segments + 1)
+    ends = orbit.sample(taus / omega)
+    ends[0] = (orbit.a, 0.0, orbit.b, 0.0)
+    ends[-1] = (orbit.max_value, 0.0, ends[-1][2], 0.0)
+    ends = ends * scale
+    sup = np.max(np.abs(orbit.sample(np.linspace(0.0, orbit.period / 2.0, 257)) * scale), axis=0)
+    worst = 0.0
+    for j in range(segments):
+        y = integrate(OdeState(taus[j], tuple(ends[j])), taus[j + 1], 1e-12, scaled).ys[-1]
+        worst = max(worst, float(np.max(np.abs(y - ends[j + 1]) / sup)))
+    return worst
+
+
+K2_NEGATIVE = ProblemParams(n=6, alpha=0.0, p=5.0, lam=12.0, mu=5.0)  # K2 = -2, K0 = 2
+
+
+class TestPeriodicOracles:
+    """find_periodic against checks that share none of its code."""
+
+    @pytest.mark.parametrize(
+        "params, a",
+        [pytest.param(B0, f * EQUILIBRIUM, id=f"b0-{f}") for f in (0.3, 0.5, 0.58, 0.8)]
+        + [
+            pytest.param(B0, EQUILIBRIUM - 1e-3, id="b0-near-l"),
+            pytest.param(SHIFTED, 0.4, id="shifted"),
+            pytest.param(K2_NEGATIVE, 0.8 * 2.0 ** 0.25, id="k2-negative"),
+        ],
+    )
+    def test_dp_half_period(self, params, a):
+        # one DP run from the anchor: v' and v''' vanish at period/2, where
+        # v meets max_value
+        assert _dp_half_period_error(find_periodic(a, params)) <= 1e-8
+
+    @pytest.mark.parametrize("params", [B0, SHIFTED], ids=["b0", "shifted"])
+    def test_homoclinic_limit(self, params):
+        # the orbits approach the homoclinic loop as a -> 0, with
+        # max_value - peak ~ c a^2 (-2.497e-7 and -2.497e-9 on B0)
+        l = derive_coefficients(params).l
+        peak = find_homoclinic(params).peak
+        gaps = [find_periodic(f * l, params).max_value - peak for f in (1e-3, 1e-4)]
+        assert gaps[0] < 0.0 and gaps[1] < 0.0
+        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=1e-2)
+
+    def test_small_amplitude_period_coefficient(self):
+        # T/T0 - 1 = c(eps) eps^2 with eps = 1 - a/l and c(eps) = c0 - 2.9 eps
+        # + ...; each pair of eps removes the linear term
+        l = derive_coefficients(B0).l
+        t0 = 2.0 * math.pi / linearized_frequency(10.0, 9.0, 5.0)
+
+        def c(eps):
+            return (find_periodic((1.0 - eps) * l, B0).period / t0 - 1.0) / eps ** 2
+
+        c3, c4, c5 = c(1e-3), c(1e-4), c(1e-5)
+        limit_34 = (1e-3 * c4 - 1e-4 * c3) / (1e-3 - 1e-4)
+        limit_45 = (1e-4 * c5 - 1e-5 * c4) / (1e-4 - 1e-5)
+        assert abs(limit_34 - limit_45) <= 1e-3
+
+
+@st.composite
+def periodicity_instances(draw):
+    """lambda = mu = 0 and alpha in (-2, n-4): the paper's periodicity regime."""
+    n = draw(st.integers(5, 8))
+    alpha = draw(st.floats(-2.0, n - 4.0, exclude_min=True, exclude_max=True))
+    p = draw(st.floats(1.5, 6.0, exclude_min=True, exclude_max=True))
+    fraction = draw(st.floats(0.01, 0.95, exclude_min=True, exclude_max=True))
+    return ProblemParams(n=n, alpha=alpha, p=p), fraction
+
+
+def _dp_segments(orbit):
+    """DP runs over the half period that keep each e^{lambda dt} below e^4.
+
+    A single run from the anchor amplifies round-off by e^{lambda period/2},
+    past 1e8 on many instances; lambda bounds the growth rates along the
+    orbit.
+    """
+    K2, K0, p = orbit.problem.K2, orbit.problem.K0, orbit.problem.p
+    lam = math.sqrt(abs(K2) + math.sqrt(K0 + p * orbit.max_value ** (p - 1.0)))
+    return math.ceil(lam * orbit.period / 8.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(periodicity_instances())
+def test_periodic_orbits_across_the_regime(instance):
+    params, fraction = instance
+    orbit = find_periodic(fraction * derive_coefficients(params).l, params)
+    assert orbit.residual_sup <= 1e-8
+    # the DP work grows like lambda * period, which has no bound as
+    # alpha -> n-4; none of the examples reaches the cap
+    segments = _dp_segments(orbit)
+    if segments <= 64:
+        assert _dp_half_period_error(orbit, segments) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "params, fraction",
+    [
+        (ProblemParams(n=10, alpha=5.631633655833825, p=9.264386279047944), 0.006987657359575838),
+        (ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816), 0.0008355571996189617),
+    ],
+    ids=["n10-p9.3", "n5-p11.4"],
+)
+def test_failed_continuation_steps_are_halved(params, fraction):
+    # the jump from 1 - v(0)/l = 0.512 to the target fails at N = 64 or 128
+    # and succeeds once halved
+    orbit = find_periodic(fraction * derive_coefficients(params).l, params)
+    assert orbit.continuation_steps == 12
+    assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
 
 
 def _record_integrate(monkeypatch):
@@ -125,72 +297,6 @@ def _record_integrate(monkeypatch):
 
     monkeypatch.setattr(orbits, "integrate", recording)
     return calls
-
-
-class TestEscapeCone:
-    """Half-period shots stop once they enter the forward-invariant escape cone."""
-
-    @pytest.mark.parametrize("a", [1.0, EQUILIBRIUM - 1e-3])
-    def test_stopped_shots_escape_without_the_cone(self, monkeypatch, a):
-        calls = _record_integrate(monkeypatch)
-        find_periodic(a, B0)
-        stopped = [c for c in calls if c[2] is not None and c[2].stop_reason[0] == "escape"]
-        assert stopped
-        steps_stopped = steps_full = 0
-        for args, kwargs, traj, _ in stopped:
-            assert traj.event_name is None
-            full = {k: v for k, v in kwargs.items() if k != "escaped"}
-            try:
-                rerun = integrate(*args, **full)
-            except BlowUpError as exc:
-                rerun = exc.trajectory
-            else:
-                assert rerun.stop_reason == ("t_end",) and rerun.event_name is None
-            steps_stopped += traj.n_accepted
-            steps_full += rerun.n_accepted
-        # 1449 of 10323 steps at a = 1.0, 447 of 17296 near l
-        assert steps_stopped < 0.15 * steps_full
-
-    def test_escape_shots_take_a_small_share_of_steps(self, monkeypatch):
-        calls = _record_integrate(monkeypatch)
-        find_periodic(EQUILIBRIUM - 1e-3, B0)
-        # a shot is a run with events; it escapes when it ends without a turning point
-        escape_steps = sum(
-            traj.n_accepted for _, kwargs, traj, exc in calls
-            if kwargs.get("events") and (exc is not None or traj.event_name is None)
-        )
-        total = sum(traj.n_accepted for _, _, traj, _ in calls if traj is not None)
-        # run to blow-up or t_max, the escape shots took 94% of the steps;
-        # stopped at the cone they take 447 of 3202
-        assert escape_steps < 0.2 * total
-
-    def test_each_cone_condition_is_needed(self):
-        # from inside the cone the shot escapes; breaking v >= l, v'' >= 0 or
-        # v''' >= 0 alone lets it turn back
-        problem = ReducedProblem(10.0, 9.0, 5.0)
-        cone = orbits._escape_cone(problem)
-        turn = Event("turning_point", lambda t, y: y[1], direction=-1)
-        inside = (1.01 * EQUILIBRIUM, 0.1, 0.0, 0.0)
-        assert cone(inside)
-        with pytest.raises(BlowUpError):
-            integrate(OdeState(0.0, inside), 20.0, 1e-12, problem, events=(turn,))
-        for y in [
-            (0.9 * EQUILIBRIUM, 0.1, 0.0, 0.0),
-            (1.01 * EQUILIBRIUM, 0.1, -1.0, 0.0),
-            (1.01 * EQUILIBRIUM, 0.1, 0.1, -5.0),
-        ]:
-            assert not cone(y)
-            traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(turn,))
-            assert traj.event_name == "turning_point"
-        # v = l itself stays out, so the rounding in l cannot admit v < l
-        assert not cone((EQUILIBRIUM, 0.1, 0.0, 0.0))
-
-    def test_no_cone_when_k2_negative(self, monkeypatch):
-        params = ProblemParams(n=6, alpha=0.0, p=5.0, lam=12.0, mu=5.0)  # K2 = -2, K0 = 2
-        calls = _record_integrate(monkeypatch)
-        find_periodic(0.8 * 2.0 ** 0.25, params)
-        shots = [kwargs for _, kwargs, _, _ in calls if kwargs.get("events")]
-        assert shots and all(kwargs["escaped"] is None for kwargs in shots)
 
 
 def _homoclinic_fate(problem, y):
