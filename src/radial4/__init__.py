@@ -28,7 +28,7 @@ _EXPORTS = {
                        " radial_curve_rows",
         "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory detect_extrema energy"
                     " integrate rhs",
-        "errors": "BlowUpError BracketError ConvergenceError DomainError NoExplicitSolutionError"
+        "errors": "BlowUpError ConvergenceError DomainError NoExplicitSolutionError"
                   " PoleError Radial4Error RegimeError StepFailureError TailError"
                   " TrajectoryDomainError ValidationError",
         "identities": "IdentityId IdentityReport QuadratureGrid RadialTestFunction TEST_FUNCTIONS"

@@ -7,7 +7,6 @@ library's exception taxonomy onto stable exit codes:
     0  success
     1  usage error (bad flags, malformed grid, unreadable config,
        unwritable output, or a reader that closed stdout early)
-    2  bracket failure in a root scan
     3  non-convergence, blow-up, or step failure
     4  regime violation (no explicit solution, wrong coefficient signs)
     5  validation, domain, pole, or tail errors
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Sequence
 from . import jsonio
 from .errors import (
     BlowUpError,
-    BracketError,
     ConvergenceError,
     Radial4Error,
     RegimeError,
@@ -43,7 +41,6 @@ from .params import ProblemParams, check_conditions, derive_coefficients
 SCHEMA = "1"
 
 _EXIT_USAGE = 1
-_EXIT_BRACKET = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_REGIME = 4
 _EXIT_VALIDATION = 5
@@ -541,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, BracketError):
-        return _EXIT_BRACKET
     if isinstance(exc, (ConvergenceError, BlowUpError, StepFailureError)):
         return _EXIT_CONVERGENCE
     if isinstance(exc, RegimeError):
@@ -551,6 +546,11 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # One BLAS thread unless the caller chose otherwise: no solve here is
+    # large enough to gain from OpenBLAS's pool, whose start-up costs a
+    # third or more of numpy's import and whose thread count changes the
+    # last digits of large dense solves.  Set before any handler imports numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

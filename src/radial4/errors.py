@@ -32,10 +32,6 @@ class TailError(Radial4Error):
         self.end_value = end_value
 
 
-class BracketError(Radial4Error):
-    """A root scan failed to bracket a sign change."""
-
-
 class ConvergenceError(Radial4Error):
     """An iteration hit its budget without meeting its tolerance."""
 

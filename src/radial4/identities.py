@@ -11,9 +11,11 @@ T_a u = u' + (n-2-a)/(2r) u.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,11 +103,17 @@ TEST_FUNCTIONS: Dict[str, RadialTestFunction] = {
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Composite Gauss-Legendre nodes/weights on the symmetric t-interval."""
+    """Composite Gauss-Legendre nodes/weights on the symmetric t-interval.
+
+    The grid keeps its radii and each test function's (u, u', u'') at those
+    radii once computed, so every integral over it shares one evaluation.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     t_span: Tuple[float, float]
+    _profiles: Dict[RadialTestFunction, tuple] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, T: float = 40.0, panel_width: float = 0.5,
@@ -115,9 +123,18 @@ class QuadratureGrid:
         nodes, weights = _gl_panels(-T, T, points_per_panel, panel_width)
         return cls(nodes=nodes, weights=weights, t_span=(-T, T))
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.exp(-self.nodes)
+        """exp(-nodes), read-only because every integral over the grid shares it."""
+        r = np.exp(-self.nodes)
+        r.flags.writeable = False
+        return r
+
+    def _profile(self, u: RadialTestFunction) -> tuple:
+        """(u, u', u'') at the grid radii."""
+        if u not in self._profiles:
+            self._profiles[u] = u(self.radii)
+        return self._profiles[u]
 
 
 def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: float,
@@ -130,20 +147,18 @@ def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: fl
     negligible contribution.  Raises TailError when the integrand has not
     decayed below 1e-14 of its maximum at either end of the grid.
     """
-    t = grid.nodes
-    r = np.exp(-t)
-    fv = np.abs(np.asarray(field(r), dtype=float))
-    if np.any(~np.isfinite(fv)):
+    fv = np.abs(np.asarray(field(grid.radii), dtype=float))
+    if not np.isfinite(fv).all():
         raise DomainError("field evaluation produced non-finite values")
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        logg = np.where(fv > 0.0, power * np.log(fv), -np.inf) + (weight_exp - n) * t
+        logg = np.where(fv > 0.0, power * np.log(fv), -np.inf) + (weight_exp - n) * grid.nodes
         g = np.exp(logg)
-    g = np.where(np.isfinite(g), g, 0.0)
-    peak = float(np.max(g))
+    g[~np.isfinite(g)] = 0.0
+    peak = float(g.max())
     if peak == 0.0:
         return 0.0
-    lo_end = float(np.max(g[-8:]))   # nodes are ascending in t; t -> +T is r -> 0
-    hi_end = float(np.max(g[:8]))    # t -> -T is r -> +inf
+    lo_end = float(g[-8:].max())   # nodes are ascending in t; t -> +T is r -> 0
+    hi_end = float(g[:8].max())    # t -> -T is r -> +inf
     if hi_end > _TAIL_REL * peak:
         raise TailError(
             f"integrand tail at r->inf is {hi_end:.3e} vs peak {peak:.3e}",
@@ -154,7 +169,7 @@ def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: fl
             f"integrand tail at r->0 is {lo_end:.3e} vs peak {peak:.3e}",
             end="r_zero", end_value=lo_end / peak,
         )
-    return float(omega_n(n) * np.sum(grid.weights * g))
+    return float(omega_n(n) * (grid.weights * g).sum())
 
 
 def weighted_integral(field: Callable[[np.ndarray], np.ndarray], weight_exp: float,
@@ -211,31 +226,30 @@ def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _fields(u: RadialTestFunction, n: int, alpha: float):
-    """Scalar fields r -> value used by the identity assemblies."""
+def _fields(u: RadialTestFunction, n: int, alpha: float, grid: QuadratureGrid):
+    """Scalar fields r -> value on the grid radii used by the identity assemblies."""
+    uv, du, d2u = grid._profile(u)
 
     def u_val(r):
-        return u(r)[0]
+        return uv
 
     def du_val(r):
-        return u(r)[1]
+        return du
 
     def laplacian(r):
-        uv, du, d2u = u(r)
         return d2u + (n - 1.0) / r * du
 
     def t_a2(r):
-        return t_operator(alpha + 2.0, u, r, n)
+        # t_operator keeps its r > 0 check; it reads the profile computed above
+        return t_operator(alpha + 2.0, lambda _: (uv, du, d2u), r, n)
 
     def t_a_t_a2(r):
-        uv, du, d2u = u(r)
         half = 0.5 * (n - 4.0 - alpha)
         return d2u + (n - 3.0 - alpha) / r * du + half * half / (r * r) * uv
 
     def grad_weighted(q_exp):
         # |d/dr (r^q u)| = r^{q-1} |q u + r u'|
         def g(r):
-            uv, du, _ = u(r)
             with np.errstate(over="ignore", under="ignore"):
                 return r ** (q_exp - 1.0) * (q_exp * uv + r * du)
         return g
@@ -255,7 +269,7 @@ def verify_identity(identity: IdentityId, u: RadialTestFunction, n: int, alpha: 
     """
     if not isinstance(identity, IdentityId):
         identity = IdentityId(identity)
-    u_val, du_val, laplacian, t_a2, t_a_t_a2, grad_weighted = _fields(u, n, alpha)
+    u_val, du_val, laplacian, t_a2, t_a_t_a2, grad_weighted = _fields(u, n, alpha, grid)
     na2 = (n + alpha) ** 2 / 4.0
     half_sq = (n - 4.0 - alpha) ** 2 / 4.0
 
@@ -339,34 +353,27 @@ def _verify_tau_scaling(u: RadialTestFunction, n: int, alpha: float,
         raise DomainError(f"scaling substitution needs tau > 0, got tau={tau}")
     crit = 2.0 * n / (n - 4.0)
 
-    def s_of(r):
-        # computed through logs and clamped so that a strong stretch
-        # (small tau) cannot push s to inf; every suite profile has fields
-        # that underflow to zero long before the clamp engages
-        log_s = np.log(r) / tau
-        return np.exp(np.clip(log_s, -700.0, 700.0))
+    # computed through logs and clamped so that a strong stretch (small tau)
+    # cannot push s to inf; every suite profile has fields that underflow
+    # to zero long before the clamp engages
+    s = np.exp(np.clip(np.log(grid.radii) / tau, -700.0, 700.0))
+    sv, sdu, sd2u = u(s)
 
     def ut_val(r):
-        return u(s_of(r))[0]
+        return sv
 
     def ut_du(r):
-        s = s_of(r)
-        _, du, _ = u(s)
-        return du * s / (tau * r)
+        return sdu * s / (tau * r)
 
     def ut_laplacian(r):
-        s = s_of(r)
-        uv, du, d2u = u(s)
-        d2 = d2u * s * s / (tau * tau * r * r) + du * s * (1.0 - tau) / (tau * tau * r * r)
-        d1 = du * s / (tau * r)
+        d2 = sd2u * s * s / (tau * tau * r * r) + sdu * s * (1.0 - tau) / (tau * tau * r * r)
+        d1 = sdu * s / (tau * r)
         return d2 + (n - 1.0) / r * d1
 
-    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha)
+    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha, grid)
 
     def lap_with_correction(r):
-        uv, du, d2u = u(r)
-        lap = d2u + (n - 1.0) / r * du
-        return lap + (tau - 1.0) * (n - 2.0) * du / r
+        return laplacian(r) + (tau - 1.0) * (n - 2.0) * du_val(r) / r
 
     pairs = [
         (
@@ -394,7 +401,7 @@ def _verify_tau_scaling(u: RadialTestFunction, n: int, alpha: float,
 def norm_alpha(u: RadialTestFunction, params: ProblemParams, grid: QuadratureGrid) -> float:
     """Quadratic form int |x|^{-a}|Du|^2 - lam |x|^{-a-2}|grad u|^2 + mu |x|^{-a-4}u^2."""
     n, alpha = params.n, params.alpha
-    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha)
+    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha, grid)
     return (
         weighted_integral(laplacian, alpha, n, grid)
         - params.lam * weighted_integral(du_val, alpha + 2.0, n, grid)

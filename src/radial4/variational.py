@@ -228,7 +228,9 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
     decomposition, so each iteration costs one forward and one back
     substitution), renormalizes in L^{p+1}, and damps the update whenever
     the quotient would increase.  Stops when the
-    relative quotient change drops below 1e-10.  Warns when the minimizer
+    relative quotient change drops below 1e-10; raises ConvergenceError when
+    even the most damped step (1e-4) raises the quotient, or after max_iter
+    iterations.  Warns when the minimizer
     has not decayed below 1e-8 at the grid ends.  Raises ValidationError,
     before allocating, for L or h that is not finite and positive and for
     grids of more than _MAX_NODES nodes.
@@ -273,8 +275,6 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
 
     v = lp_normalize(v)
     q = quotient(v)
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         rhs = w_quad * np.abs(v) ** (p - 1.0) * v
         u = _band_cholesky_solve(factor, rhs.tolist())
@@ -289,14 +289,15 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
                 break
             sigma *= 0.5
         if not accepted:
-            converged = True
-            break
+            raise ConvergenceError(
+                f"quotient minimization stalled at iteration {iterations}: the line search "
+                f"found no step that does not raise the quotient {q!r}"
+            )
         rel = abs(q - qc) / max(abs(q), 1e-300)
         v, q = cand, qc
         if rel < 1e-10:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"quotient minimization did not converge within {max_iter} iterations"
         )
@@ -310,7 +311,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             stacklevel=2,
         )
     return MinimizeResult(value=float(q), grid=Grid1D(L, h, v),
-                          iterations=iterations, converged=converged)
+                          iterations=iterations, converged=True)
 
 
 def _phi_from_exponents(nu: float, m: float, exp_nu: float, exp_bracket: float) -> float:

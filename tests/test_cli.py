@@ -233,6 +233,57 @@ class TestDependencies:
             radial4.no_such_name
 
 
+def run_child(args, blas_threads=None):
+    """A fresh interpreter with OPENBLAS_NUM_THREADS set to blas_threads or absent.
+
+    The variable is removed explicitly: an in-process main() call earlier in
+    the session has set it in os.environ.
+    """
+    src = os.path.dirname(os.path.dirname(radial4.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestBlasThreads:
+    def test_output_independent_of_thread_count(self):
+        # N = 256 modes; b = -omega^2 sum k^2 d_k cancels down from terms of
+        # size l, so with OpenBLAS's default pool it moved by about 1e-8
+        # relative with the thread count
+        argv = ["-m", "radial4.cli", "orbit"] + B0_FLAGS + ["--a", "1.732e-8"]
+        default = run_child(argv)
+        single = run_child(argv, blas_threads="1")
+        assert default.returncode == single.returncode == 0, default.stderr
+        assert default.stdout == single.stdout
+
+    def test_explicit_value_is_kept(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert main(["info"] + B0_FLAGS) == 0
+        capsys.readouterr()
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_verify_runs_on_one_thread(self, tmp_path):
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps(
+            [{"identity": "Rellich22", "function": "gaussian", "n": 6, "alpha": 0.0}]))
+        code = (
+            "import io, os, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import radial4.cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    assert radial4.cli.main(['verify', '--manifest', {str(manifest)!r}]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        proc = run_child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+
 class TestVerify:
     def test_manifest_cases(self, capsys, tmp_path):
         manifest = tmp_path / "cases.json"

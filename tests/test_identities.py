@@ -1,5 +1,8 @@
 """Weighted-integral identities, the Hardy inequality, and the suite runner."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -230,3 +233,26 @@ class TestSuiteRunner:
         assert hardy
         for rec in hardy:
             assert rec["ratio"] >= rec["constant"] - 1e-9
+
+    def test_records_pinned(self, records):
+        # every record, bit for bit, as the suite produced it when each
+        # integral evaluated its test function afresh
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "988d14cf4d5a8ab4271fbdfb23a026b7899c1749cc03959cca539e5000b1f0d6"
+
+    def test_each_function_evaluated_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def evaluator(r):
+                calls.append(f.name)
+                return f.evaluator(r)
+            return dataclasses.replace(f, evaluator=evaluator)
+
+        for name, f in list(TEST_FUNCTIONS.items()):
+            monkeypatch.setitem(TEST_FUNCTIONS, name, counted(f))
+        run_identity_suite()
+        # at most 4 functions x (2 grids + the stretched radii of the 11
+        # admissible TauScaling (n, alpha) pairs on each grid) = 96; one
+        # evaluation per integral made 1,104
+        assert len(calls) <= 100

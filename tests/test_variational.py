@@ -7,6 +7,7 @@ import pytest
 
 from radial4 import (
     ConstantSource,
+    ConvergenceError,
     DomainError,
     Grid1D,
     ProblemParams,
@@ -19,6 +20,7 @@ from radial4 import (
     phi_closed_form,
     rayleigh_quotient,
 )
+from radial4 import variational
 from radial4.variational import (
     _band_cholesky,
     _band_cholesky_solve,
@@ -141,6 +143,18 @@ class TestMinimize:
         res = minimize_rayleigh(B0, L=40.0, h=h)
         assert res.iterations == iterations
         assert res.value == pytest.approx(value, rel=1e-12)
+
+    def test_stalled_line_search_is_convergence_error(self, monkeypatch):
+        # a quotient that rises on every call leaves no acceptable step
+        calls = []
+
+        def rising(grid, K2, K0, p):
+            calls.append(grid)
+            return float(len(calls))
+
+        monkeypatch.setattr(variational, "rayleigh_quotient", rising)
+        with pytest.raises(ConvergenceError, match="stalled at iteration 1"):
+            minimize_rayleigh(B0, L=20.0, h=0.05)
 
     def test_requires_coercive_coefficients(self):
         with pytest.raises(RegimeError):
