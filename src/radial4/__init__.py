@@ -24,22 +24,21 @@ _EXPORTS = {
     name: module
     for module, names in {
         "closed_form": "CoshSolution EmdenFowlerMap build_cosh_solution cosh_profile_derivatives"
-                       " curve_rows emden_fowler_roundtrip eval_u eval_v ode_residual"
+                       " curve_rows eval_u eval_v ode_residual"
                        " radial_curve_rows",
-        "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory detect_extrema energy"
-                    " integrate rhs",
+        "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory energy integrate rhs",
         "errors": "BlowUpError ConvergenceError DomainError NoExplicitSolutionError"
                   " PoleError Radial4Error RegimeError StepFailureError TailError"
                   " TrajectoryDomainError ValidationError",
         "identities": "IdentityId IdentityReport QuadratureGrid RadialTestFunction TEST_FUNCTIONS"
-                      " norm_alpha record_deviation run_identity_suite t_operator verify_identity"
+                      " record_deviation run_identity_suite t_operator verify_identity"
                       " weighted_integral weighted_power_integral",
         "orbits": "HomoclinicProfile PeriodicOrbit SingularityVerdict Verdict classify_singularity"
                   " find_homoclinic find_periodic linearized_frequency potential",
         "params": "ConditionReport DerivedCoefficients ProblemParams SolutionCase beta_from_hyperbola"
                   " check_conditions derive_coefficients explicit_lambda_branches"
-                  " explicit_lambda_unified k0_value k2_value quartic_residual",
-        "specfun": "SphereMeasure beta_fn cosh_power_integral gamma_fn omega_n sphere_measure",
+                  " k0_value k2_value",
+        "specfun": "beta_fn cosh_power_integral gamma_fn omega_n",
         "variational": "BestConstantResult ConstantSource Grid1D MinimizeResult"
                        " best_constant_numerical minimize_rayleigh phi_closed_form"
                        " rayleigh_quotient",

@@ -60,13 +60,6 @@ class EmdenFowlerMap:
         return u
 
 
-def emden_fowler_roundtrip(
-    efmap: EmdenFowlerMap, u: Callable[[np.ndarray], np.ndarray], r
-) -> np.ndarray:
-    """inverse(forward(u)) evaluated at r; equals u(r) up to roundoff."""
-    return efmap.inverse(efmap.forward(u))(r)
-
-
 @dataclass(frozen=True)
 class CoshSolution:
     """Explicit profile v(t) = C (cosh(nu t))^m of the reduced equation.

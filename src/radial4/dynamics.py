@@ -3,13 +3,12 @@
 The fourth-order equation v'''' - K2 v'' + K0 v = v^p is integrated as the
 first-order system y = (v, v', v'', v''').  The integrator is an embedded
 Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
-Solving ODEs I, II.4) with PI step-size control, cubic Hermite dense
-output, and terminal events refined by bisection with single-step
-re-integration from the bracketing node (so event states carry the full
-integration accuracy, not just the interpolant's).
+Solving ODEs I, II.4) with PI step-size control and terminal events
+refined by bisection with single-step re-integration from the bracketing
+node, so event states carry the full integration accuracy.
 
-Every step -- in the integration loop, in event refinement and in extrema
-detection -- goes through one scalar kernel, ``_dp5_step``: its seven
+Every step -- in the integration loop and in event refinement -- goes
+through one scalar kernel, ``_dp5_step``: its seven
 stages are unrolled on four Python floats with the right-hand side
 inlined, because numpy's per-call overhead on 4-element arrays costs more
 than the arithmetic.  Accepted nodes collect in plain lists and become the
@@ -25,7 +24,6 @@ which every trajectory monitors at its nodes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -94,9 +92,6 @@ class ReducedProblem:
         coeff = derive_coefficients(params)
         return cls(coeff.K2, coeff.K0, params.p)
 
-    def rhs(self, y) -> np.ndarray:
-        return rhs(y, self.K2, self.K0, self.p)
-
     def energy(self, y) -> float:
         return energy(y, self.K2, self.K0, self.p)
 
@@ -116,6 +111,7 @@ def _field(y, K2: float, K0: float, p: float) -> State:
     return (y[1], y[2], y[3], v ** p + K2 * y[2] - K0 * v)
 
 
+# Not called in the package: kept because perfbench/tracer.py counts its calls.
 def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
     """Right-hand side of the first-order system; requires v >= 0."""
     if isinstance(y, OdeState):
@@ -124,12 +120,16 @@ def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
 
 
 def energy(y, K2: float, K0: float, p: float) -> float:
-    """Conserved first integral; requires v >= 0."""
+    """Conserved first integral; requires v >= 0.
+
+    y may also be a (4, N) array of N states, for an array of N energies.
+    """
     if isinstance(y, OdeState):
         y = y.y
     v = y[0]
-    if v < 0.0:
-        raise DomainError(f"energy evaluated at v={v} < 0")
+    # np.any on a float costs many times the comparison; PeriodicOrbit.rows calls this per row.
+    if (v < 0.0).any() if isinstance(v, np.ndarray) else v < 0.0:
+        raise DomainError(f"energy evaluated at v={np.min(v)} < 0")
     return (
         -y[1] * y[3]
         + 0.5 * y[2] ** 2
@@ -157,12 +157,11 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes plus derivative data for dense output."""
+    """Accepted integration nodes, step counts and how the run stopped."""
 
     problem: ReducedProblem
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
     n_accepted: int
     n_rejected: int
     stop_reason: Tuple = ("t_end",)
@@ -170,61 +169,12 @@ class Trajectory:
     event_t: Optional[float] = None
 
     @property
-    def states(self) -> List[OdeState]:
-        return [OdeState(float(t), tuple(y)) for t, y in zip(self.ts, self.ys)]
-
-    @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
     def t_end(self) -> float:
         return float(self.ts[-1])
 
     @property
-    def step_stats(self) -> dict:
-        return {"accepted": self.n_accepted, "rejected": self.n_rejected}
-
-    @property
     def energies(self) -> np.ndarray:
-        y = self.ys
-        v = y[:, 0]
-        if np.any(v < -1e-10 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
-            raise DomainError("trajectory contains states with v < 0")
-        v = np.maximum(v, 0.0)
-        K2, K0, p = self.problem.K2, self.problem.K0, self.problem.p
-        return (
-            -y[:, 1] * y[:, 3]
-            + 0.5 * y[:, 2] ** 2
-            + 0.5 * K2 * y[:, 1] ** 2
-            - 0.5 * K0 * v ** 2
-            + v ** (p + 1.0) / (p + 1.0)
-        )
-
-    def sample(self, t) -> np.ndarray:
-        """Cubic Hermite dense output at time(s) t within the node span."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tq = np.atleast_1d(t)
-        if np.any(tq < self.ts[0] - 1e-12) or np.any(tq > self.ts[-1] + 1e-12):
-            raise ValidationError("dense output requested outside the integrated span")
-        tq = np.clip(tq, self.ts[0], self.ts[-1])
-        idx = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, len(self.ts) - 2)
-        t0 = self.ts[idx]
-        h = self.ts[idx + 1] - t0
-        h = np.where(h <= 0.0, 1.0, h)
-        th = ((tq - t0) / h)[:, None]
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        f0, f1 = self.fs[idx], self.fs[idx + 1]
-        h2 = th * th
-        h3 = h2 * th
-        out = (
-            (2.0 * h3 - 3.0 * h2 + 1.0) * y0
-            + (h3 - 2.0 * h2 + th) * h[:, None] * f0
-            + (-2.0 * h3 + 3.0 * h2) * y1
-            + (h3 - h2) * h[:, None] * f1
-        )
-        return out[0] if scalar else out
+        return energy(self.ys.T, self.problem.K2, self.problem.K0, self.problem.p)
 
     def rows(self):
         """(t, v, dv, d2v, d3v, E) rows for CSV output."""
@@ -384,7 +334,6 @@ def integrate(
 
     ts: List[float] = [t]
     ys: List[State] = [y]
-    fs: List[State] = [f]
     n_acc = 0
     n_rej = 0
 
@@ -395,7 +344,6 @@ def integrate(
             problem=problem,
             ts=np.array(ts),
             ys=np.array(ys),
-            fs=np.array(fs),
             n_accepted=n_acc,
             n_rejected=n_rej,
             stop_reason=stop_reason,
@@ -469,16 +417,14 @@ def integrate(
 
         if triggered is not None:
             e, g_old = triggered
-            t_ev, y_ev, f_ev = _refine_event(t, y, f, h, e, g_old, problem)
+            t_ev, y_ev = _refine_event(t, y, f, h, e, g_old, problem)
             ts.append(t_ev)
             ys.append(y_ev)
-            fs.append(f_ev)
             return build(("event", e.name, t_ev), ev_name=e.name, ev_t=t_ev)
 
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        fs.append(f)
 
         if max(abs(n0), abs(n1), abs(n2), abs(n3)) > BLOWUP_BOUND:
             raise BlowUpError(
@@ -501,7 +447,7 @@ def _refine_event(t_node, y_node, f_node, h, event: Event, g_old: float, problem
 
     Each probe re-integrates a single Dormand-Prince step of size delta
     from the bracketing node, so the refined state has one-step accuracy.
-    Returns (t, y, f) at the root, with v clipped to >= 0.
+    Returns (t, y) at the root, with v clipped to >= 0.
     """
     K2, K0, p = problem.K2, problem.K0, problem.p
     lo, hi = 0.0, h
@@ -525,64 +471,5 @@ def _refine_event(t_node, y_node, f_node, h, event: Event, g_old: float, problem
     delta = hi
     if y_hi is None:
         y_hi = _dp5_step(y_node, f_node, delta, K2, K0, p)[0]
-    y_hi = (max(y_hi[0], 0.0), y_hi[1], y_hi[2], y_hi[3])
-    return t_node + delta, y_hi, _field(y_hi, K2, K0, p)
+    return t_node + delta, (max(y_hi[0], 0.0), y_hi[1], y_hi[2], y_hi[3])
 
-
-_DV_ZERO = Event("dv_zero", lambda t, y: y[1], 0)
-
-
-def detect_extrema(traj: Trajectory, tol_t: float = 1e-10) -> List[Tuple[float, str]]:
-    """Times and kinds of the extrema of v along a trajectory.
-
-    Roots of v' are bracketed at the accepted nodes and refined to tol_t
-    by bisection against single-step re-integration from the bracketing
-    node.  Kind comes from the sign of v'' at the root; |v''| < 1e-9 emits
-    a degenerate-extremum warning.  A trajectory that starts at a rest
-    point, or is constant to machine precision, reports no extremum
-    there.  The right endpoint is treated as open so a full period
-    [0, 2P] reports 4 alternating extrema.
-    """
-    ts, ys, fs = traj.ts, traj.ys, traj.fs
-    vp = ys[:, 1]
-    v_scale = max(1.0, float(np.max(np.abs(ys[:, 0]))))
-    if float(np.max(np.abs(vp))) <= 1e-13 * v_scale:
-        return []
-
-    span = ts[-1] - ts[0]
-    right_cut = ts[-1] - 1e-9 * max(1.0, abs(span))
-    found: List[Tuple[float, str]] = []
-
-    def classify(t_star, y_star):
-        vpp = y_star[2]
-        if abs(vpp) < 1e-9:
-            warnings.warn(
-                f"degenerate extremum at t={t_star}: |v''|={abs(vpp)} < 1e-9",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        kind = "min" if vpp > 0.0 else "max"
-        found.append((float(t_star), kind))
-
-    vp_scale = max(float(np.max(np.abs(vp))), 1e-30)
-    at_rest = abs(ys[0, 2]) < 1e-9 and abs(ys[0, 3]) < 1e-9
-    if abs(vp[0]) <= 1e-12 * vp_scale and not at_rest:
-        classify(ts[0], ys[0])
-
-    for k in range(len(ts) - 1):
-        g0, g1 = vp[k], vp[k + 1]
-        if g0 == 0.0:
-            continue  # node root already handled (left endpoint or previous refine)
-        crossed = (g0 > 0.0 and g1 <= 0.0) or (g0 < 0.0 and g1 >= 0.0)
-        if not crossed:
-            continue
-        t_star, y_star, _ = _refine_event(
-            float(ts[k]), tuple(ys[k].tolist()), tuple(fs[k].tolist()),
-            float(ts[k + 1] - ts[k]), _DV_ZERO, float(g0), traj.problem,
-        )
-        if t_star >= right_cut:
-            continue
-        if found and abs(t_star - found[-1][0]) <= max(tol_t, 1e-9 * max(1.0, abs(t_star))):
-            continue
-        classify(t_star, y_star)
-    return found

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -21,10 +22,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, Radial4Error, TailError, ValidationError
-from .params import ProblemParams
 from .specfun import _gl_panels, omega_n
 
 _TAIL_REL = 1e-14
+# Largest grid half-width whose radii exp(T) stay finite.
+_T_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,9 @@ class QuadratureGrid:
     @classmethod
     def build(cls, T: float = 40.0, panel_width: float = 0.5,
               points_per_panel: int = 16) -> "QuadratureGrid":
-        if not T > 0.0:
-            raise ValidationError(f"grid half-width must be positive, got {T}")
+        if not 0.0 < T <= _T_MAX:
+            raise ValidationError(
+                f"grid half-width must lie in (0, {_T_MAX:.6g}] so that exp(T) is finite, got {T}")
         nodes, weights = _gl_panels(-T, T, points_per_panel, panel_width)
         return cls(nodes=nodes, weights=weights, t_span=(-T, T))
 
@@ -396,17 +399,6 @@ def _verify_tau_scaling(u: RadialTestFunction, n: int, alpha: float,
     worst = max(_rel_err(lhs, rhs) for lhs, rhs in pairs)
     lhs4, rhs4 = pairs[3]
     return IdentityReport(IdentityId.TAU_SCALING, lhs4, rhs4, worst)
-
-
-def norm_alpha(u: RadialTestFunction, params: ProblemParams, grid: QuadratureGrid) -> float:
-    """Quadratic form int |x|^{-a}|Du|^2 - lam |x|^{-a-2}|grad u|^2 + mu |x|^{-a-4}u^2."""
-    n, alpha = params.n, params.alpha
-    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha, grid)
-    return (
-        weighted_integral(laplacian, alpha, n, grid)
-        - params.lam * weighted_integral(du_val, alpha + 2.0, n, grid)
-        + params.mu * weighted_integral(u_val, alpha + 4.0, n, grid)
-    )
 
 
 def record_deviation(record: dict) -> float:

@@ -435,7 +435,6 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
         problem=problem,
         ts=traj.ts[keep].copy(),
         ys=traj.ys[keep].copy(),
-        fs=traj.fs[keep].copy(),
         n_accepted=traj.n_accepted,
         n_rejected=traj.n_rejected,
         stop_reason=("truncated", t_keep),

@@ -221,12 +221,6 @@ def _negate(e: Eigenvalue) -> Eigenvalue:
     return -e
 
 
-def quartic_residual(e: Eigenvalue, K2: float, K0: float) -> float:
-    """|e^4 - K2 e^2 + K0|, the factorization defect of one eigenvalue."""
-    z = complex(e)
-    return abs(z ** 4 - K2 * z ** 2 + K0)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Boolean parameter-regime report.
@@ -344,16 +338,3 @@ def explicit_lambda_branches(
         )
     root = math.sqrt(radicand)
     return (scale * (A + root) / denom, scale * (A - root) / denom)
-
-
-def explicit_lambda_unified(n: int, alpha: float, mu: float) -> float:
-    """Parameter-only form of the plus branch, valid for both families."""
-    a = n - 2.0
-    b = alpha + 2.0
-    q = n - 4.0 - alpha
-    radicand = a * a * b * b * q * q + 4.0 * (n + alpha) ** 2 * mu
-    if radicand < 0.0:
-        raise DomainError(
-            f"unified branch radicand is negative ({radicand}) for mu={mu}"
-        )
-    return (a * a + b * b) * (a * b * q + math.sqrt(radicand)) / ((n + alpha) ** 2 * q)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import PoleError, ValidationError
 
@@ -55,24 +54,12 @@ def beta_fn(a: float, b: float) -> float:
     return gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
 
 
-@dataclass(frozen=True)
-class SphereMeasure:
-    """Surface measure of the unit sphere in R^n."""
-
-    n: int
-    omega_n: float
-
-
 def omega_n(n: int) -> float:
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
     if int(n) != n or n < 1:
         raise ValidationError(f"omega_n requires a positive integer dimension, got {n}")
     n = int(n)
     return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-
-
-def sphere_measure(n: int) -> SphereMeasure:
-    return SphereMeasure(n=int(n), omega_n=omega_n(n))
 
 
 def _gl_panels(t_lo: float, t_hi: float, n_points: int, panel_width: float):

@@ -358,6 +358,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("usage error: --tolerance must be a finite number >= 0")
 
+    @pytest.mark.parametrize("T", ["inf", "800", "1e9"])
+    def test_grid_width_whose_radii_overflow_is_rejected_before_any_grid(self, capsys, monkeypatch,
+                                                                         tmp_path, T):
+        # exp(800) overflows the radii, and 1e9 would ask for 4e9 panel edges
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature grid was built")
+
+        monkeypatch.setattr("radial4.identities._gl_panels", refuse)
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps(
+            [{"identity": "Rellich22", "function": "gaussian", "n": 6, "alpha": 0.0}]
+        ))
+        assert main(["verify", "--manifest", str(manifest), "--T", T]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid half-width must lie in (0, 709.783]")
+        assert captured.err.count("\n") == 1
+
     def test_full_suite_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"

@@ -1,7 +1,5 @@
 """Adaptive integration of the reduced fourth-order system."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,10 @@ from radial4 import (
     ProblemParams,
     ReducedProblem,
     StepFailureError,
-    Trajectory,
     TrajectoryDomainError,
     ValidationError,
     build_cosh_solution,
     derive_coefficients,
-    detect_extrema,
     energy,
     eval_v,
     find_homoclinic,
@@ -130,9 +126,8 @@ class TestAccuracy:
     def test_step_stats_accumulate(self):
         y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
         traj = integrate(y0, 8.0, 1e-10, B0)
-        stats = traj.step_stats
-        assert stats["accepted"] == len(traj.ts) - 1
-        assert stats["rejected"] >= 0
+        assert traj.n_accepted == len(traj.ts) - 1
+        assert traj.n_rejected >= 0
 
 
 class TestFailureModes:
@@ -208,23 +203,16 @@ class TestEvents:
         assert traj.ys[-1, 0] == pytest.approx(1.5, abs=1e-9)
 
 
-class TestDenseOutputAndExtrema:
-    def test_sample_matches_profile_between_nodes(self):
-        # query inside [-3, 1] so saddle error growth stays below the
-        # interpolation budget; past t=2 it dominates at any tolerance
+class TestNodesAndRows:
+    def test_nodes_match_profile(self):
+        # nodes inside [-3, 1] keep saddle error growth below the bound;
+        # past t=2 it dominates at any tolerance
         y0 = OdeState(-3.0, homoclinic_state(-3.0))
         traj = integrate(y0, 3.0, 1e-12, B0)
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
-        rng = np.random.default_rng(29)
-        tq = rng.uniform(-3.0, 1.0, size=40)
-        vals = traj.sample(tq)
-        assert np.max(np.abs(vals[:, 0] - np.asarray(eval_v(sol, tq)))) < 2e-8
-
-    def test_sample_outside_span_rejected(self):
-        y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
-        traj = integrate(y0, 1.0, 1e-9, B0)
-        with pytest.raises(ValidationError):
-            traj.sample(2.0)
+        mask = traj.ts <= 1.0
+        err = np.abs(traj.ys[mask, 0] - np.asarray(eval_v(sol, traj.ts[mask])))
+        assert np.max(err) < 2e-8
 
     def test_rows_header(self):
         y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
@@ -233,43 +221,6 @@ class TestDenseOutputAndExtrema:
         assert header == ("t", "v", "dv", "d2v", "d3v", "E")
         assert len(rows) == len(traj.ts)
         assert rows[0][5] == pytest.approx(-9.0, rel=1e-12)
-
-    def test_single_crest_detected(self):
-        y0 = OdeState(-3.0, homoclinic_state(-3.0))
-        traj = integrate(y0, 3.0, 1e-11, B0)
-        extrema = detect_extrema(traj)
-        assert len(extrema) == 1
-        t_star, kind = extrema[0]
-        assert kind == "max"
-        assert t_star == pytest.approx(0.0, abs=1e-8)
-
-    def test_constant_solution_has_no_extrema(self):
-        y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
-        traj = integrate(y0, 10.0, 1e-9, B0)
-        assert detect_extrema(traj) == []
-
-    def test_periodic_alternation(self):
-        # 1.6 periods keeps the run clear of the hyperbolic ejection near
-        # t=8.7 while still covering four extrema
-        period = 4.4371357547621058
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        traj = integrate(y0, 1.6 * period, 1e-11, B0)
-        extrema = detect_extrema(traj)
-        kinds = [k for _, k in extrema]
-        # starts at a trough; crests and troughs then alternate every half period
-        assert kinds == ["min", "max", "min", "max"]
-        times = np.array([t for t, _ in extrema])
-        gaps = np.diff(times)
-        # the last gap absorbs ~1e-3 of hyperbolic drift by t=6.7
-        assert np.allclose(gaps, period / 2.0, atol=2e-3)
-        assert np.allclose(gaps[:2], period / 2.0, atol=1e-5)
-
-    def test_states_property(self):
-        y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
-        traj = integrate(y0, 1.0, 1e-9, B0)
-        states = traj.states
-        assert isinstance(states[0], OdeState)
-        assert states[0].y[0] == pytest.approx(EQUILIBRIUM)
 
 
 def _final_state(traj):
@@ -325,13 +276,10 @@ class TestPinnedArithmetic:
         assert repr(traj.t_end) == "0.013423670744757645"
 
     def test_extrema_times(self):
+        # step counts of a run over one and a half periods, from a trough
         y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
         traj = integrate(y0, 7.0, 1e-11, B0)
         assert (traj.n_accepted, traj.n_rejected) == (598, 0)
-        assert repr(detect_extrema(traj)) == (
-            "[(0.0, 'min'), (2.218567877084046, 'max'), "
-            "(4.437137465925562, 'min'), (6.65434670175892, 'max')]"
-        )
 
     def test_periodic_orbit_digits(self):
         orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))

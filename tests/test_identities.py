@@ -11,13 +11,11 @@ import pytest
 from radial4 import (
     DomainError,
     IdentityId,
-    ProblemParams,
     QuadratureGrid,
     RadialTestFunction,
     Radial4Error,
     TEST_FUNCTIONS,
     TailError,
-    norm_alpha,
     record_deviation,
     run_identity_suite,
     t_operator,
@@ -154,30 +152,6 @@ class TestVerifyIdentity:
         for n, alpha in ((5, -3.0), (6, 1.0), (8, -7.5)):
             rep = verify_identity(IdentityId.TAU_SCALING, GAUSSIAN, n, alpha, 0.0, 0.0, GRID)
             assert rep.rel_err < 1e-6
-
-
-class TestNormAlpha:
-    def test_reduces_to_bilaplacian_energy(self):
-        params = ProblemParams(n=6, alpha=0.0, p=5.0)
-        value = norm_alpha(GAUSSIAN, params, GRID)
-        rep = verify_identity(IdentityId.RELLICH22, GAUSSIAN, 6, 0.0, 0.0, 0.0, GRID)
-        assert value == pytest.approx(rep.lhs, rel=1e-13)
-
-    def test_positive_in_coercive_region(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            mu = float(rng.uniform(0.0, 4.0))
-            lam = 8.0 - 2.0 * math.sqrt(mu) - float(rng.uniform(0.0, 5.0))
-            params = ProblemParams(n=6, alpha=0.0, p=5.0, lam=lam, mu=mu)
-            for fname in ("gaussian", "gaussian_r2", "log_gaussian"):
-                assert norm_alpha(TEST_FUNCTIONS[fname], params, GRID) > 0.0
-
-    def test_zero_function(self):
-        zero = RadialTestFunction(
-            "zero", lambda r: (0.0 * r, 0.0 * r, 0.0 * r), (1e-8, 1e8), "smooth"
-        )
-        params = ProblemParams(n=6, alpha=0.0, p=5.0, lam=2.0, mu=1.0)
-        assert norm_alpha(zero, params, GRID) == 0.0
 
 
 class TestRecordDeviation:

@@ -14,13 +14,18 @@ from radial4 import (
     check_conditions,
     derive_coefficients,
     explicit_lambda_branches,
-    explicit_lambda_unified,
     k0_value,
     k2_value,
-    quartic_residual,
 )
 
 B0 = dict(n=6, alpha=0.0, p=5.0, lam=0.0, mu=0.0)
+
+
+def unified_plus_branch(n, alpha, mu):
+    """Parameter-only form of the CASE1 plus branch: an oracle written apart from the code."""
+    a, b, q = n - 2.0, alpha + 2.0, n - 4.0 - alpha
+    root = math.sqrt(a * a * b * b * q * q + 4.0 * (n + alpha) ** 2 * mu)
+    return (a * a + b * b) * (a * b * q + root) / ((n + alpha) ** 2 * q)
 
 
 def c1_region_sample(rng):
@@ -146,7 +151,7 @@ class TestDerivedCoefficients:
         for _ in range(100):
             coeff = derive_coefficients(c1_region_sample(rng))
             for e in coeff.eigenvalues:
-                assert quartic_residual(e, coeff.K2, coeff.K0) <= 1e-10
+                assert abs(e ** 4 - coeff.K2 * e ** 2 + coeff.K0) <= 1e-10
 
     def test_complex_regime(self):
         # disc = (lam - (n-2)(alpha+2))^2 - 4 mu < 0 forces a complex quartet
@@ -154,7 +159,7 @@ class TestDerivedCoefficients:
         assert not coeff.eigenvalues_real
         assert isinstance(coeff.lam1, complex)
         for e in coeff.eigenvalues:
-            assert quartic_residual(e, coeff.K2, coeff.K0) <= 1e-10
+            assert abs(e ** 4 - coeff.K2 * e ** 2 + coeff.K0) <= 1e-10
 
     def test_negative_k0_has_no_equilibrium(self):
         coeff = derive_coefficients(ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0))
@@ -222,7 +227,7 @@ class TestExplicitLambdaBranches:
             alpha = float(rng.uniform(-1.9, n - 4.1))
             mu = float(rng.uniform(0.0, 2.0))
             plus, _ = explicit_lambda_branches(SolutionCase.CASE1, n, alpha, mu)
-            assert explicit_lambda_unified(n, alpha, mu) == pytest.approx(plus, rel=1e-10)
+            assert unified_plus_branch(n, alpha, mu) == pytest.approx(plus, rel=1e-10)
 
     def test_case_family_requires_matching_alpha(self):
         with pytest.raises(ValidationError):
@@ -233,5 +238,3 @@ class TestExplicitLambdaBranches:
     def test_negative_radicand_raises(self):
         with pytest.raises(DomainError):
             explicit_lambda_branches(SolutionCase.CASE1, 6, 0.0, -1e6)
-        with pytest.raises(DomainError):
-            explicit_lambda_unified(6, 0.0, -1e6)

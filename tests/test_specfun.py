@@ -12,7 +12,6 @@ from radial4 import (
     cosh_power_integral,
     gamma_fn,
     omega_n,
-    sphere_measure,
 )
 
 
@@ -98,11 +97,6 @@ class TestSphereMeasure:
             omega_n(0)
         with pytest.raises(ValidationError):
             omega_n(2.5)
-
-    def test_measure_carrier(self):
-        sm = sphere_measure(6)
-        assert sm.n == 6
-        assert sm.omega_n == pytest.approx(math.pi ** 3, rel=1e-13)
 
 
 class TestCoshPowerIntegral:
