@@ -22,6 +22,7 @@ in closed form) never load numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -475,7 +476,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The radial4 parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="radial4",
         description="Solvers and verifiers for a weighted fourth-order radial problem.",

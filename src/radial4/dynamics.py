@@ -122,20 +122,27 @@ def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
 def energy(y, K2: float, K0: float, p: float) -> float:
     """Conserved first integral; requires v >= 0.
 
-    y may also be a (4, N) array of N states, for an array of N energies.
+    y may also be a (4, M) array of M states, for an array of M energies,
+    each equal bit for bit to the energy of its state alone.
     """
     if isinstance(y, OdeState):
         y = y.y
     v = y[0]
-    # np.any on a float costs many times the comparison; PeriodicOrbit.rows calls this per row.
-    if (v < 0.0).any() if isinstance(v, np.ndarray) else v < 0.0:
+    if np.min(v) < 0.0:
         raise DomainError(f"energy evaluated at v={np.min(v)} < 0")
+    power = pow
+    if isinstance(v, np.ndarray):
+        # numpy's array power does not round as the libm pow behind a scalar
+        # ** does (x ** 2 is x * x, and v ** 6.0 runs a SIMD loop on AVX-512),
+        # so each node takes the scalar ** and gets the digits it gets alone.
+        def power(x, e):
+            return np.array([c ** e for c in x.tolist()])
     return (
         -y[1] * y[3]
-        + 0.5 * y[2] ** 2
-        + 0.5 * K2 * y[1] ** 2
+        + 0.5 * power(y[2], 2)
+        + 0.5 * K2 * power(y[1], 2)
         - 0.5 * K0 * v * v
-        + v ** (p + 1.0) / (p + 1.0)
+        + power(v, p + 1.0) / (p + 1.0)
     )
 
 
@@ -178,13 +185,8 @@ class Trajectory:
 
     def rows(self):
         """(t, v, dv, d2v, d3v, E) rows for CSV output."""
-        es = self.energies
-        header = ("t", "v", "dv", "d2v", "d3v", "E")
-        rows = [
-            (float(self.ts[i]), *[float(c) for c in self.ys[i]], float(es[i]))
-            for i in range(len(self.ts))
-        ]
-        return header, rows
+        rows = np.column_stack((self.ts, self.ys, self.energies)).tolist()
+        return ("t", "v", "dv", "d2v", "d3v", "E"), rows
 
 
 def _dp5_step(y: State, f: State, h: float, K2: float, K0: float, p: float):

@@ -136,7 +136,10 @@ class QuadratureGrid:
     def _profile(self, u: RadialTestFunction) -> tuple:
         """(u, u', u'') at the grid radii."""
         if u not in self._profiles:
-            self._profiles[u] = u(self.radii)
+            # past T = 355, r * r overflows at the grid's ends; a field that
+            # is non-finite there is reported by weighted_power_integral
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                self._profiles[u] = u(self.radii)
         return self._profiles[u]
 
 
@@ -150,7 +153,8 @@ def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: fl
     negligible contribution.  Raises TailError when the integrand has not
     decayed below 1e-14 of its maximum at either end of the grid.
     """
-    fv = np.abs(np.asarray(field(grid.radii), dtype=float))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fv = np.abs(np.asarray(field(grid.radii), dtype=float))
     if not np.isfinite(fv).all():
         raise DomainError("field evaluation produced non-finite values")
     with np.errstate(divide="ignore", over="ignore", under="ignore"):

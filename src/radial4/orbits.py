@@ -107,13 +107,15 @@ class PeriodicOrbit:
         states = [cos @ c, sin @ (-w * c), cos @ (-w ** 2 * c), sin @ (w ** 3 * c)]
         return np.stack(states, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
 
+    def _grid(self):
+        """Times, states and energies at 8 N + 1 uniform times over one period."""
+        ts = np.linspace(0.0, self.period, 8 * self.modes + 1)
+        states = self.sample(ts)
+        return ts, states, self.problem.energy(states.T)
+
     def rows(self):
         """(t, v, dv, d2v, d3v, E) rows at 8 N + 1 uniform times over one period."""
-        ts = np.linspace(0.0, self.period, 8 * self.modes + 1)
-        rows = [
-            (float(t), *[float(x) for x in y], float(self.problem.energy(y)))
-            for t, y in zip(ts, self.sample(ts))
-        ]
+        rows = np.column_stack(self._grid()).tolist()
         return ("t", "v", "dv", "d2v", "d3v", "E"), rows
 
     def to_dict(self) -> dict:
@@ -223,8 +225,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     (0, l) or tol outside (0, 1e-4], RegimeError when no positive
     equilibrium exists.
     """
-    problem = ReducedProblem.from_params(params)
     coeff = derive_coefficients(params)
+    problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
     if coeff.K0 <= 0.0:
         raise RegimeError(
             f"periodic orbits require a positive equilibrium (K0={coeff.K0} <= 0)"
@@ -292,7 +294,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
         newton_iterations=iterations,
         continuation_steps=steps,
     )
-    drift = max(abs(row[-1] - energy0) for row in orbit.rows()[1])
+    drift = np.max(np.abs(orbit._grid()[2] - energy0))
     return replace(orbit, energy_drift=float(drift))
 
 

@@ -7,6 +7,7 @@ a glance (run with -rP to see the lines for passing tests).
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -130,6 +131,38 @@ def test_periodic_work_counts():
         "periodic work counts",
         counts == [(44, 10, 32), (3, 1, 32)],
         f"(Newton iterations, continuation steps, modes) = {counts} at a = 1 and l - 1e-3",
+    )
+
+
+def test_periodic_work_outside_newton(monkeypatch):
+    # the energy of the start state, one array energy over the whole drift
+    # grid, and one coefficient derivation per solve
+    import radial4.dynamics
+    import radial4.params
+
+    calls = {"array energy": 0, "scalar energy": 0, "derive_coefficients": 0}
+    energy = radial4.dynamics.energy
+    derive = radial4.params.derive_coefficients
+
+    def counted_energy(y, *args):
+        calls["array energy" if isinstance(y[0], np.ndarray) else "scalar energy"] += 1
+        return energy(y, *args)
+
+    def counted_derive(*args):
+        calls["derive_coefficients"] += 1
+        return derive(*args)
+
+    monkeypatch.setattr(radial4.dynamics, "energy", counted_energy)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("radial4"):
+            for name, value in list(vars(module).items()):
+                if value is derive:
+                    monkeypatch.setattr(module, name, counted_derive)
+    find_periodic(1.0, B0)
+    _report(
+        "periodic work outside Newton",
+        calls == {"array energy": 1, "scalar energy": 1, "derive_coefficients": 1},
+        f"calls per find_periodic(1.0, B0) = {calls}",
     )
 
 

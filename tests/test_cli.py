@@ -1,5 +1,6 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import radial4
 from radial4 import jsonio
-from radial4.cli import main
+from radial4.cli import build_parser, main
 from radial4.errors import ValidationError
 
 B0_FLAGS = ["--n", "6", "--alpha", "0", "--p", "5"]
@@ -131,6 +132,23 @@ class TestOrbit:
         steps = [b[0] - a[0] for a, b in zip(rows, rows[1:])]
         assert max(steps) - min(steps) < 1e-12
         assert rows[0][1:5] == pytest.approx((1.0, 0.0, 0.7836654928917256, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, digest",
+        [
+            ("1.0", "effefb086184517388ec1e36ccace7c555900809fb0bc1fd044a3e7f360321c4"),
+            # 1e-3 l, N = 128 modes
+            ("0.0017320508075688772",
+             "d2d3f6bc6267c8fb127c6057f5c32a6aee8b424134365a85265499b569503b5c"),
+        ],
+    )
+    def test_orbit_csv_bytes(self, a, digest):
+        # every digit of every row, E included, as the per-row evaluation
+        # printed them; a fresh interpreter, so that BLAS runs on one thread
+        # however this process loaded numpy
+        proc = run_child(["-m", "radial4.cli", "orbit"] + B0_FLAGS + ["--a", a, "--format", "csv"])
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestHomoclinic:
@@ -284,6 +302,35 @@ class TestBlasThreads:
         assert proc.stdout.strip() == "1"
 
 
+class TestParserReuse:
+    # one process reuses one parser; each call must still behave as a fresh one
+    SEQUENCE = [
+        ["orbit", "--n", "six"],
+        ["sweep", "info"] + B0_FLAGS + ["--vary", "lambda=0:8:5"],
+        ["sweep", "info"] + B0_FLAGS + ["--vary", "mu=0:1:3"],
+        ["orbit"] + B0_FLAGS + ["--a", "1.0"],
+        ["--help"],
+    ]
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width in both
+        results = []
+        for argv in self.SEQUENCE:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            fresh = run_child(["-m", "radial4.cli", *argv])
+            assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            results.append((rc, captured.out))
+        assert results[0][0] == 1
+        # the mu grid does not inherit the lambda grid's --vary value
+        assert results[2][1].splitlines()[0].startswith("mu,")
+        assert len(results[2][1].splitlines()) == 1 + 3
+        assert results[4][0] == 0 and results[4][1].startswith("usage: radial4")
+
+
 class TestVerify:
     def test_manifest_cases(self, capsys, tmp_path):
         manifest = tmp_path / "cases.json"
@@ -375,6 +422,23 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: grid half-width must lie in (0, 709.783]")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("T, code", [("300", 0), ("360", 5), ("400", 5), ("709", 5)])
+    def test_wide_grid_reports_non_finite_fields_without_warnings(self, tmp_path, T, code):
+        # past T = 355 the radii reach 1e154 and r * r overflows; the
+        # non-finite fields are reported once, with no numpy RuntimeWarning
+        manifest = tmp_path / "spot.json"
+        manifest.write_text(json.dumps({"cases": [
+            {"identity": "Hardy31", "function": "gaussian", "n": 6, "alpha": 0.0},
+            {"identity": "Rellich22", "function": "gaussian", "n": 6, "alpha": 0.0},
+        ]}))
+        proc = run_child(["-m", "radial4.cli", "verify", "--manifest", str(manifest), "--T", T])
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == "" and json.loads(proc.stdout)["n_ok"] == 2
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr == "error: field evaluation produced non-finite values\n"
 
     def test_full_suite_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"

@@ -94,6 +94,16 @@ class TestFindPeriodic:
         assert rows[0][0] == 0.0 and rows[-1][0] == orbit_b0.period
         assert max(abs(row[-1] - orbit_b0.energy) for row in rows) == orbit_b0.energy_drift
 
+    @pytest.mark.parametrize("a", [1.0, 1e-3 * EQUILIBRIUM])
+    def test_array_energy_matches_per_state_energy(self, a):
+        # one (4, M) evaluation gives, bit for bit, what M state evaluations give
+        orbit = find_periodic(a, B0)
+        states = orbit.sample(np.linspace(0.0, orbit.period, 8 * orbit.modes + 1))
+        energies = orbit.problem.energy(states.T)
+        assert all(energies[i] == orbit.problem.energy(y) for i, y in enumerate(states))
+        assert all(energies[i] == orbit.problem.energy(tuple(y.tolist()))
+                   for i, y in enumerate(states))
+
     def test_small_amplitude_limit(self):
         orbit = find_periodic(EQUILIBRIUM - 1e-3, B0)
         assert orbit.period == pytest.approx(SMALL_ORBIT_PERIOD, abs=1e-2)
