@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "closed_form": "CoshSolution EmdenFowlerMap build_cosh_solution cosh_profile_derivatives"
-                       " curve_rows eval_u eval_v ode_residual"
-                       " radial_curve_rows",
+        "closed_form": "CoshSolution build_cosh_solution cosh_profile_derivatives curve_rows"
+                       " eval_u radial_curve_rows",
         "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory energy integrate rhs",
         "errors": "BlowUpError ConvergenceError DomainError NoExplicitSolutionError"
                   " PoleError Radial4Error RegimeError StepFailureError TailError"
@@ -38,7 +37,7 @@ _EXPORTS = {
         "params": "ConditionReport DerivedCoefficients ProblemParams SolutionCase beta_from_hyperbola"
                   " check_conditions derive_coefficients explicit_lambda_branches"
                   " k0_value k2_value",
-        "specfun": "beta_fn cosh_power_integral gamma_fn omega_n",
+        "specfun": "beta_fn gamma_fn omega_n",
         "variational": "BestConstantResult ConstantSource Grid1D MinimizeResult"
                        " best_constant_numerical minimize_rayleigh phi_closed_form"
                        " rayleigh_quotient",

@@ -176,14 +176,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_explicit(args) -> int:
-    from .closed_form import EmdenFowlerMap, build_cosh_solution, curve_rows, radial_curve_rows
+    from .closed_form import build_cosh_solution, curve_rows, radial_curve_rows
 
     params = _build_params(args)
     sol = build_cosh_solution(params)
     if args.format == "csv":
         if args.curve == "radial":
-            efmap = EmdenFowlerMap(params.n, params.alpha)
-            header, rows = radial_curve_rows(sol, efmap)
+            header, rows = radial_curve_rows(sol)
         else:
             header, rows = curve_rows(sol)
         _write(args, jsonio.write_csv(header, rows))
@@ -247,27 +246,13 @@ def _cmd_best_constant(args) -> int:
     from .variational import best_constant_numerical, phi_closed_form
 
     params = _build_params(args)
+    doc = {"schema": SCHEMA, "params": params.to_dict()}
     if args.method == "numerical":
         result, mres = best_constant_numerical(params, L=args.grid_L, h=args.grid_h)
-        doc = {
-            "schema": SCHEMA,
-            "params": params.to_dict(),
-            "phi": result.phi,
-            "S_rad": result.S_rad,
-            "source": result.source.value,
-            "L": float(args.grid_L),
-            "h": float(args.grid_h),
-            "iterations": int(mres.iterations),
-        }
+        doc.update(result.to_dict())
+        doc.update(L=float(args.grid_L), h=float(args.grid_h), iterations=int(mres.iterations))
     else:
-        result = phi_closed_form(params)
-        doc = {
-            "schema": SCHEMA,
-            "params": params.to_dict(),
-            "phi": result.phi,
-            "S_rad": result.S_rad,
-            "source": result.source.value,
-        }
+        doc.update(phi_closed_form(params).to_dict())
     _write(args, jsonio.dumps(doc))
     return 0
 

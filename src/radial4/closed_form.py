@@ -1,4 +1,4 @@
-"""Closed-form cosh-power profiles and the Emden-Fowler change of variables.
+"""Closed-form cosh-power profiles and their radial pull-back.
 
 The reduced equation v'''' - K2 v'' + K0 v = v^p admits the explicit family
 
@@ -14,50 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 from .errors import DomainError, NoExplicitSolutionError, ValidationError
 from .params import ProblemParams, SolutionCase, derive_coefficients
 
 _RELATION_TOL = 1e-9
 _CASE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EmdenFowlerMap:
-    """The substitution v(t) = r^{exponent} u(r) with t = -log r."""
-
-    n: int
-    alpha: float
-
-    @property
-    def exponent(self) -> float:
-        return (self.n - 4.0 - self.alpha) / 2.0
-
-    def forward(self, u: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        """Map a radial profile u(r) to the translated profile v(t)."""
-        import numpy as np
-        q = self.exponent
-
-        def v(t):
-            t = np.asarray(t, dtype=float)
-            r = np.exp(-t)
-            return r ** q * u(r)
-
-        return v
-
-    def inverse(self, v: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        """Map a translated profile v(t) back to the radial profile u(r)."""
-        import numpy as np
-        q = self.exponent
-
-        def u(r):
-            r = np.asarray(r, dtype=float)
-            if np.any(r <= 0.0):
-                raise DomainError("radial profiles are defined for r > 0 only")
-            return r ** (-q) * v(-np.log(r))
-
-        return u
 
 
 @dataclass(frozen=True)
@@ -156,14 +119,7 @@ def cosh_profile_derivatives(sol: CoshSolution, t) -> Tuple[np.ndarray, ...]:
     return v0, v1, v2, v3, v4
 
 
-def eval_v(sol: CoshSolution, t, order: int = 0):
-    """Derivative of given order (0..4) of the explicit profile at t."""
-    if order not in (0, 1, 2, 3, 4):
-        raise ValidationError(f"derivative order must be 0..4, got {order}")
-    return cosh_profile_derivatives(sol, t)[order]
-
-
-def eval_u(sol: CoshSolution, efmap: EmdenFowlerMap, r):
+def eval_u(sol: CoshSolution, r):
     """Radial profile u(r) = (C/2^m) r^{-gamma} (1 + r^{2 nu})^m.
 
     Evaluated in log space so extreme radii neither overflow nor lose the
@@ -191,19 +147,6 @@ def eval_u(sol: CoshSolution, efmap: EmdenFowlerMap, r):
     return np.exp(log_u)
 
 
-def ode_residual(
-    vfun: Callable[[np.ndarray], Sequence[np.ndarray]], t, K2: float, K0: float, p: float
-):
-    """v'''' - K2 v'' + K0 v - v^p for a profile given with derivatives 0..4."""
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    d = vfun(t)
-    v0, v2, v4 = np.asarray(d[0], dtype=float), np.asarray(d[2], dtype=float), np.asarray(d[4], dtype=float)
-    if np.any(v0 < 0.0):
-        raise DomainError("ode_residual requires v(t) >= 0 along the sample")
-    return v4 - K2 * v2 + K0 * v0 - v0 ** p
-
-
 def curve_rows(sol: CoshSolution, t_lo: float = -12.0, t_hi: float = 12.0, num: int = 2001):
     """Sampled profile rows (t, v, dv, d2v, d3v, residual) for CSV output."""
     import numpy as np
@@ -215,11 +158,9 @@ def curve_rows(sol: CoshSolution, t_lo: float = -12.0, t_hi: float = 12.0, num: 
     return header, rows
 
 
-def radial_curve_rows(
-    sol: CoshSolution, efmap: EmdenFowlerMap, r_lo: float = 1e-6, r_hi: float = 1e6, num: int = 2001
-):
+def radial_curve_rows(sol: CoshSolution, r_lo: float = 1e-6, r_hi: float = 1e6, num: int = 2001):
     """Sampled radial rows (r, u) on a log-spaced grid for CSV output."""
     import numpy as np
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), num)
-    us = eval_u(sol, efmap, rs)
+    us = eval_u(sol, rs)
     return ("r", "u"), list(zip(rs.tolist(), us.tolist()))

@@ -37,7 +37,6 @@ from .errors import (
     TrajectoryDomainError,
     ValidationError,
 )
-from .params import ProblemParams, derive_coefficients
 
 BLOWUP_BOUND = 1e12
 _MIN_TOL, _MAX_TOL = 1e-13, 1e-6
@@ -86,11 +85,6 @@ class ReducedProblem:
         self.K2 = float(K2)
         self.K0 = float(K0)
         self.p = float(p)
-
-    @classmethod
-    def from_params(cls, params: ProblemParams) -> "ReducedProblem":
-        coeff = derive_coefficients(params)
-        return cls(coeff.K2, coeff.K0, params.p)
 
     def energy(self, y) -> float:
         return energy(y, self.K2, self.K0, self.p)

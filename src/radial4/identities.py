@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, Radial4Error, TailError, ValidationError
-from .specfun import _gl_panels, omega_n
+from .specfun import omega_n
 
 _TAIL_REL = 1e-14
 # Largest grid half-width whose radii exp(T) stay finite.
@@ -103,6 +103,18 @@ TEST_FUNCTIONS: Dict[str, RadialTestFunction] = {
 }
 
 
+def _gl_panels(t_lo: float, t_hi: float, n_points: int, panel_width: float):
+    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]."""
+    x, w = np.polynomial.legendre.leggauss(n_points)
+    n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
+    edges = np.linspace(t_lo, t_hi, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Composite Gauss-Legendre nodes/weights on the symmetric t-interval.
@@ -143,18 +155,18 @@ class QuadratureGrid:
         return self._profiles[u]
 
 
-def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: float,
-                            weight_exp: float, n: int, grid: QuadratureGrid) -> float:
-    """omega_n * integral of |field(r)|^power r^{-weight_exp} r^{n-1} dr.
+def weighted_power_integral(values: np.ndarray, power: float, weight_exp: float, n: int,
+                            grid: QuadratureGrid) -> float:
+    """omega_n * integral of |f(r)|^power r^{-weight_exp} r^{n-1} dr.
 
-    Computed in t = -ln r coordinates where the radial factors collapse to
-    e^{(weight_exp - n) t}; the product is assembled in log space so that
-    huge weights times tiny field values cannot overflow on the way to a
-    negligible contribution.  Raises TailError when the integrand has not
-    decayed below 1e-14 of its maximum at either end of the grid.
+    ``values`` holds f at ``grid.radii``.  Computed in t = -ln r coordinates
+    where the radial factors collapse to e^{(weight_exp - n) t}; the product
+    is assembled in log space so that huge weights times tiny field values
+    cannot overflow on the way to a negligible contribution.  Raises
+    DomainError when a value is not finite and TailError when the integrand
+    has not decayed below 1e-14 of its maximum at either end of the grid.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fv = np.abs(np.asarray(field(grid.radii), dtype=float))
+    fv = np.abs(np.asarray(values, dtype=float))
     if not np.isfinite(fv).all():
         raise DomainError("field evaluation produced non-finite values")
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
@@ -179,19 +191,23 @@ def weighted_power_integral(field: Callable[[np.ndarray], np.ndarray], power: fl
     return float(omega_n(n) * (grid.weights * g).sum())
 
 
-def weighted_integral(field: Callable[[np.ndarray], np.ndarray], weight_exp: float,
-                      n: int, grid: QuadratureGrid) -> float:
-    """omega_n * integral of field(r)^2 r^{-weight_exp} r^{n-1} dr."""
-    return weighted_power_integral(field, 2.0, weight_exp, n, grid)
+def weighted_integral(values: np.ndarray, weight_exp: float, n: int,
+                      grid: QuadratureGrid) -> float:
+    """omega_n * integral of f(r)^2 r^{-weight_exp} r^{n-1} dr, f given at grid.radii."""
+    return weighted_power_integral(values, 2.0, weight_exp, n, grid)
 
 
-def t_operator(alpha_idx: float, u: RadialTestFunction, r, n: int):
-    """First-order radial operator u' + (n-2-alpha_idx)/(2r) u."""
+def t_operator(alpha_idx: float, u: np.ndarray, du: np.ndarray, r, n: int):
+    """First-order radial operator u' + (n-2-alpha_idx)/(2r) u from u and u' at r."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("t_operator requires r > 0")
-    uv, du, _ = u(r)
-    return du + 0.5 * (n - 2.0 - alpha_idx) / r * uv
+    return du + 0.5 * (n - 2.0 - alpha_idx) / r * u
+
+
+def _laplacian(r: np.ndarray, du: np.ndarray, d2u: np.ndarray, n: int) -> np.ndarray:
+    """Radial Laplacian u'' + (n-1)/r u'."""
+    return d2u + (n - 1.0) / r * du
 
 
 class IdentityId(Enum):
@@ -233,37 +249,6 @@ def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _fields(u: RadialTestFunction, n: int, alpha: float, grid: QuadratureGrid):
-    """Scalar fields r -> value on the grid radii used by the identity assemblies."""
-    uv, du, d2u = grid._profile(u)
-
-    def u_val(r):
-        return uv
-
-    def du_val(r):
-        return du
-
-    def laplacian(r):
-        return d2u + (n - 1.0) / r * du
-
-    def t_a2(r):
-        # t_operator keeps its r > 0 check; it reads the profile computed above
-        return t_operator(alpha + 2.0, lambda _: (uv, du, d2u), r, n)
-
-    def t_a_t_a2(r):
-        half = 0.5 * (n - 4.0 - alpha)
-        return d2u + (n - 3.0 - alpha) / r * du + half * half / (r * r) * uv
-
-    def grad_weighted(q_exp):
-        # |d/dr (r^q u)| = r^{q-1} |q u + r u'|
-        def g(r):
-            with np.errstate(over="ignore", under="ignore"):
-                return r ** (q_exp - 1.0) * (q_exp * uv + r * du)
-        return g
-
-    return u_val, du_val, laplacian, t_a2, t_a_t_a2, grad_weighted
-
-
 def verify_identity(identity: IdentityId, u: RadialTestFunction, n: int, alpha: float,
                     lam: float, mu: float, grid: QuadratureGrid) -> IdentityReport:
     """Assemble both sides of one weighted identity by quadrature.
@@ -276,74 +261,84 @@ def verify_identity(identity: IdentityId, u: RadialTestFunction, n: int, alpha: 
     """
     if not isinstance(identity, IdentityId):
         identity = IdentityId(identity)
-    u_val, du_val, laplacian, t_a2, t_a_t_a2, grad_weighted = _fields(u, n, alpha, grid)
+    if identity is IdentityId.TAU_SCALING:
+        return _verify_tau_scaling(u, n, alpha, grid)
+    uv, du, d2u = grid._profile(u)
+    r = grid.radii
     na2 = (n + alpha) ** 2 / 4.0
     half_sq = (n - 4.0 - alpha) ** 2 / 4.0
 
-    if identity is IdentityId.RELLICH22:
-        lhs = weighted_integral(laplacian, alpha, n, grid)
-        rhs = (
-            na2 * weighted_integral(du_val, alpha + 2.0, n, grid)
-            + half_sq * weighted_integral(t_a2, alpha + 2.0, n, grid)
-            + weighted_integral(t_a_t_a2, alpha, n, grid)
-        )
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+    def integral(values, weight_exp):
+        return weighted_integral(values, weight_exp, n, grid)
 
-    if identity is IdentityId.GRADIENT23:
-        q = 0.5 * (n - 2.0 - alpha)
-        lhs = weighted_integral(du_val, alpha, n, grid)
-        rhs = (
-            q * q * weighted_integral(u_val, alpha + 2.0, n, grid)
-            + weighted_integral(grad_weighted(q), n - 2.0, n, grid)
-        )
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+    def t_a_t_a2():
+        half = 0.5 * (n - 4.0 - alpha)
+        return d2u + (n - 3.0 - alpha) / r * du + half * half / (r * r) * uv
 
-    if identity is IdentityId.TOP24:
-        q = 0.5 * (n - 4.0 - alpha)
-        lhs = weighted_integral(grad_weighted(q), n - 2.0, n, grid)
-        rhs = weighted_integral(t_a2, alpha + 2.0, n, grid)
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+    def grad_weighted(q):
+        # |d/dr (r^q u)| = r^{q-1} |q u + r u'|
+        return r ** (q - 1.0) * (q * uv + r * du)
 
-    if identity is IdentityId.GRADIENT25:
-        lhs = weighted_integral(du_val, alpha + 2.0, n, grid)
-        rhs = (
-            half_sq * weighted_integral(u_val, alpha + 4.0, n, grid)
-            + weighted_integral(t_a2, alpha + 2.0, n, grid)
-        )
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
-
-    if identity is IdentityId.NORM_DECOMP:
-        c1 = mu + na2 * half_sq - half_sq * lam
-        c2 = na2 - lam + half_sq
-        lhs = (
-            weighted_integral(laplacian, alpha, n, grid)
-            - lam * weighted_integral(du_val, alpha + 2.0, n, grid)
-            + mu * weighted_integral(u_val, alpha + 4.0, n, grid)
-        )
-        rhs = (
-            c1 * weighted_integral(u_val, alpha + 4.0, n, grid)
-            + c2 * weighted_integral(t_a2, alpha + 2.0, n, grid)
-            + weighted_integral(t_a_t_a2, alpha, n, grid)
-        )
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
-
-    if identity is IdentityId.HARDY31:
-        lhs = weighted_integral(du_val, alpha + 2.0, n, grid)
-        base = weighted_integral(u_val, alpha + 4.0, n, grid)
-        rhs = half_sq * base
-        ratio = lhs / base if base > 0.0 else math.inf
-        if rhs > 0.0 and lhs < rhs * (1.0 - 1e-9):
-            raise Radial4Error(
-                f"Hardy inequality violated: lhs={lhs} < rhs={rhs} for {u.name}, "
-                f"n={n}, alpha={alpha}"
+    # Each field is computed where its integral is taken, in the order the
+    # integrals run, so a TailError stops the work at the first divergent
+    # one.  Past T = 355, r * r overflows at the grid's ends; a field that
+    # is non-finite there is reported by weighted_power_integral.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if identity is IdentityId.RELLICH22:
+            lhs = integral(_laplacian(r, du, d2u, n), alpha)
+            rhs = (
+                na2 * integral(du, alpha + 2.0)
+                + half_sq * integral(t_operator(alpha + 2.0, uv, du, r, n), alpha + 2.0)
+                + integral(t_a_t_a2(), alpha)
             )
-        return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs),
-                              ratio=ratio, constant=half_sq)
+            return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
 
-    if identity is IdentityId.TAU_SCALING:
-        return _verify_tau_scaling(u, n, alpha, grid)
+        if identity is IdentityId.GRADIENT23:
+            q = 0.5 * (n - 2.0 - alpha)
+            lhs = integral(du, alpha)
+            rhs = q * q * integral(uv, alpha + 2.0) + integral(grad_weighted(q), n - 2.0)
+            return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
 
-    raise ValidationError(f"unknown identity {identity!r}")
+        if identity is IdentityId.TOP24:
+            lhs = integral(grad_weighted(0.5 * (n - 4.0 - alpha)), n - 2.0)
+            rhs = integral(t_operator(alpha + 2.0, uv, du, r, n), alpha + 2.0)
+            return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+
+        if identity is IdentityId.GRADIENT25:
+            lhs = integral(du, alpha + 2.0)
+            rhs = (
+                half_sq * integral(uv, alpha + 4.0)
+                + integral(t_operator(alpha + 2.0, uv, du, r, n), alpha + 2.0)
+            )
+            return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+
+        if identity is IdentityId.NORM_DECOMP:
+            c1 = mu + na2 * half_sq - half_sq * lam
+            c2 = na2 - lam + half_sq
+            lhs = (
+                integral(_laplacian(r, du, d2u, n), alpha)
+                - lam * integral(du, alpha + 2.0)
+                + mu * integral(uv, alpha + 4.0)
+            )
+            rhs = (
+                c1 * integral(uv, alpha + 4.0)
+                + c2 * integral(t_operator(alpha + 2.0, uv, du, r, n), alpha + 2.0)
+                + integral(t_a_t_a2(), alpha)
+            )
+            return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs))
+
+    # IdentityId.HARDY31, the one identity left
+    lhs = integral(du, alpha + 2.0)
+    base = integral(uv, alpha + 4.0)
+    rhs = half_sq * base
+    ratio = lhs / base if base > 0.0 else math.inf
+    if rhs > 0.0 and lhs < rhs * (1.0 - 1e-9):
+        raise Radial4Error(
+            f"Hardy inequality violated: lhs={lhs} < rhs={rhs} for {u.name}, "
+            f"n={n}, alpha={alpha}"
+        )
+    return IdentityReport(identity, lhs, rhs, _rel_err(lhs, rhs),
+                          ratio=ratio, constant=half_sq)
 
 
 def _verify_tau_scaling(u: RadialTestFunction, n: int, alpha: float,
@@ -363,43 +358,37 @@ def _verify_tau_scaling(u: RadialTestFunction, n: int, alpha: float,
     # computed through logs and clamped so that a strong stretch (small tau)
     # cannot push s to inf; every suite profile has fields that underflow
     # to zero long before the clamp engages
-    s = np.exp(np.clip(np.log(grid.radii) / tau, -700.0, 700.0))
+    r = grid.radii
+    s = np.exp(np.clip(np.log(r) / tau, -700.0, 700.0))
     sv, sdu, sd2u = u(s)
+    uv, du, d2u = grid._profile(u)
 
-    def ut_val(r):
-        return sv
-
-    def ut_du(r):
-        return sdu * s / (tau * r)
-
-    def ut_laplacian(r):
+    def stretched_laplacian():
+        # u~'' = (u''(s) s^2 + (1 - tau) u'(s) s) / (tau r)^2
         d2 = sd2u * s * s / (tau * tau * r * r) + sdu * s * (1.0 - tau) / (tau * tau * r * r)
-        d1 = sdu * s / (tau * r)
-        return d2 + (n - 1.0) / r * d1
+        return _laplacian(r, sdu * s / (tau * r), d2, n)
 
-    u_val, du_val, laplacian, _, _, _ = _fields(u, n, alpha, grid)
-
-    def lap_with_correction(r):
-        return laplacian(r) + (tau - 1.0) * (n - 2.0) * du_val(r) / r
-
-    pairs = [
-        (
-            weighted_power_integral(ut_val, crit, 0.0, n, grid),
-            tau * weighted_power_integral(u_val, crit, n * alpha / (n - 4.0), n, grid),
-        ),
-        (
-            weighted_integral(ut_du, 2.0, n, grid),
-            (1.0 / tau) * weighted_integral(du_val, alpha + 2.0, n, grid),
-        ),
-        (
-            weighted_integral(ut_val, 4.0, n, grid),
-            tau * weighted_integral(u_val, alpha + 4.0, n, grid),
-        ),
-        (
-            weighted_integral(ut_laplacian, 0.0, n, grid),
-            tau ** -3.0 * weighted_integral(lap_with_correction, alpha, n, grid),
-        ),
-    ]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pairs = [
+            (
+                weighted_power_integral(sv, crit, 0.0, n, grid),
+                tau * weighted_power_integral(uv, crit, n * alpha / (n - 4.0), n, grid),
+            ),
+            (
+                # u~'(r) = u'(s) s / (tau r)
+                weighted_integral(sdu * s / (tau * r), 2.0, n, grid),
+                (1.0 / tau) * weighted_integral(du, alpha + 2.0, n, grid),
+            ),
+            (
+                weighted_integral(sv, 4.0, n, grid),
+                tau * weighted_integral(uv, alpha + 4.0, n, grid),
+            ),
+            (
+                weighted_integral(stretched_laplacian(), 0.0, n, grid),
+                tau ** -3.0 * weighted_integral(
+                    _laplacian(r, du, d2u, n) + (tau - 1.0) * (n - 2.0) * du / r, alpha, n, grid),
+            ),
+        ]
     worst = max(_rel_err(lhs, rhs) for lhs, rhs in pairs)
     lhs4, rhs4 = pairs[3]
     return IdentityReport(IdentityId.TAU_SCALING, lhs4, rhs4, worst)

@@ -102,12 +102,6 @@ class ProblemParams:
                     f"got {self.beta}, relation requires {computed}"
                 )
 
-    @property
-    def hyperbola_residual(self) -> float:
-        return (self.n + self.alpha) / 2.0 + (self.n + self.beta) / (self.p + 1.0) - (
-            self.n - 2.0
-        )
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "n": self.n,
@@ -117,17 +111,6 @@ class ProblemParams:
             "lambda": self.lam,
             "mu": self.mu,
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, float]) -> "ProblemParams":
-        return cls(
-            n=d["n"],
-            alpha=d["alpha"],
-            p=d["p"],
-            lam=d.get("lambda", 0.0),
-            mu=d.get("mu", 0.0),
-            beta=d.get("beta"),
-        )
 
 
 Eigenvalue = Union[float, complex]
@@ -160,22 +143,6 @@ class DerivedCoefficients:
     def eigenvalues_real(self) -> bool:
         return all(not isinstance(e, complex) for e in self.eigenvalues)
 
-    def to_dict(self) -> Dict[str, object]:
-        def enc(e: Eigenvalue):
-            if isinstance(e, complex):
-                return {"re": e.real, "im": e.imag}
-            return e
-
-        return {
-            "K2": self.K2,
-            "K0": self.K0,
-            "l": self.l,
-            "lam1": enc(self.lam1),
-            "lam2": enc(self.lam2),
-            "lam3": enc(self.lam3),
-            "lam4": enc(self.lam4),
-        }
-
 
 def k2_value(n: int, alpha: float, lam: float) -> float:
     return ((n - 2.0) ** 2 + (alpha + 2.0) ** 2) / 2.0 - lam
@@ -187,19 +154,28 @@ def k0_value(n: int, alpha: float, lam: float, mu: float) -> float:
 
 
 def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
-    """Compute (K2, K0), the equilibrium l, and the linearization eigenvalues."""
-    n, alpha, lam, mu = params.n, params.alpha, params.lam, params.mu
-    K2 = k2_value(n, alpha, lam)
-    K0 = k0_value(n, alpha, lam, mu)
-    if K0 > 0.0:
-        l: Optional[float] = K0 ** (1.0 / (params.p - 1.0))
-    elif K0 == 0.0:
-        l = 0.0
-    else:
-        l = None
+    """Compute (K2, K0), the equilibrium l, and the linearization eigenvalues.
 
-    # The discriminant K2^2 - 4 K0 collapses to (lam - (n-2)(alpha+2))^2 - 4 mu.
-    disc = (lam - (n - 2.0) * (alpha + 2.0)) ** 2 - 4.0 * mu
+    Raises ValidationError when K2, K0, l or the discriminant overflows.
+    """
+    n, alpha, lam, mu = params.n, params.alpha, params.lam, params.mu
+    try:
+        K2 = k2_value(n, alpha, lam)
+        K0 = k0_value(n, alpha, lam, mu)
+        if K0 > 0.0:
+            l: Optional[float] = K0 ** (1.0 / (params.p - 1.0))
+        elif K0 == 0.0:
+            l = 0.0
+        else:
+            l = None
+        # The discriminant K2^2 - 4 K0 collapses to (lam - (n-2)(alpha+2))^2 - 4 mu.
+        disc = (lam - (n - 2.0) * (alpha + 2.0)) ** 2 - 4.0 * mu
+    except OverflowError:
+        raise ValidationError(
+            f"coefficients overflow at n={n}, alpha={alpha}, p={params.p}, "
+            f"lambda={lam}, mu={mu}"
+        ) from None
+    _check_finite(K2=K2, K0=K0, discriminant=disc)
     sq = cmath.sqrt(complex(disc))
     w_plus = (complex(K2) + sq) / 2.0
     w_minus = (complex(K2) - sq) / 2.0

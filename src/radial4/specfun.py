@@ -1,4 +1,4 @@
-"""Special functions: Gamma, Beta, sphere measure, cosh-power integrals."""
+"""Special functions: Gamma, Beta and the sphere measure."""
 
 from __future__ import annotations
 
@@ -60,44 +60,3 @@ def omega_n(n: int) -> float:
         raise ValidationError(f"omega_n requires a positive integer dimension, got {n}")
     n = int(n)
     return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-
-
-def _gl_panels(t_lo: float, t_hi: float, n_points: int, panel_width: float):
-    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]."""
-    import numpy as np
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
-    edges = np.linspace(t_lo, t_hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def cosh_power_integral(gamma_exp: float, nu: float, method: str = "closed_form") -> float:
-    """Integral of (cosh(nu t))^gamma_exp over t in [0, inf).
-
-    Converges only for gamma_exp < 0 and nu > 0; the closed form is
-    (1/nu) * (1/2) * Beta(-gamma_exp/2, 1/2).  The quadrature route exists
-    as an independent cross-check of the Beta-function algebra.
-    """
-    g = float(gamma_exp)
-    nu = float(nu)
-    if not (g < 0.0):
-        raise ValidationError(f"cosh_power_integral requires gamma_exp < 0, got {g}")
-    if not (nu > 0.0):
-        raise ValidationError(f"cosh_power_integral requires nu > 0, got {nu}")
-    if method == "closed_form":
-        return 0.5 * beta_fn(-0.5 * g, 0.5) / nu
-    if method == "quadrature":
-        import numpy as np
-        # Truncate where the integrand is below 1e-18 relative to its peak.
-        t_max = (42.0 / (-g) + math.log(2.0)) / nu
-        nodes, weights = _gl_panels(0.0, t_max, 16, min(0.5, t_max / 8.0))
-        # log cosh is exact for large arguments: |x| + log1p(e^{-2|x|}) - log 2
-        ax = np.abs(nu * nodes)
-        log_cosh = ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-        vals = np.exp(g * log_cosh)
-        return float(np.dot(weights, vals))
-    raise ValidationError(f"unknown method {method!r} for cosh_power_integral")

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .closed_form import build_cosh_solution
 from .errors import (
@@ -62,14 +62,6 @@ class Grid1D:
     @property
     def n_nodes(self) -> int:
         return len(self.values)
-
-    @property
-    def ts(self) -> np.ndarray:
-        import numpy as np
-        return np.linspace(-self.L, self.L, self.n_nodes)
-
-    def with_values(self, values: np.ndarray) -> "Grid1D":
-        return Grid1D(self.L, self.h, values)
 
 
 class ConstantSource(Enum):
@@ -207,15 +199,11 @@ _MAX_NODES = 1_000_001
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Quotient value plus minimizer grid; unpacks as (value, grid)."""
+    """Quotient value, minimizer grid and the iterations it took."""
 
     value: float
     grid: Grid1D
     iterations: int
-    converged: bool
-
-    def __iter__(self) -> Iterator:
-        return iter((self.value, self.grid))
 
 
 def minimize_rayleigh(params: ProblemParams, L: float, h: float,
@@ -310,8 +298,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    return MinimizeResult(value=float(q), grid=Grid1D(L, h, v),
-                          iterations=iterations, converged=True)
+    return MinimizeResult(value=float(q), grid=Grid1D(L, h, v), iterations=iterations)
 
 
 def _phi_from_exponents(nu: float, m: float, exp_nu: float, exp_bracket: float) -> float:

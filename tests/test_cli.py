@@ -1,5 +1,6 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -193,6 +194,24 @@ class TestBestConstant:
         assert captured.out == "" and captured.err.startswith("error: grid")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["best-constant"], "197f6415f120c86764133c7c98dd2deb1dba14c29fe2aea28bbe0028f5386159"),
+        (["best-constant", "--method", "numerical"],
+         "e645337885ba73cf70cc5faaf729f739f824ce9102f8ea3bf2baaaaa679a07da"),
+        (["explicit", "--format", "csv", "--curve", "radial"],
+         "73b4ab59501007a7c4a9368b57211cc82fd2b27f019d144abf9566d6639a6b7a"),
+    ],
+    ids=["best-constant", "best-constant-numerical", "explicit-radial-csv"],
+)
+def test_b0_output_bytes(argv, digest):
+    # every byte of the B0 document, in a fresh interpreter on one BLAS thread
+    proc = run_child(["-m", "radial4.cli", argv[0]] + B0_FLAGS + argv[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 class TestDependencies:
     def test_numerical_best_constant_loads_no_scipy(self):
         code = (
@@ -249,6 +268,28 @@ class TestDependencies:
         assert set(radial4.__all__) <= set(dir(radial4))
         with pytest.raises(AttributeError):
             radial4.no_such_name
+
+    def test_every_export_has_a_caller_in_the_package(self):
+        # A public name is imported by another module or loaded in its own.
+        # rhs stays for the benchmark tracer, explicit_lambda_branches as the
+        # paper's lambda branches.
+        kept = {"rhs", "explicit_lambda_branches"}
+        package = os.path.dirname(radial4.__file__)
+        imported, loaded = set(), {}
+        for fname in sorted(os.listdir(package)):
+            if not fname.endswith(".py") or fname == "__init__.py":
+                continue
+            with open(os.path.join(package, fname), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            names = loaded[fname[:-3]] = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+        uncalled = sorted(name for name, module in radial4._EXPORTS.items()
+                          if name not in kept | imported | loaded[module])
+        assert uncalled == []
 
 
 def run_child(args, blas_threads=None):
@@ -502,6 +543,16 @@ class TestSweep:
         # a=2.4 lies beyond the rest point, a validation failure (code 5)
         assert second[err_col] == "5"
 
+    def test_overflowing_points_are_error_rows(self, capsys):
+        rc, out = run_text(capsys, ["sweep", "info"] + B0_FLAGS + ["--vary", "lambda=1e307:1e308:3"])
+        assert rc == 0
+        assert out.splitlines() == ["lambda,error"] + [
+            f"{jsonio.format_float(lam)},5" for lam in (1e307, 5.5e307, 1e308)]
+        rc, out = run_text(capsys, ["sweep", "info"] + B0_FLAGS + ["--vary", "lambda=0:1e308:3"])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[1].endswith(",") and lines[2].endswith(",5") and lines[3].endswith(",5")
+
     @pytest.mark.parametrize(
         "vary",
         [
@@ -626,6 +677,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [cmd, "--n", "6", "--alpha", "0", "--p", "1.0000000000001"]
+            for cmd in ("explicit", "info", "best-constant", "homoclinic")
+        ] + [["info"] + B0_FLAGS + ["--lambda", "1e308"]],
+    )
+    def test_overflowing_coefficients_are_validation_errors(self, capsys, argv):
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "absent" / "doc.json"

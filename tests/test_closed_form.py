@@ -1,4 +1,4 @@
-"""Explicit cosh-power profiles and the Emden-Fowler change of variables."""
+"""Explicit cosh-power profiles and their radial pull-back."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from radial4 import (
     CoshSolution,
     DomainError,
-    EmdenFowlerMap,
     NoExplicitSolutionError,
     ProblemParams,
     SolutionCase,
@@ -17,8 +16,6 @@ from radial4 import (
     cosh_profile_derivatives,
     curve_rows,
     eval_u,
-    eval_v,
-    ode_residual,
     radial_curve_rows,
 )
 
@@ -78,11 +75,12 @@ class TestDerivatives:
         h = 1e-5
         for _ in range(25):
             t = float(rng.uniform(-3.0, 3.0))
-            for order in (1, 2, 3):
-                lo = eval_v(sol, t - h, order=order - 1)
-                hi = eval_v(sol, t + h, order=order - 1)
-                fd = (hi - lo) / (2.0 * h)
-                assert fd == pytest.approx(float(eval_v(sol, t, order=order)), rel=1e-7, abs=1e-7)
+            lo = cosh_profile_derivatives(sol, t - h)
+            hi = cosh_profile_derivatives(sol, t + h)
+            exact = cosh_profile_derivatives(sol, t)
+            for order in (1, 2, 3, 4):
+                fd = (hi[order - 1] - lo[order - 1]) / (2.0 * h)
+                assert fd == pytest.approx(float(exact[order]), rel=1e-7, abs=1e-7)
 
     def test_large_argument_underflows_cleanly(self):
         sol = build_cosh_solution(BASE)
@@ -91,84 +89,59 @@ class TestDerivatives:
             assert np.all(np.isfinite(arr))
         assert np.all(vals[0] >= 0.0)
 
-    def test_eval_v_order_validation(self):
-        sol = build_cosh_solution(BASE)
-        with pytest.raises(ValidationError):
-            eval_v(sol, 0.0, order=5)
-
     def test_even_symmetry(self):
         sol = build_cosh_solution(SHIFTED)
         ts = np.linspace(0.1, 8.0, 50)
-        assert np.allclose(eval_v(sol, ts), eval_v(sol, -ts), rtol=1e-15)
-        assert np.allclose(eval_v(sol, ts, 1), -eval_v(sol, -ts, 1), rtol=1e-14)
+        v, dv = cosh_profile_derivatives(sol, ts)[:2]
+        v_neg, dv_neg = cosh_profile_derivatives(sol, -ts)[:2]
+        assert np.allclose(v, v_neg, rtol=1e-15)
+        assert np.allclose(dv, -dv_neg, rtol=1e-14)
 
 
 class TestRadialProfile:
     def test_matches_transform_of_reduced_profile(self):
+        # u(r) = r^{-q} v(-log r) with q = (n-4-alpha)/2
         sol = build_cosh_solution(SHIFTED)
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
+        q = (6 - 4 - 0.0) / 2.0
         r = np.logspace(-3, 3, 200)
-        v_at = eval_v(sol, -np.log(r))
-        expected = r ** (-efmap.exponent) * v_at
-        assert np.allclose(eval_u(sol, efmap, r), expected, rtol=1e-12)
+        v_at = cosh_profile_derivatives(sol, -np.log(r))[0]
+        assert np.allclose(eval_u(sol, r), r ** (-q) * v_at, rtol=1e-12)
 
     def test_bounded_at_origin_for_base_instance(self):
         sol = build_cosh_solution(BASE)
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
-        u0 = float(eval_u(sol, efmap, np.array([1e-8]))[0])
+        u0 = float(eval_u(sol, np.array([1e-8]))[0])
         assert math.isfinite(u0)
         assert u0 == pytest.approx(384.0 ** 0.25, rel=1e-10)
 
     def test_singular_at_origin_for_conjugate_instance(self):
         sol = build_cosh_solution(CONJUGATE)
-        efmap = EmdenFowlerMap(n=6, alpha=-4.0)
-        u = eval_u(sol, efmap, np.array([1e-4, 1e-5]))
+        u = eval_u(sol, np.array([1e-4, 1e-5]))
         # gamma_decay = 2: one decade in r is four orders of magnitude in u
         assert u[1] / u[0] == pytest.approx(100.0, rel=1e-4)
 
     def test_extreme_radii_stay_finite(self):
         sol = build_cosh_solution(BASE)
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
-        u = eval_u(sol, efmap, np.array([1e-150, 1e150]))
+        u = eval_u(sol, np.array([1e-150, 1e150]))
         assert np.all(np.isfinite(u))
 
     def test_rejects_nonpositive_radius(self):
         sol = build_cosh_solution(BASE)
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
         with pytest.raises(DomainError):
-            eval_u(sol, efmap, np.array([0.0, 1.0]))
+            eval_u(sol, np.array([0.0, 1.0]))
 
 
 class TestEmdenFowlerMap:
+    """The pull-back u(r) = r^{-(n-4-alpha)/2} v(-log r) of the cosh profile."""
+
     def test_exponent(self):
-        assert EmdenFowlerMap(n=6, alpha=0.0).exponent == 1.0
-        assert EmdenFowlerMap(n=8, alpha=-1.0).exponent == 2.5
-
-    def test_roundtrip_identity(self):
-        efmap = EmdenFowlerMap(n=7, alpha=0.5)
-        u = lambda r: np.exp(-((np.log(r)) ** 2))
-        rng = np.random.default_rng(17)
-        r = rng.uniform(0.05, 20.0, size=100)
-        assert np.allclose(efmap.inverse(efmap.forward(u))(r), u(r), rtol=1e-13)
-
-    def test_inverse_rejects_nonpositive_radius(self):
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
-        u = efmap.inverse(lambda t: np.asarray(t) * 0.0 + 1.0)
-        with pytest.raises(DomainError):
-            u(np.array([-1.0]))
+        r = np.logspace(-2, 2, 9)
+        for n, alpha, p, q in ((6, 0.0, 5.0, 1.0), (8, -1.0, 1.8, 2.5)):
+            sol = build_cosh_solution(ProblemParams(n=n, alpha=alpha, p=p))
+            v_at = cosh_profile_derivatives(sol, -np.log(r))[0]
+            assert np.allclose(eval_u(sol, r) / v_at, r ** -q, rtol=1e-12)
 
 
 class TestResidualAndRows:
-    def test_ode_residual_requires_nonnegative_v(self):
-        with pytest.raises(DomainError):
-            ode_residual(
-                lambda t: [np.asarray(t) * 0.0 - 1.0] * 5,
-                np.array([0.0]),
-                10.0,
-                9.0,
-                5.0,
-            )
-
     def test_curve_rows_shape(self):
         sol = build_cosh_solution(BASE)
         header, rows = curve_rows(sol, -2.0, 2.0, num=41)
@@ -179,8 +152,7 @@ class TestResidualAndRows:
 
     def test_radial_curve_rows_span(self):
         sol = build_cosh_solution(BASE)
-        efmap = EmdenFowlerMap(n=6, alpha=0.0)
-        (header, rows) = radial_curve_rows(sol, efmap, 1e-6, 1e6, num=101)
+        (header, rows) = radial_curve_rows(sol, 1e-6, 1e6, num=101)
         assert header == ("r", "u")
         assert rows[0][0] == pytest.approx(1e-6, rel=1e-12)
         assert rows[-1][0] == pytest.approx(1e6, rel=1e-12)

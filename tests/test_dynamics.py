@@ -15,9 +15,9 @@ from radial4 import (
     TrajectoryDomainError,
     ValidationError,
     build_cosh_solution,
+    cosh_profile_derivatives,
     derive_coefficients,
     energy,
-    eval_v,
     find_homoclinic,
     find_periodic,
     integrate,
@@ -32,7 +32,7 @@ EQUILIBRIUM = 3.0 ** 0.5  # K0^{1/(p-1)} for (K0, p) = (9, 5)
 def homoclinic_state(t):
     """Exact state vector of the explicit decaying profile at time t."""
     sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
-    return np.array([float(eval_v(sol, t, order=k)) for k in range(4)])
+    return np.array(cosh_profile_derivatives(sol, t)[:4], dtype=float)
 
 
 class TestRhsAndEnergy:
@@ -60,10 +60,6 @@ class TestRhsAndEnergy:
     def test_problem_carrier_validation(self):
         with pytest.raises(ValidationError):
             ReducedProblem(10.0, 9.0, 1.0)
-
-    def test_from_params(self):
-        prob = ReducedProblem.from_params(ProblemParams(n=6, alpha=0.0, p=5.0))
-        assert prob.K2 == 10.0 and prob.K0 == 9.0 and prob.p == 5.0
 
 
 class TestStateValidation:
@@ -104,7 +100,7 @@ class TestAccuracy:
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
         for window, bound in ((4.0, 1e-7), (6.0, 2e-5)):
             mask = traj.ts <= window
-            err = np.abs(traj.ys[mask, 0] - np.asarray(eval_v(sol, traj.ts[mask])))
+            err = np.abs(traj.ys[mask, 0] - cosh_profile_derivatives(sol, traj.ts[mask])[0])
             assert np.max(err) < bound
 
     def test_equilibrium_stays_put(self):
@@ -211,7 +207,7 @@ class TestNodesAndRows:
         traj = integrate(y0, 3.0, 1e-12, B0)
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
         mask = traj.ts <= 1.0
-        err = np.abs(traj.ys[mask, 0] - np.asarray(eval_v(sol, traj.ts[mask])))
+        err = np.abs(traj.ys[mask, 0] - cosh_profile_derivatives(sol, traj.ts[mask])[0])
         assert np.max(err) < 2e-8
 
     def test_rows_header(self):

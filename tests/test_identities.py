@@ -12,7 +12,6 @@ from radial4 import (
     DomainError,
     IdentityId,
     QuadratureGrid,
-    RadialTestFunction,
     Radial4Error,
     TEST_FUNCTIONS,
     TailError,
@@ -30,12 +29,14 @@ GAUSSIAN = TEST_FUNCTIONS["gaussian"]
 EQUALITY_IDS = [i for i in IdentityId if i is not IdentityId.HARDY31]
 
 
-def u_of(f):
-    return lambda r: f(r)[0]
+def u_of(f, grid=GRID):
+    """u at the radii of grid."""
+    return f(grid.radii)[0]
 
 
 def du_of(f):
-    return lambda r: f(r)[1]
+    """u' at the radii of GRID."""
+    return f(GRID.radii)[1]
 
 
 class TestQuadratureGrid:
@@ -45,7 +46,7 @@ class TestQuadratureGrid:
     def test_refinement_leaves_integrals_fixed(self):
         fine = QuadratureGrid.build(T=45.0, points_per_panel=32)
         a = weighted_integral(u_of(GAUSSIAN), 0.0, 6, GRID)
-        b = weighted_integral(u_of(GAUSSIAN), 0.0, 6, fine)
+        b = weighted_integral(u_of(GAUSSIAN, fine), 0.0, 6, fine)
         assert abs(a - b) / abs(a) < 1e-10
 
     def test_radii_are_descending_in_t(self):
@@ -88,33 +89,26 @@ class TestWeightedIntegral:
         assert info.value.end == "r_inf"
 
     def test_zero_field(self):
-        zero = lambda r: np.zeros_like(r)
-        assert weighted_integral(zero, 0.0, 6, GRID) == 0.0
+        assert weighted_integral(np.zeros_like(GRID.radii), 0.0, 6, GRID) == 0.0
 
 
 class TestTOperator:
     def test_top_index_reduces_to_derivative(self):
         r = np.linspace(0.2, 4.0, 9)
-        assert np.allclose(t_operator(4.0, GAUSSIAN, r, 6), GAUSSIAN(r)[1])
+        u, du, _ = GAUSSIAN(r)
+        assert np.allclose(t_operator(4.0, u, du, r, 6), du)
 
     def test_annihilates_kernel_power(self):
-        ker = RadialTestFunction(
-            "kernel", lambda r: (r ** -2.0, -2.0 * r ** -3.0, 6.0 * r ** -4.0),
-            (1e-8, 1e8), "smooth",
-        )
         r = np.linspace(0.2, 4.0, 9)
-        assert np.max(np.abs(t_operator(0.0, ker, r, 6))) < 1e-13
+        assert np.max(np.abs(t_operator(0.0, r ** -2.0, -2.0 * r ** -3.0, r, 6))) < 1e-13
 
     def test_exponential_spot_value(self):
-        expdec = RadialTestFunction(
-            "expdec", lambda r: (np.exp(-r), -np.exp(-r), np.exp(-r)),
-            (1e-8, 60.0), "smooth",
-        )
-        assert float(t_operator(2.0, expdec, np.array([1.0]), 6)[0]) == pytest.approx(0.0, abs=1e-15)
+        r = np.array([1.0])
+        assert float(t_operator(2.0, np.exp(-r), -np.exp(-r), r, 6)[0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_requires_positive_radius(self):
         with pytest.raises(DomainError):
-            t_operator(0.0, GAUSSIAN, np.array([0.0]), 6)
+            t_operator(0.0, np.ones(1), np.zeros(1), np.array([0.0]), 6)
 
 
 class TestVerifyIdentity:

@@ -56,7 +56,8 @@ class TestBalanceRelation:
         rng = np.random.default_rng(7)
         for _ in range(50):
             params = c1_region_sample(rng)
-            assert abs(params.hyperbola_residual) < 1e-12
+            n, alpha, beta, p = params.n, params.alpha, params.beta, params.p
+            assert abs((n + alpha) / 2.0 + (n + beta) / (p + 1.0) - (n - 2.0)) < 1e-12
 
     def test_explicit_beta_must_match(self):
         with pytest.raises(ValidationError):
@@ -94,7 +95,8 @@ class TestValidation:
         params = ProblemParams(n=6, alpha=0.5, p=4.0, lam=2.5, mu=-1.0)
         d = params.to_dict()
         assert d["lambda"] == 2.5
-        assert ProblemParams.from_dict(d) == params
+        assert ProblemParams(n=d["n"], alpha=d["alpha"], p=d["p"], lam=d["lambda"], mu=d["mu"],
+                             beta=d["beta"]) == params
 
     def test_frozen(self):
         params = ProblemParams(**B0)
@@ -166,10 +168,19 @@ class TestDerivedCoefficients:
         assert coeff.K0 < 0.0
         assert coeff.l is None
 
-    def test_to_dict_encodes_complex_eigenvalues(self):
-        coeff = derive_coefficients(ProblemParams(n=6, alpha=0.0, p=5.0, lam=8.0, mu=1.0))
-        enc = coeff.to_dict()["lam1"]
-        assert set(enc) == {"re", "im"}
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p=1.0000000000001),  # l = K0^(1/(p-1)) overflows
+            dict(p=5.0, lam=1e308),  # the discriminant overflows
+            dict(p=5.0, lam=-1e308),
+            dict(p=5.0, mu=-1e308),  # the discriminant is +inf
+            dict(p=5.0, lam=1e308, mu=1e308),
+        ],
+    )
+    def test_overflowing_coefficients_are_validation_errors(self, kwargs):
+        with pytest.raises(ValidationError):
+            derive_coefficients(ProblemParams(n=6, alpha=0.0, **kwargs))
 
 
 class TestConditionReport:

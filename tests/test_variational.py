@@ -15,7 +15,7 @@ from radial4 import (
     ValidationError,
     best_constant_numerical,
     build_cosh_solution,
-    eval_v,
+    cosh_profile_derivatives,
     minimize_rayleigh,
     phi_closed_form,
     rayleigh_quotient,
@@ -40,7 +40,7 @@ class TestGrid:
     def test_node_count_and_span(self):
         grid = Grid1D(L=10.0, h=0.5, values=np.zeros(41))
         assert grid.n_nodes == 41
-        assert grid.ts[0] == -10.0 and grid.ts[-1] == 10.0
+        assert (grid.n_nodes - 1) * grid.h == 2.0 * grid.L == 20.0
 
     def test_noninteger_ratio_rejected(self):
         with pytest.raises(ValidationError):
@@ -56,19 +56,13 @@ class TestGrid:
         with pytest.raises(ValidationError):
             Grid1D(L=10.0, h=0.5, values=vals)
 
-    def test_with_values(self):
-        grid = Grid1D(L=10.0, h=0.5, values=np.zeros(41))
-        new = grid.with_values(np.ones(41))
-        assert new.L == grid.L and new.h == grid.h
-        assert np.all(new.values == 1.0)
-
 
 class TestRayleighQuotient:
     def make_profile_grid(self, params, L=30.0, h=0.01):
         sol = build_cosh_solution(params)
         n = 2 * int(round(L / h)) + 1
         ts = np.linspace(-L, L, n)
-        return Grid1D(L=L, h=h, values=np.asarray(eval_v(sol, ts)))
+        return Grid1D(L=L, h=h, values=cosh_profile_derivatives(sol, ts)[0])
 
     def test_exact_profile_attains_constant(self):
         grid = self.make_profile_grid(B0)
@@ -81,17 +75,17 @@ class TestRayleighQuotient:
         rng = np.random.default_rng(37)
         for _ in range(10):
             c = float(rng.uniform(0.1, 50.0))
-            q = rayleigh_quotient(grid.with_values(c * grid.values), 10.0, 9.0, 5.0)
+            q = rayleigh_quotient(Grid1D(grid.L, grid.h, c * grid.values), 10.0, 9.0, 5.0)
             assert q == pytest.approx(q0, rel=1e-12)
 
     def test_minimizer_is_lower_than_perturbations(self):
         grid = self.make_profile_grid(B0, L=20.0, h=0.02)
         q0 = rayleigh_quotient(grid, 10.0, 9.0, 5.0)
         rng = np.random.default_rng(53)
-        bump = np.exp(-grid.ts ** 2)
+        bump = np.exp(-np.linspace(-grid.L, grid.L, grid.n_nodes) ** 2)
         for _ in range(10):
             eps = float(rng.uniform(0.01, 0.2))
-            q = rayleigh_quotient(grid.with_values(grid.values + eps * bump), 10.0, 9.0, 5.0)
+            q = rayleigh_quotient(Grid1D(grid.L, grid.h, grid.values + eps * bump), 10.0, 9.0, 5.0)
             assert q > q0 - 1e-10
 
     def test_zero_function_rejected(self):
@@ -108,13 +102,12 @@ class TestRayleighQuotient:
 
 class TestMinimize:
     def test_base_instance_converges_to_constant(self):
-        value, grid = minimize_rayleigh(B0, L=40.0, h=0.01)
-        assert value == pytest.approx(PHI_B0, rel=1e-4)
-        assert grid.values[grid.n_nodes // 2] > 0.0
+        res = minimize_rayleigh(B0, L=40.0, h=0.01)
+        assert res.value == pytest.approx(PHI_B0, rel=1e-4)
+        assert res.grid.values[res.grid.n_nodes // 2] > 0.0
 
     def test_result_fields(self):
         res = minimize_rayleigh(B0, L=40.0, h=0.01)
-        assert res.converged
         assert res.iterations >= 1
         assert res.value == pytest.approx(PHI_B0, rel=1e-4)
 
@@ -130,8 +123,7 @@ class TestMinimize:
         assert res.iterations > 1
 
     def test_profile_is_even_and_positive(self):
-        _, grid = minimize_rayleigh(B0, L=30.0, h=0.02)
-        v = grid.values
+        v = minimize_rayleigh(B0, L=30.0, h=0.02).grid.values
         assert np.all(v >= 0.0)
         assert np.max(np.abs(v - v[::-1])) < 1e-8 * np.max(v)
 
