@@ -140,6 +140,11 @@ class TestEmdenFowlerMap:
             v_at = cosh_profile_derivatives(sol, -np.log(r))[0]
             assert np.allclose(eval_u(sol, r) / v_at, r ** -q, rtol=1e-12)
 
+    def test_inverse_rejects_nonpositive_radius(self):
+        sol = build_cosh_solution(BASE)
+        with pytest.raises(DomainError):
+            eval_u(sol, np.array([-1.0]))
+
 
 class TestResidualAndRows:
     def test_curve_rows_shape(self):

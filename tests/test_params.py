@@ -17,6 +17,7 @@ from radial4 import (
     k0_value,
     k2_value,
 )
+from radial4.cli import _sorted_eigenvalues
 
 B0 = dict(n=6, alpha=0.0, p=5.0, lam=0.0, mu=0.0)
 
@@ -162,6 +163,16 @@ class TestDerivedCoefficients:
         assert isinstance(coeff.lam1, complex)
         for e in coeff.eigenvalues:
             assert abs(e ** 4 - coeff.K2 * e ** 2 + coeff.K0) <= 1e-10
+
+    def test_to_dict_encodes_complex_eigenvalues(self):
+        # the JSON form of a complex quartet is one {"re", "im"} object per eigenvalue
+        coeff = derive_coefficients(ProblemParams(n=6, alpha=0.0, p=5.0, lam=8.0, mu=1.0))
+        enc = _sorted_eigenvalues(coeff)
+        assert all(set(e) == {"re", "im"} for e in enc)
+        key = lambda z: (z.real, z.imag)
+        decoded = sorted((complex(e["re"], e["im"]) for e in enc), key=key)
+        expected = sorted((complex(e) for e in coeff.eigenvalues), key=key)
+        assert decoded == pytest.approx(expected, rel=1e-15)
 
     def test_negative_k0_has_no_equilibrium(self):
         coeff = derive_coefficients(ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0))
