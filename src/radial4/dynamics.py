@@ -348,6 +348,7 @@ def integrate(
         )
 
     h = min(_initial_step(y, f, tol, t_end - t0, K2, K0, p), max_step)
+    a0, a1, a2, a3 = abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])  # |y|, kept with y
     err_prev = 1.0
     steps = 0
     while t < t_end:
@@ -378,13 +379,14 @@ def integrate(
             h *= 0.25
             continue
 
+        # _rms inlined; "b if b > a else a" is max(a, b), NaN included.
         n0, n1, n2, n3 = y_new
-        err = _rms(
-            e0 / (tol + tol * max(abs(y[0]), abs(n0))),
-            e1 / (tol + tol * max(abs(y[1]), abs(n1))),
-            e2 / (tol + tol * max(abs(y[2]), abs(n2))),
-            e3 / (tol + tol * max(abs(y[3]), abs(n3))),
-        )
+        b0, b1, b2, b3 = abs(n0), abs(n1), abs(n2), abs(n3)
+        q0 = e0 / (tol + tol * (b0 if b0 > a0 else a0))
+        q1 = e1 / (tol + tol * (b1 if b1 > a1 else a1))
+        q2 = e2 / (tol + tol * (b2 if b2 > a2 else a2))
+        q3 = e3 / (tol + tol * (b3 if b3 > a3 else a3))
+        err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
         if not math.isfinite(err):
             n_rej += 1
             h *= 0.25
@@ -419,10 +421,11 @@ def integrate(
             return build(("event", e.name, t_ev), ev_name=e.name, ev_t=t_ev)
 
         t, y, f = t_new, y_new, f_new
+        a0, a1, a2, a3 = b0, b1, b2, b3
         ts.append(t)
         ys.append(y)
 
-        if max(abs(n0), abs(n1), abs(n2), abs(n3)) > BLOWUP_BOUND:
+        if max(b0, b1, b2, b3) > BLOWUP_BOUND:
             raise BlowUpError(
                 f"trajectory escaped |y| > {BLOWUP_BOUND:g} at t={t}",
                 escape_time=t,

@@ -14,7 +14,11 @@ one-parameter shooting problem resolved by a dichotomy bisection.  Its
 shots are read only as 'turn' or 'cross', and since K2 > 0 there, one that
 enters the forward-invariant dive cone {v < l, v' < 0, v'' <= 0, v''' <= 0}
 is stopped there as a crossing.  The scan classifies its grid in order and
-stops at the first sign change.
+stops at the first sign change.  A shot only has to tell a turn from a
+cross, so the scan and bisection run each shot at a DP tolerance that
+tracks the bracket width (1e-2 width / v0, clipped to [1e-12, 1e-6]); the
+ends of the final bracket are then confirmed by 1e-12 shots, and a search
+with any verdict those overturn is redone at 1e-12 throughout.
 
 Singularity classification compares the slowest linear decay rate of the
 reduced equation against the Emden-Fowler weight exponent (n-4-alpha)/2.
@@ -45,7 +49,9 @@ from .errors import (
 )
 from .params import ProblemParams, check_conditions, derive_coefficients
 
-_SHOOT_TOL = 1e-12
+_SHOOT_TOL = 1e-12  # DP tolerance of every shot whose verdict find_homoclinic keeps
+_MAX_SHOOT_TOL = 1e-6  # coarsest classification shot
+_TOL_PER_WIDTH = 1e-2  # classification tolerance per relative bracket width
 _MODES, _MAX_MODES = 32, 512  # first and largest Fourier truncation N
 _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
@@ -310,9 +316,10 @@ def _dive_cone(problem: ReducedProblem):
 
 
 def _classify_homoclinic_shot(
-    problem: ReducedProblem, v0: float, t_max: float, floor: float, dive=None
+    problem: ReducedProblem, v0: float, t_max: float, floor: float, tol: float, dive=None
 ):
-    """One zero-energy shot from the peak; returns ('turn'|'cross', trajectory).
+    """One zero-energy shot from the peak at DP tolerance tol; returns
+    ('turn'|'cross', trajectory).
 
     A shot whose peak exceeds the homoclinic value turns back up at a
     positive local minimum ('turn'); a shot below it tracks the profile for
@@ -330,7 +337,7 @@ def _classify_homoclinic_shot(
         traj = integrate(
             OdeState(0.0, (v0, 0.0, b0, 0.0)),
             t_max,
-            _SHOOT_TOL,
+            tol,
             problem,
             events=(ev_min, ev_floor),
             max_step=0.25,
@@ -347,6 +354,57 @@ def _classify_homoclinic_shot(
     return "turn", traj
 
 
+def _coarse_tol(width: float, v0: float) -> float:
+    """DP tolerance of a classification shot at v0 inside a bracket of this width."""
+    return min(_MAX_SHOOT_TOL, max(_SHOOT_TOL, _TOL_PER_WIDTH * width / v0))
+
+
+def _bracket_transition(classify, l: float, s_star: float, shot_tol):
+    """Scan and bisect (l, s*) for the turn -> cross transition of classify.
+
+    The scan classifies 24 points down from s* - m to l + m in order, for
+    m = 1e-6 (s* - l), then 1e-2 and 1e-4 times that, and stops at its
+    first turn -> cross pair; bisection then halves that bracket until its
+    width is at most 1e-14 max(1, v).  Each point is classified at
+    shot_tol(width, v0), width being the grid spacing in the scan and the
+    bracket width in the bisection.  Returns ((v_lo, tol_lo), (v_hi,
+    tol_hi)), the crossing and turning ends with the tolerance of their last
+    verdicts, or None when no scan finds the transition.
+    """
+    margin = 1e-6 * (s_star - l)
+    bracket = None
+    for shrink in range(3):
+        m = margin * 10.0 ** (-2 * shrink)
+        grid = [float(v) for v in np.linspace(s_star - m, l + m, 24)]
+        spacing = grid[0] - grid[1]
+        tol_prev = shot_tol(spacing, grid[0])
+        kind_prev = classify(grid[0], tol_prev)
+        for v_prev, v in zip(grid, grid[1:]):
+            tol = shot_tol(spacing, v)
+            kind = classify(v, tol)
+            if kind_prev == "turn" and kind == "cross":
+                bracket = [v, tol, v_prev, tol_prev]
+                break
+            kind_prev, tol_prev = kind, tol
+        if bracket is not None:
+            break
+    if bracket is None:
+        return None
+
+    v_lo, tol_lo, v_hi, tol_hi = bracket  # crossing side below, turning side above
+    for _ in range(70):
+        width = v_hi - v_lo
+        if width <= 1e-14 * max(1.0, v_hi):
+            break
+        mid = 0.5 * (v_lo + v_hi)
+        tol = shot_tol(width, mid)
+        if classify(mid, tol) == "cross":
+            v_lo, tol_lo = mid, tol
+        else:
+            v_hi, tol_hi = mid, tol
+    return (v_lo, tol_lo), (v_hi, tol_hi)
+
+
 def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     """Even decaying profile on the zero-energy level, by dichotomy shooting.
 
@@ -360,10 +418,26 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     never increase, v' <= v'(t_e) < 0 never returns to 0 (no local minimum)
     and v reaches 0 by t_e + v(t_e)/|v'(t_e)|, as the full shot would.  The
     scan stops at its first turn -> cross pair, the only one it reads, and
-    the final shot at the peak runs without the cone.  The returned samples
-    are truncated a safety margin before the shot departs along the
-    unstable direction, and the decay rate is a least-squares log-slope
-    over the trailing fifth.
+    the final shot at the peak runs without the cone.
+
+    A point v0 in a bracket of width w is classified at DP tolerance
+    min(1e-6, max(_SHOOT_TOL, 1e-2 w / v0)) (_coarse_tol): the step count
+    grows like tol^(-1/5), and a shot whose peak lies far from the root
+    tells a turn from a cross at a loose tolerance, so only the last dozen
+    or so bisection shots, with w / v0 below 1e-10, run at _SHOOT_TOL =
+    1e-12.  Certification: each end of the final bracket whose last verdict
+    came from a coarser shot is shot again at _SHOOT_TOL, and if either
+    verdict changes, the scan and bisection are redone with every shot at
+    _SHOOT_TOL, as is a coarse search that finds no transition.  So both
+    ends of the bracket that yields the peak carry 1e-12 verdicts.  Where
+    the 1e-12 verdicts change once near the root, a wrong coarse verdict
+    leaves that change outside the bracket; every later verdict then moves
+    the other end towards the wrong one, which stays an end of the final
+    bracket, and its re-shot sends the search to the fallback.
+
+    The returned samples are truncated a safety margin before the shot
+    departs along the unstable direction, and the decay rate is a
+    least-squares log-slope over the trailing fifth.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
@@ -380,45 +454,30 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     s_star = (0.5 * (p + 1.0) * K0) ** (1.0 / (p - 1.0))
     t_max = 80.0 / lam2
 
-    margin = 1e-6 * (s_star - l)
     floor_frac = 1e-10
-
     dive = _dive_cone(problem)
 
-    def classify(v0: float) -> str:
-        kind, _ = _classify_homoclinic_shot(problem, v0, t_max, floor_frac * v0, dive)
+    def classify(v0: float, tol: float) -> str:
+        kind, _ = _classify_homoclinic_shot(problem, v0, t_max, floor_frac * v0, tol, dive)
         return kind
 
-    bracket = None
-    for shrink in range(3):
-        m = margin * 10.0 ** (-2 * shrink)
-        grid = [float(v) for v in np.linspace(s_star - m, l + m, 24)]
-        kind_prev = classify(grid[0])
-        for v_prev, v in zip(grid, grid[1:]):
-            kind = classify(v)
-            if kind_prev == "turn" and kind == "cross":
-                bracket = (v, v_prev)
-                break
-            kind_prev = kind
-        if bracket is not None:
-            break
-    if bracket is None:
+    found = _bracket_transition(classify, l, s_star, _coarse_tol)
+    if found is not None:
+        (v_lo, tol_lo), (v_hi, tol_hi) = found
+        if (tol_lo > _SHOOT_TOL and classify(v_lo, _SHOOT_TOL) != "cross") or (
+            tol_hi > _SHOOT_TOL and classify(v_hi, _SHOOT_TOL) != "turn"
+        ):
+            found = None
+    if found is None:
+        found = _bracket_transition(classify, l, s_star, lambda width, v0: _SHOOT_TOL)
+    if found is None:
         raise ConvergenceError(
             f"dichotomy scan found no turn/cross transition on ({l}, {s_star})"
         )
 
-    v_lo, v_hi = bracket  # crossing side below, turning side above
-    for _ in range(70):
-        if v_hi - v_lo <= 1e-14 * max(1.0, v_hi):
-            break
-        mid = 0.5 * (v_lo + v_hi)
-        if classify(mid) == "cross":
-            v_lo = mid
-        else:
-            v_hi = mid
-
+    (v_lo, _), (v_hi, _) = found
     peak = 0.5 * (v_lo + v_hi)
-    kind, traj = _classify_homoclinic_shot(problem, peak, t_max, floor_frac * peak)
+    kind, traj = _classify_homoclinic_shot(problem, peak, t_max, floor_frac * peak, _SHOOT_TOL)
     if traj is None or len(traj.ts) < 8:
         raise ConvergenceError("homoclinic shot produced no usable trajectory")
 

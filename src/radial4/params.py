@@ -54,6 +54,11 @@ def _check_finite(**values: float) -> None:
 
 
 def _check_base(n: int, alpha: float, p: float) -> None:
+    try:
+        float(n)
+    except (OverflowError, TypeError, ValueError):
+        # n is not printed: str() of an int past 4300 digits raises too
+        raise ValidationError("dimension n does not convert to a float") from None
     _check_finite(n=n, alpha=alpha, p=p)
     if int(n) != n or n < 5:
         raise ValidationError(f"dimension must be an integer >= 5, got n={n}")
@@ -92,6 +97,11 @@ class ProblemParams:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", float(self.mu))
         computed = beta_from_hyperbola(self.n, self.alpha, self.p)
+        if not math.isfinite(computed):
+            raise ValidationError(
+                f"the balance relation gives a non-finite beta={computed} "
+                f"for n={self.n}, alpha={self.alpha}, p={self.p}"
+            )
         if self.beta is None:
             object.__setattr__(self, "beta", computed)
         else:

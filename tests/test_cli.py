@@ -161,6 +161,25 @@ class TestHomoclinic:
         assert doc["n_samples"] > 100
         assert doc["singularity"]["verdict"] == "Boundary"
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (B0_FLAGS + ["--format", "csv"],
+             "11799a9e59bbc3a1fa78be0f74352e3d1aaaa33792ba60b00b5c7e62f379d912"),
+            (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
+             "355cda5fa48a7c00510d69951522572873bae8463a7d99a3368b520f95028b20"),
+            (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
+             "3f7bcb15df951d1a031596408806653ec1b76caf7acdd2b4d4ff977cecb91233"),
+        ],
+        ids=["b0-csv", "shifted-csv", "n7-p2-json"],
+    )
+    def test_homoclinic_bytes(self, flags, digest):
+        # every digit of the profile, as the all-1e-12 shooting printed it; a
+        # fresh interpreter, as in test_orbit_csv_bytes
+        proc = run_child(["-m", "radial4.cli", "homoclinic"] + flags)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
 
 class TestBestConstant:
     def test_closed_form_document(self, capsys):
@@ -553,6 +572,17 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[1].endswith(",") and lines[2].endswith(",5") and lines[3].endswith(",5")
 
+    def test_non_finite_beta_points_are_error_rows(self, capsys):
+        # beta = 48 (p+1) - 100 at n = 100, alpha = 0: finite at p = 1e306,
+        # inf at 5.05e307 and 1e308; the sweep goes on past the first error
+        argv = ["sweep", "info", "--n", "100", "--alpha", "0", "--p", "5",
+                "--vary", "p=1e306:1e308:3"]
+        rc, out = run_text(capsys, argv)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0].split(",")[-1] == "error" and len(lines) == 4
+        assert lines[1].endswith(",") and lines[2].endswith(",5") and lines[3].endswith(",5")
+
     @pytest.mark.parametrize(
         "vary",
         [
@@ -690,6 +720,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["info", "--n", "1" + "0" * 400, "--alpha", "0", "--p", "5"],
+             "does not convert to a float"),
+            (["info", "--n", "100", "--alpha", "0", "--p", "1e308"], "non-finite beta=inf"),
+        ],
+        ids=["n-past-float", "beta-overflow"],
+    )
+    def test_unrepresentable_parameters_are_validation_errors(self, capsys, argv, message):
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "absent" / "doc.json"

@@ -365,11 +365,60 @@ class TestDiveCone:
         calls = _record_integrate(monkeypatch)
         find_homoclinic(B0)
         # 65 shots and 26317 accepted steps (1783 rejected) before the cone
-        # and the lazy scan; 45 and 20273 (0 rejected) with them
+        # and the lazy scan; 45 and 20273 (0 rejected) with them, all at
+        # 1e-12; 45 and 11934 with coarse classification shots, 14 of them
+        # (the kept shot included) at 1e-12
         assert len(calls) <= 45
-        assert sum(traj.n_accepted for _, _, traj, _ in calls) <= 21000
+        assert sum(traj.n_accepted for _, _, traj, _ in calls) <= 12000
+        assert sum(1 for args, _, _, _ in calls if args[2] == orbits._SHOOT_TOL) <= 15
         # the kept shot at the peak runs to its end
         assert calls[-1][1].get("escaped") is None
+
+
+def _all_fine_homoclinic(monkeypatch, params):
+    """find_homoclinic with every classification shot at _SHOOT_TOL."""
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_TOL_PER_WIDTH", 0.0)
+        return find_homoclinic(params)
+
+
+class TestCoarseToFine:
+    """Coarse classification shots move no result of the all-1e-12 search."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [B0, SHIFTED, ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)],
+        ids=["b0", "shifted", "n7-p2"],
+    )
+    def test_peak_equals_all_fine_search(self, monkeypatch, params):
+        assert find_homoclinic(params).peak == _all_fine_homoclinic(monkeypatch, params).peak
+
+    def test_lying_coarse_verdict_falls_back_to_all_fine_search(self, monkeypatch):
+        fine = _all_fine_homoclinic(monkeypatch, B0)
+        classify, bracket = orbits._classify_homoclinic_shot, orbits._bracket_transition
+        coarse_shots, schedules = [], []
+
+        def lying(problem, v0, t_max, floor, tol, dive=None):
+            kind, traj = classify(problem, v0, t_max, floor, tol, dive)
+            if tol > orbits._SHOOT_TOL:
+                coarse_shots.append(v0)
+                if len(coarse_shots) == 20:  # a bisection shot, at tol 3.3e-9
+                    kind = "turn" if kind == "cross" else "cross"
+            return kind, traj
+
+        def recording(classify, l, s_star, shot_tol):
+            schedules.append(shot_tol(1.0, 1.0))
+            return bracket(classify, l, s_star, shot_tol)
+
+        monkeypatch.setattr(orbits, "_classify_homoclinic_shot", lying)
+        monkeypatch.setattr(orbits, "_bracket_transition", recording)
+        prof = find_homoclinic(B0)
+        # the coarse search, then the all-1e-12 one
+        assert schedules == [orbits._MAX_SHOOT_TOL, orbits._SHOOT_TOL]
+        assert len(coarse_shots) > 20
+        assert prof.peak == fine.peak and prof.decay_rate == fine.decay_rate
+        assert prof.samples.ts.tobytes() == fine.samples.ts.tobytes()
+        assert prof.samples.ys.tobytes() == fine.samples.ys.tobytes()
 
 
 class TestFindHomoclinic:

@@ -92,6 +92,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="must be finite"):
             ProblemParams(**kwargs)
 
+    def test_rejects_n_too_large_for_a_float(self):
+        # math.isfinite(10**400) raises OverflowError
+        with pytest.raises(ValidationError, match="does not convert to a float"):
+            ProblemParams(n=10 ** 400, alpha=0.0, p=5.0)
+
+    def test_rejects_non_finite_computed_beta(self):
+        # beta = (p+1)((n-2) - (n+alpha)/2) - n = 48 (p+1) - 100 overflows
+        with pytest.raises(ValidationError, match="beta=inf"):
+            ProblemParams(n=100, alpha=0.0, p=1e308)
+        assert ProblemParams(n=100, alpha=0.0, p=1e306).beta == 48.0 * 1e306
+
     def test_dict_roundtrip_uses_lambda_key(self):
         params = ProblemParams(n=6, alpha=0.5, p=4.0, lam=2.5, mu=-1.0)
         d = params.to_dict()
