@@ -25,10 +25,9 @@ _EXPORTS = {
     for module, names in {
         "closed_form": "CoshSolution build_cosh_solution cosh_profile_derivatives curve_rows"
                        " eval_u radial_curve_rows",
-        "dynamics": "BLOWUP_BOUND Event OdeState ReducedProblem Trajectory energy integrate rhs",
-        "errors": "BlowUpError ConvergenceError DomainError NoExplicitSolutionError"
-                  " PoleError Radial4Error RegimeError StepFailureError TailError"
-                  " TrajectoryDomainError ValidationError",
+        "dynamics": "Event OdeState ReducedProblem Trajectory energy integrate rhs",
+        "errors": "ConvergenceError DomainError NoExplicitSolutionError PoleError Radial4Error"
+                  " RegimeError TailError ValidationError",
         "identities": "IdentityId IdentityReport QuadratureGrid RadialTestFunction TEST_FUNCTIONS"
                       " record_deviation run_identity_suite t_operator verify_identity"
                       " weighted_integral weighted_power_integral",
@@ -38,7 +37,7 @@ _EXPORTS = {
                   " check_conditions derive_coefficients explicit_lambda_branches"
                   " k0_value k2_value",
         "specfun": "beta_fn gamma_fn omega_n",
-        "variational": "BestConstantResult ConstantSource Grid1D MinimizeResult"
+        "variational": "BestConstantResult ConstantSource MinimizeResult"
                        " best_constant_numerical minimize_rayleigh phi_closed_form"
                        " rayleigh_quotient",
     }.items()

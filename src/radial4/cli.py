@@ -7,7 +7,8 @@ library's exception taxonomy onto stable exit codes:
     0  success
     1  usage error (bad flags, malformed grid, unreadable config,
        unwritable output, or a reader that closed stdout early)
-    3  non-convergence, blow-up, or step failure
+    3  non-convergence (including a step size that underflows), or a verify
+       tolerance exceeded
     4  regime violation (no explicit solution, wrong coefficient signs)
     5  validation, domain, pole, or tail errors
 
@@ -30,13 +31,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from . import jsonio
-from .errors import (
-    BlowUpError,
-    ConvergenceError,
-    Radial4Error,
-    RegimeError,
-    StepFailureError,
-)
+from .errors import ConvergenceError, Radial4Error, RegimeError
 from .params import ProblemParams, check_conditions, derive_coefficients
 
 SCHEMA = "1"
@@ -526,11 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ConvergenceError, BlowUpError, StepFailureError)):
+    if isinstance(exc, ConvergenceError):
         return _EXIT_CONVERGENCE
     if isinstance(exc, RegimeError):
         return _EXIT_REGIME
     return _EXIT_VALIDATION
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Write a warning as one line, without the source path and line."""
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -545,9 +545,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems; remap the latter.
         return 0 if exc.code in (0, None) else _EXIT_USAGE
+    import warnings
+
     try:
         try:
-            code = args.fn(args)
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                code = args.fn(args)
         except _UsageError as exc:
             sys.stderr.write(f"usage error: {exc}\n")
             code = _EXIT_USAGE

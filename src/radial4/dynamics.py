@@ -29,16 +29,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BlowUpError,
-    ConvergenceError,
-    DomainError,
-    StepFailureError,
-    TrajectoryDomainError,
-    ValidationError,
-)
+from .errors import ConvergenceError, DomainError, ValidationError
 
-BLOWUP_BOUND = 1e12
+_BLOWUP_BOUND = 1e12
 _MIN_TOL, _MAX_TOL = 1e-13, 1e-6
 
 State = Tuple[float, float, float, float]
@@ -158,20 +151,18 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Accepted integration nodes, step counts and how the run stopped."""
+    """Accepted integration nodes, step counts and how the run stopped.
+
+    stop_reason names the ending (see integrate), and the run stops at ts[-1].
+    """
 
     problem: ReducedProblem
     ts: np.ndarray
     ys: np.ndarray
     n_accepted: int
     n_rejected: int
-    stop_reason: Tuple = ("t_end",)
+    stop_reason: str
     event_name: Optional[str] = None
-    event_t: Optional[float] = None
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
 
     @property
     def energies(self) -> np.ndarray:
@@ -268,7 +259,7 @@ def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: fl
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     if not h0 > 0.0:
-        raise StepFailureError(f"initial step size underflowed to h={h0}: y' is too large at y0")
+        raise ConvergenceError(f"initial step size underflowed to h={h0}: y' is too large at y0")
     try:
         f1 = _field(tuple(yc + h0 * fc for yc, fc in zip(y, f)), K2, K0, p)
         d2 = _rms(
@@ -294,19 +285,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate forward from y0.t to t_end with local error per step <= tol.
 
-    Stops early at the first triggered terminal event.  When escaped is
-    given, it is called on each accepted state y (a 4-tuple) after the
-    events, so an event in the same step wins; once it returns true the run
-    stops there, unrefined, with stop_reason ("escape", t) and no event
-    name.  The caller vouches that no event can follow.  Raises BlowUpError
-    (with escape time) when the state norm passes 1e12, StepFailureError
-    when the step size underflows away from the v = 0 boundary, and
-    TrajectoryDomainError when the solution runs into v = 0 so that the
-    nonlinearity cannot be evaluated.  Partial trajectories ride along on
-    those exceptions; a BlowUpError raised because v**p overflows at y0
-    itself carries none.  A step with a stage below v = 0 is retried at half
-    the size; one whose error estimate is not finite (or whose v**p
-    overflows) at a quarter.
+    Every way the run can end is a returned Trajectory, told apart by its
+    stop_reason: "t_end"; "event", at the first triggered terminal event,
+    whose name is event_name; "escape", once the escaped hook returns true;
+    "blowup", once the state norm passes 1e12, or at y0 itself when v**p
+    overflows there (a one-node run); "domain", when the solution runs
+    into v = 0 so that the nonlinearity cannot be evaluated.  When escaped
+    is given, it is called on each accepted state y (a 4-tuple) after the
+    events, so an event in the same step wins, and the run stops there
+    unrefined; the caller vouches that no event can follow.  Raises
+    ConvergenceError when the step size underflows away from the v = 0
+    boundary or the run takes more than max_steps steps.  A step with a
+    stage below v = 0 is retried at half the size; one whose error
+    estimate is not finite (or whose v**p overflows) at a quarter.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValidationError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
@@ -320,22 +311,12 @@ def integrate(
     if y[0] < 0.0:
         raise DomainError(f"initial state has v={y[0]} < 0")
     t = t0
-    try:
-        f = _field(y, K2, K0, p)
-    except OverflowError:
-        raise BlowUpError(
-            f"v**p overflows at the initial state v={y[0]}", escape_time=t0
-        ) from None
-    v_floor = 1e-9 * max(1.0, abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
-
     ts: List[float] = [t]
     ys: List[State] = [y]
     n_acc = 0
     n_rej = 0
 
-    ev_prev = [e.fn(t, y) for e in events]
-
-    def build(stop_reason, ev_name=None, ev_t=None) -> Trajectory:
+    def build(stop_reason: str, ev_name: Optional[str] = None) -> Trajectory:
         return Trajectory(
             problem=problem,
             ts=np.array(ts),
@@ -344,8 +325,14 @@ def integrate(
             n_rejected=n_rej,
             stop_reason=stop_reason,
             event_name=ev_name,
-            event_t=ev_t,
         )
+
+    try:
+        f = _field(y, K2, K0, p)
+    except OverflowError:
+        return build("blowup")
+    v_floor = 1e-9 * max(1.0, abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
+    ev_prev = [e.fn(t, y) for e in events]
 
     h = min(_initial_step(y, f, tol, t_end - t0, K2, K0, p), max_step)
     a0, a1, a2, a3 = abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])  # |y|, kept with y
@@ -361,12 +348,8 @@ def integrate(
         h_floor = 1e-14 * max(1.0, abs(t))
         if h < h_floor:
             if y[0] <= v_floor:
-                raise TrajectoryDomainError(
-                    f"solution reached the v=0 boundary near t={t}",
-                    crossing_time=t,
-                    trajectory=build(("domain", t)),
-                )
-            raise StepFailureError(f"step size underflowed at t={t} (h={h})")
+                return build("domain")
+            raise ConvergenceError(f"step size underflowed at t={t} (h={h})")
 
         try:
             y_new, f_new, (e0, e1, e2, e3) = _dp5_step(y, f, h, K2, K0, p)
@@ -418,27 +401,23 @@ def integrate(
             t_ev, y_ev = _refine_event(t, y, f, h, e, g_old, problem)
             ts.append(t_ev)
             ys.append(y_ev)
-            return build(("event", e.name, t_ev), ev_name=e.name, ev_t=t_ev)
+            return build("event", e.name)
 
         t, y, f = t_new, y_new, f_new
         a0, a1, a2, a3 = b0, b1, b2, b3
         ts.append(t)
         ys.append(y)
 
-        if max(b0, b1, b2, b3) > BLOWUP_BOUND:
-            raise BlowUpError(
-                f"trajectory escaped |y| > {BLOWUP_BOUND:g} at t={t}",
-                escape_time=t,
-                trajectory=build(("blowup", t)),
-            )
+        if max(b0, b1, b2, b3) > _BLOWUP_BOUND:
+            return build("blowup")
         if escaped is not None and escaped(y):
-            return build(("escape", t))
+            return build("escape")
 
         fac = 0.9 * err ** -0.2 * err_prev ** 0.04 if err > 1e-12 else 5.0
         h *= min(5.0, max(0.2, fac))
         err_prev = max(err, 1e-12)
 
-    return build(("t_end",))
+    return build("t_end")
 
 
 def _refine_event(t_node, y_node, f_node, h, event: Event, g_old: float, problem: ReducedProblem):

@@ -26,10 +26,9 @@ class PoleError(DomainError):
 class TailError(Radial4Error):
     """A weighted integral does not decay at the quadrature window ends."""
 
-    def __init__(self, message: str, end: str = "", end_value: float = 0.0):
+    def __init__(self, message: str, end: str):
         super().__init__(message)
         self.end = end
-        self.end_value = end_value
 
 
 class ConvergenceError(Radial4Error):
@@ -42,25 +41,3 @@ class RegimeError(Radial4Error):
 
 class NoExplicitSolutionError(RegimeError):
     """Coefficients do not satisfy the closed-form solvability relation."""
-
-
-class BlowUpError(Radial4Error):
-    """Integration escaped to infinity; carries the escape time."""
-
-    def __init__(self, message: str, escape_time: float, trajectory=None):
-        super().__init__(message)
-        self.escape_time = escape_time
-        self.trajectory = trajectory
-
-
-class StepFailureError(Radial4Error):
-    """Adaptive step size underflowed before reaching the target time."""
-
-
-class TrajectoryDomainError(DomainError):
-    """The integrated solution crossed v = 0; carries the partial trajectory."""
-
-    def __init__(self, message: str, crossing_time: float, trajectory=None):
-        super().__init__(message)
-        self.crossing_time = crossing_time
-        self.trajectory = trajectory

@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import sys
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -57,21 +56,6 @@ def _emit(obj, out: list) -> None:
             _emit(v, out)
         out.append("]")
     else:
-        # A numpy value implies a loaded numpy: look it up, never import it.
-        np = sys.modules.get("numpy")
-        if np is not None:
-            if isinstance(obj, np.integer):
-                out.append(str(int(obj)))
-                return
-            if isinstance(obj, np.floating):
-                out.append(format_float(float(obj)))
-                return
-            if isinstance(obj, np.bool_):
-                out.append("true" if bool(obj) else "false")
-                return
-            if isinstance(obj, np.ndarray):
-                _emit(obj.tolist(), out)
-                return
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -39,14 +39,7 @@ from .dynamics import (
     Trajectory,
     integrate,
 )
-from .errors import (
-    BlowUpError,
-    ConvergenceError,
-    DomainError,
-    RegimeError,
-    TrajectoryDomainError,
-    ValidationError,
-)
+from .errors import ConvergenceError, DomainError, RegimeError, ValidationError
 from .params import ProblemParams, check_conditions, derive_coefficients
 
 _SHOOT_TOL = 1e-12  # DP tolerance of every shot whose verdict find_homoclinic keeps
@@ -324,8 +317,9 @@ def _classify_homoclinic_shot(
     A shot whose peak exceeds the homoclinic value turns back up at a
     positive local minimum ('turn'); a shot below it tracks the profile for
     a while and then dives through v = 0 ('cross').  The profile itself is
-    the boundary between the two behaviors.  A shot stopped by the dive
-    predicate (integrate's escaped hook) is a crossing.
+    the boundary between the two behaviors.  A shot that reaches v = 0, the
+    floor, or the dive predicate (integrate's escaped hook) is a crossing;
+    one that blows up, reaches a local minimum or runs to t_max turns.
     """
     g0 = potential(v0, problem.K0, problem.p)
     if g0 > 0.0:
@@ -333,25 +327,17 @@ def _classify_homoclinic_shot(
     b0 = -math.sqrt(-2.0 * g0)
     ev_min = Event("local_min", lambda t, y: y[1], direction=+1)
     ev_floor = Event("v_floor", lambda t, y: y[0] - floor, direction=-1)
-    try:
-        traj = integrate(
-            OdeState(0.0, (v0, 0.0, b0, 0.0)),
-            t_max,
-            tol,
-            problem,
-            events=(ev_min, ev_floor),
-            max_step=0.25,
-            escaped=dive,
-        )
-    except BlowUpError as exc:
-        return "turn", exc.trajectory
-    except TrajectoryDomainError as exc:
-        return "cross", exc.trajectory
-    if traj.event_name == "local_min":
-        return "turn", traj
-    if traj.event_name == "v_floor" or traj.stop_reason[0] == "escape":
-        return "cross", traj
-    return "turn", traj
+    traj = integrate(
+        OdeState(0.0, (v0, 0.0, b0, 0.0)),
+        t_max,
+        tol,
+        problem,
+        events=(ev_min, ev_floor),
+        max_step=0.25,
+        escaped=dive,
+    )
+    crossed = traj.stop_reason in ("domain", "escape") or traj.event_name == "v_floor"
+    return ("cross" if crossed else "turn"), traj
 
 
 def _coarse_tol(width: float, v0: float) -> float:
@@ -498,7 +484,7 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
         ys=traj.ys[keep].copy(),
         n_accepted=traj.n_accepted,
         n_rejected=traj.n_rejected,
-        stop_reason=("truncated", t_keep),
+        stop_reason="truncated",
     )
 
     span = kept.ts[-1] - kept.ts[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Tuple
 
@@ -28,40 +28,6 @@ from .errors import (
 )
 from .params import ProblemParams, SolutionCase, derive_coefficients
 from .specfun import beta_fn, omega_n
-
-
-@dataclass(frozen=True, eq=False)
-class Grid1D:
-    """Uniform symmetric grid on [-L, L] carrying sampled values of v."""
-
-    L: float
-    h: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-        L = float(self.L)
-        h = float(self.h)
-        if not (L > 0.0 and h > 0.0):
-            raise ValidationError(f"grid needs L > 0 and h > 0, got L={L}, h={h}")
-        ratio = L / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValidationError(f"L/h must be integral, got L/h={ratio}")
-        vals = np.asarray(self.values, dtype=float)
-        expect = 2 * int(round(ratio)) + 1
-        if vals.shape != (expect,):
-            raise ValidationError(
-                f"values must have {expect} entries for L={L}, h={h}, got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("grid values must be finite")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "values", vals.copy())
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.values)
 
 
 class ConstantSource(Enum):
@@ -97,19 +63,25 @@ def _derivatives(v: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     import numpy as np
-    w = np.full(n, h)
+    w = np.full(n, h, dtype=float)
     w[0] = w[-1] = 0.5 * h
     return w
 
 
-def rayleigh_quotient(grid: Grid1D, K2: float, K0: float, p: float) -> float:
-    """Discrete quotient; raises DomainError when the denominator vanishes."""
+def rayleigh_quotient(values: np.ndarray, h: float, K2: float, K0: float, p: float) -> float:
+    """Discrete quotient of the values of v at uniform nodes h apart.
+
+    Raises ValidationError for fewer than 5 nodes or a value that is not
+    finite, and DomainError when the denominator vanishes.
+    """
     import numpy as np
-    v = grid.values
-    if grid.n_nodes < 5:
+    v = np.asarray(values, dtype=float)
+    if len(v) < 5:
         raise ValidationError("quotient needs at least 5 grid nodes")
-    w = _trapezoid_weights(grid.n_nodes, grid.h)
-    d1, d2 = _derivatives(v, grid.h)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("grid values must be finite")
+    w = _trapezoid_weights(len(v), h)
+    d1, d2 = _derivatives(v, h)
     num = float(np.sum(w * (d2 * d2 + K2 * d1 * d1 + K0 * v * v)))
     den = float(np.sum(w * np.abs(v) ** (p + 1.0)))
     if den <= 0.0:
@@ -199,11 +171,12 @@ _MAX_NODES = 1_000_001
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Quotient value, minimizer grid and the iterations it took."""
+    """Quotient value, the iterations it took, and the minimizer's values at
+    the nodes of [-L, L] spaced h apart."""
 
     value: float
-    grid: Grid1D
     iterations: int
+    values: np.ndarray = field(repr=False, compare=False)
 
 
 def minimize_rayleigh(params: ProblemParams, L: float, h: float,
@@ -259,7 +232,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
         return u * math.exp(-math.log(den) / (p + 1.0))
 
     def quotient(u: np.ndarray) -> float:
-        return rayleigh_quotient(Grid1D(L, h, u), K2, K0, p)
+        return rayleigh_quotient(u, h, K2, K0, p)
 
     v = lp_normalize(v)
     q = quotient(v)
@@ -298,7 +271,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    return MinimizeResult(value=float(q), grid=Grid1D(L, h, v), iterations=iterations)
+    return MinimizeResult(value=float(q), iterations=iterations, values=v)
 
 
 def _phi_from_exponents(nu: float, m: float, exp_nu: float, exp_bracket: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -212,6 +213,21 @@ class TestBestConstant:
         assert rc == 5
         assert captured.out == "" and captured.err.startswith("error: grid")
 
+    def test_warning_is_one_line(self):
+        # on [-1, 1] the minimizer cannot decay, so the minimizer warns; the
+        # warning is one line, with no source path and no source line
+        proc = run_child(["-m", "radial4.cli", "best-constant"] + B0_FLAGS
+                         + ["--method", "numerical", "--grid-L", "1", "--grid-h", "0.5"])
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "warning: minimizer has boundary contamination |v(+-L)|=6.941e-01 > 1e-8; increase L"
+        ]
+        assert proc.stdout == (
+            '{"schema":"1","params":{"n":6,"alpha":0,"beta":0,"p":5,"lambda":0,"mu":0},'
+            '"phi":16.452736644743915,"S_rad":162.38200199892862,"source":"Numerical",'
+            '"L":1,"h":0.5,"iterations":25}\n'
+        )
+
 
 @pytest.mark.parametrize(
     "argv, digest",
@@ -309,6 +325,29 @@ class TestDependencies:
         uncalled = sorted(name for name, module in radial4._EXPORTS.items()
                           if name not in kept | imported | loaded[module])
         assert uncalled == []
+
+    def test_every_dataclass_field_is_read_in_the_package(self):
+        # Each field of an exported dataclass is read as an attribute in the
+        # package.  PeriodicOrbit's newton_iterations and continuation_steps
+        # are the solve's work counters, kept for a solver stats record;
+        # MinimizeResult.values is the minimizing profile, the solve's result.
+        kept = {"PeriodicOrbit.newton_iterations", "PeriodicOrbit.continuation_steps",
+                "MinimizeResult.values"}
+        package = os.path.dirname(radial4.__file__)
+        read = set()
+        for fname in sorted(os.listdir(package)):
+            if fname.endswith(".py"):
+                with open(os.path.join(package, fname), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                read.update(node.attr for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        unread = []
+        for name in radial4.__all__:
+            obj = getattr(radial4, name)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                unread += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                           if f.name not in read and f"{name}.{f.name}" not in kept]
+        assert unread == []
 
 
 def run_child(args, blas_threads=None):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from radial4 import (
-    BlowUpError,
     ConvergenceError,
     DomainError,
     Event,
     OdeState,
     ProblemParams,
     ReducedProblem,
-    StepFailureError,
-    TrajectoryDomainError,
     ValidationError,
     build_cosh_solution,
     cosh_profile_derivatives,
@@ -90,13 +87,8 @@ class TestAccuracy:
         # achievable window shrinks with tol; at 1e-12 the first four units
         # stay at 1e-7 and the glide persists past t = 7 before v reaches 0
         y0 = OdeState(0.0, homoclinic_state(0.0))
-        try:
-            traj = integrate(y0, 10.0, 1e-12, B0)
-            crossing = traj.t_end
-        except TrajectoryDomainError as exc:
-            traj = exc.trajectory
-            crossing = exc.crossing_time
-        assert crossing > 7.0
+        traj = integrate(y0, 10.0, 1e-12, B0)
+        assert traj.ts[-1] > 7.0
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
         for window, bound in ((4.0, 1e-7), (6.0, 2e-5)):
             mask = traj.ts <= window
@@ -108,7 +100,7 @@ class TestAccuracy:
         # seeds e^{3t} growth; five time units keeps that below 1e-9
         y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
         traj = integrate(y0, 5.0, 1e-10, B0)
-        assert traj.stop_reason == ("t_end",)
+        assert traj.stop_reason == "t_end"
         assert np.max(np.abs(traj.ys[:, 0] - EQUILIBRIUM)) < 1e-9
 
     def test_energy_drift_small_on_bounded_orbit(self):
@@ -129,34 +121,31 @@ class TestAccuracy:
 class TestFailureModes:
     def test_blow_up_carries_partial_trajectory(self):
         # G(3) > 0 puts the start above the zero-energy barrier
-        with pytest.raises(BlowUpError) as info:
-            integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        exc = info.value
-        assert exc.escape_time > 0.0
-        assert exc.trajectory is not None
-        assert float(np.max(np.abs(exc.trajectory.ys[-1]))) > 1e12
+        traj = integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        assert traj.stop_reason == "blowup"
+        assert traj.ts[-1] > 0.0
+        assert float(np.max(np.abs(traj.ys[-1]))) > 1e12
 
     def test_domain_crossing_carries_partial_trajectory(self):
         # steep downhill start dives into v = 0
-        with pytest.raises(TrajectoryDomainError) as info:
-            integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        exc = info.value
-        assert exc.trajectory is not None
-        assert exc.crossing_time == pytest.approx(exc.trajectory.t_end, abs=1e-6)
-        assert exc.trajectory.ys[-1, 0] >= 0.0
+        traj = integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        assert traj.stop_reason == "domain"
+        assert traj.event_name is None
+        assert traj.ys[-1, 0] >= 0.0
 
     def test_initial_overflow_is_blow_up(self):
         # 30**300 overflows a float before the first step
-        with pytest.raises(BlowUpError) as info:
-            integrate(OdeState(0.0, (30.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
-                      ReducedProblem(10.0, 9.0, 300.0))
-        assert info.value.escape_time == 0.0
-        assert info.value.trajectory is None
+        traj = integrate(OdeState(0.0, (30.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
+                         ReducedProblem(10.0, 9.0, 300.0))
+        assert traj.stop_reason == "blowup"
+        assert traj.ts.tolist() == [0.0]
+        assert traj.ys.tolist() == [[30.0, 0.0, 0.0, 0.0]]
+        assert (traj.n_accepted, traj.n_rejected) == (0, 0)
 
-    def test_initial_step_underflow_is_step_failure(self):
+    def test_initial_step_underflow_is_convergence_error(self):
         # 1000**50 is finite, but its size in tol units is not, so the
         # first-step estimate rounds to zero
-        with pytest.raises(StepFailureError):
+        with pytest.raises(ConvergenceError, match="initial step size underflowed"):
             integrate(OdeState(0.0, (1000.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
                       ReducedProblem(0.0, 0.0, 50.0))
 
@@ -171,25 +160,24 @@ class TestEvents:
         y0 = OdeState(-3.0, homoclinic_state(-3.0))
         ev = Event("crest", lambda t, y: y[1], direction=-1)
         traj = integrate(y0, 3.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason[0] == "event"
+        assert traj.stop_reason == "event"
         assert traj.event_name == "crest"
-        assert traj.event_t == pytest.approx(0.0, abs=1e-8)
         # the refined event state is appended as the final node
-        assert traj.ts[-1] == pytest.approx(traj.event_t, abs=1e-12)
+        assert traj.ts[-1] == pytest.approx(0.0, abs=1e-8)
         assert abs(traj.ys[-1, 1]) < 1e-9
 
     def test_direction_filter_ignores_opposite_crossing(self):
         y0 = OdeState(-3.0, homoclinic_state(-3.0))
         ev = Event("valley", lambda t, y: y[1], direction=+1)
         traj = integrate(y0, 3.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason == ("t_end",)
+        assert traj.stop_reason == "t_end"
 
     def test_event_starting_at_zero_is_armed_not_fired(self):
         # v'(0) = 0 at the crest; a falling event must not trigger at start
         y0 = OdeState(0.0, homoclinic_state(0.0))
         ev = Event("crest", lambda t, y: y[1], direction=-1)
         traj = integrate(y0, 2.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason == ("t_end",)
+        assert traj.stop_reason == "t_end"
 
     def test_bidirectional_event(self):
         y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
@@ -231,7 +219,8 @@ class TestPinnedArithmetic:
         ev = Event("crest", lambda t, y: y[1], direction=-1)
         traj = integrate(y0, 3.0, 1e-10, B0, events=(ev,))
         assert (traj.n_accepted, traj.n_rejected) == (120, 0)
-        assert repr(traj.event_t) == "2.2185678741936554"
+        assert traj.stop_reason == "event"
+        assert repr(float(traj.ts[-1])) == "2.2185678741936554"
         assert _final_state(traj) == (
             "(2.112009425473248, -1.5958935561943832e-13, "
             "-1.5839589923103228, -1.0238354233860214e-07)"
@@ -239,22 +228,20 @@ class TestPinnedArithmetic:
 
     def test_domain_crossing_run(self):
         # the dive into v = 0 rejects most of its steps on negative-v stages
-        with pytest.raises(TrajectoryDomainError) as info:
-            integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        traj = info.value.trajectory
+        traj = integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        assert traj.stop_reason == "domain"
         assert (traj.n_accepted, traj.n_rejected) == (34, 91)
-        assert repr(traj.t_end) == "0.24970292650469178"
+        assert repr(float(traj.ts[-1])) == "0.24970292650469178"
         assert _final_state(traj) == (
             "(5.691384092809336e-15, -2.009037295341816, "
             "-0.09923397216574671, -0.6512939293764524)"
         )
 
     def test_blow_up_run(self):
-        with pytest.raises(BlowUpError) as info:
-            integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        traj = info.value.trajectory
+        traj = integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
+        assert traj.stop_reason == "blowup"
         assert (traj.n_accepted, traj.n_rejected) == (354, 0)
-        assert repr(traj.t_end) == "1.05963062661038"
+        assert repr(float(traj.ts[-1])) == "1.05963062661038"
         assert _final_state(traj) == (
             "(1172.7095832075954, 621339.2017177903, "
             "658409948.0611593, 1046539871385.1346)"
@@ -263,13 +250,12 @@ class TestPinnedArithmetic:
     def test_overflowing_stage_run(self):
         # on the way up a stage's v**p overflows; that step is retried at a
         # quarter of its size, as for a non-finite error estimate
-        with pytest.raises(BlowUpError) as info:
-            integrate(
-                OdeState(0.0, (0.5, 0.0, 1e4, 0.0)), 50.0, 1e-6, ReducedProblem(10.0, 9.0, 100.0)
-            )
-        traj = info.value.trajectory
+        traj = integrate(
+            OdeState(0.0, (0.5, 0.0, 1e4, 0.0)), 50.0, 1e-6, ReducedProblem(10.0, 9.0, 100.0)
+        )
+        assert traj.stop_reason == "blowup"
         assert (traj.n_accepted, traj.n_rejected) == (62, 17)
-        assert repr(traj.t_end) == "0.013423670744757645"
+        assert repr(float(traj.ts[-1])) == "0.013423670744757645"
 
     def test_extrema_times(self):
         # step counts of a run over one and a half periods, from a trough

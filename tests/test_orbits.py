@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radial4 import (
-    BlowUpError,
     ConvergenceError,
     Event,
     OdeState,
     ProblemParams,
     ReducedProblem,
     RegimeError,
-    TrajectoryDomainError,
     ValidationError,
     Verdict,
     classify_singularity,
@@ -293,16 +291,12 @@ def test_failed_continuation_steps_are_halved(params, fraction):
 
 
 def _record_integrate(monkeypatch):
-    """Wrap orbits.integrate; returns the list of (args, kwargs, trajectory, exception)."""
+    """Wrap orbits.integrate; returns the list of (args, kwargs, trajectory)."""
     calls = []
 
     def recording(*args, **kwargs):
-        try:
-            traj = integrate(*args, **kwargs)
-        except (BlowUpError, TrajectoryDomainError) as exc:
-            calls.append((args, kwargs, exc.trajectory, exc))
-            raise
-        calls.append((args, kwargs, traj, None))
+        traj = integrate(*args, **kwargs)
+        calls.append((args, kwargs, traj))
         return traj
 
     monkeypatch.setattr(orbits, "integrate", recording)
@@ -313,13 +307,8 @@ def _homoclinic_fate(problem, y):
     """'turn' or 'cross' for a run from y with the classification shot's events."""
     ev_min = Event("local_min", lambda t, y: y[1], direction=+1)
     ev_floor = Event("v_floor", lambda t, y: y[0] - 1e-10, direction=-1)
-    try:
-        traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(ev_min, ev_floor))
-    except BlowUpError:
-        return "turn"
-    except TrajectoryDomainError:
-        return "cross"
-    return "cross" if traj.event_name == "v_floor" else "turn"
+    traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(ev_min, ev_floor))
+    return "cross" if traj.stop_reason == "domain" or traj.event_name == "v_floor" else "turn"
 
 
 class TestDiveCone:
@@ -331,16 +320,13 @@ class TestDiveCone:
     def test_stopped_shots_cross_without_the_cone(self, monkeypatch, params):
         calls = _record_integrate(monkeypatch)
         find_homoclinic(params)
-        stopped = [c for c in calls if c[2] is not None and c[2].stop_reason[0] == "escape"]
+        stopped = [c for c in calls if c[2].stop_reason == "escape"]
         assert stopped
-        for args, kwargs, traj, _ in stopped:
+        for args, kwargs, traj in stopped:
             assert traj.event_name is None
             full = {k: v for k, v in kwargs.items() if k != "escaped"}
-            try:
-                rerun = integrate(*args, **full)
-            except TrajectoryDomainError:
-                continue
-            assert rerun.event_name == "v_floor"
+            rerun = integrate(*args, **full)
+            assert rerun.stop_reason == "domain" or rerun.event_name == "v_floor"
 
     def test_each_cone_condition_is_needed(self):
         # from inside the cone the shot crosses; breaking any one condition
@@ -369,8 +355,8 @@ class TestDiveCone:
         # 1e-12; 45 and 11934 with coarse classification shots, 14 of them
         # (the kept shot included) at 1e-12
         assert len(calls) <= 45
-        assert sum(traj.n_accepted for _, _, traj, _ in calls) <= 12000
-        assert sum(1 for args, _, _, _ in calls if args[2] == orbits._SHOOT_TOL) <= 15
+        assert sum(traj.n_accepted for _, _, traj in calls) <= 12000
+        assert sum(1 for args, _, _ in calls if args[2] == orbits._SHOOT_TOL) <= 15
         # the kept shot at the peak runs to its end
         assert calls[-1][1].get("escaped") is None
 
@@ -430,7 +416,7 @@ class TestFindHomoclinic:
         vs = homoclinic_b0.samples.ys[:, 0]
         assert np.all(np.diff(vs) < 0.0)
         assert np.max(np.abs(homoclinic_b0.samples.energies)) < 1e-8
-        assert homoclinic_b0.samples.stop_reason[0] == "truncated"
+        assert homoclinic_b0.samples.stop_reason == "truncated"
 
     def test_shifted_profile(self):
         prof = find_homoclinic(SHIFTED)

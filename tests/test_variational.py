@@ -9,7 +9,6 @@ from radial4 import (
     ConstantSource,
     ConvergenceError,
     DomainError,
-    Grid1D,
     ProblemParams,
     RegimeError,
     ValidationError,
@@ -36,75 +35,59 @@ CUBIC = ProblemParams(n=6, alpha=0.0, p=3.0, mu=7.0)
 PHI_B0 = 24.0 * (16.0 / 15.0) ** (2.0 / 3.0)
 
 
-class TestGrid:
-    def test_node_count_and_span(self):
-        grid = Grid1D(L=10.0, h=0.5, values=np.zeros(41))
-        assert grid.n_nodes == 41
-        assert (grid.n_nodes - 1) * grid.h == 2.0 * grid.L == 20.0
-
-    def test_noninteger_ratio_rejected(self):
-        with pytest.raises(ValidationError):
-            Grid1D(L=10.0, h=0.3, values=np.zeros(67))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValidationError):
-            Grid1D(L=10.0, h=0.5, values=np.zeros(40))
-
-    def test_nonfinite_values_rejected(self):
-        vals = np.zeros(41)
-        vals[3] = np.nan
-        with pytest.raises(ValidationError):
-            Grid1D(L=10.0, h=0.5, values=vals)
-
-
 class TestRayleighQuotient:
-    def make_profile_grid(self, params, L=30.0, h=0.01):
+    @staticmethod
+    def profile(params, L=30.0, h=0.01):
+        """The cosh profile at the nodes of [-L, L] spaced h apart."""
         sol = build_cosh_solution(params)
-        n = 2 * int(round(L / h)) + 1
-        ts = np.linspace(-L, L, n)
-        return Grid1D(L=L, h=h, values=cosh_profile_derivatives(sol, ts)[0])
+        ts = np.linspace(-L, L, 2 * int(round(L / h)) + 1)
+        return cosh_profile_derivatives(sol, ts)[0]
 
     def test_exact_profile_attains_constant(self):
-        grid = self.make_profile_grid(B0)
-        q = rayleigh_quotient(grid, 10.0, 9.0, 5.0)
+        q = rayleigh_quotient(self.profile(B0), 0.01, 10.0, 9.0, 5.0)
         assert q == pytest.approx(PHI_B0, rel=1e-4)
 
     def test_scale_invariance(self):
-        grid = self.make_profile_grid(B0, L=20.0, h=0.02)
-        q0 = rayleigh_quotient(grid, 10.0, 9.0, 5.0)
+        v = self.profile(B0, L=20.0, h=0.02)
+        q0 = rayleigh_quotient(v, 0.02, 10.0, 9.0, 5.0)
         rng = np.random.default_rng(37)
         for _ in range(10):
             c = float(rng.uniform(0.1, 50.0))
-            q = rayleigh_quotient(Grid1D(grid.L, grid.h, c * grid.values), 10.0, 9.0, 5.0)
+            q = rayleigh_quotient(c * v, 0.02, 10.0, 9.0, 5.0)
             assert q == pytest.approx(q0, rel=1e-12)
 
     def test_minimizer_is_lower_than_perturbations(self):
-        grid = self.make_profile_grid(B0, L=20.0, h=0.02)
-        q0 = rayleigh_quotient(grid, 10.0, 9.0, 5.0)
+        v = self.profile(B0, L=20.0, h=0.02)
+        q0 = rayleigh_quotient(v, 0.02, 10.0, 9.0, 5.0)
         rng = np.random.default_rng(53)
-        bump = np.exp(-np.linspace(-grid.L, grid.L, grid.n_nodes) ** 2)
+        bump = np.exp(-np.linspace(-20.0, 20.0, len(v)) ** 2)
         for _ in range(10):
             eps = float(rng.uniform(0.01, 0.2))
-            q = rayleigh_quotient(Grid1D(grid.L, grid.h, grid.values + eps * bump), 10.0, 9.0, 5.0)
+            q = rayleigh_quotient(v + eps * bump, 0.02, 10.0, 9.0, 5.0)
             assert q > q0 - 1e-10
 
     def test_zero_function_rejected(self):
-        grid = Grid1D(L=5.0, h=0.5, values=np.zeros(21))
         with pytest.raises(DomainError):
-            rayleigh_quotient(grid, 10.0, 9.0, 5.0)
+            rayleigh_quotient(np.zeros(21), 0.5, 10.0, 9.0, 5.0)
 
     def test_needs_five_nodes(self):
-        grid = Grid1D(L=1.0, h=0.5, values=np.ones(5))
-        rayleigh_quotient(grid, 10.0, 9.0, 5.0)  # five nodes is the minimum
+        rayleigh_quotient(np.ones(5), 0.5, 10.0, 9.0, 5.0)  # five nodes is the minimum
         with pytest.raises(ValidationError):
-            rayleigh_quotient(Grid1D(L=0.5, h=0.5, values=np.ones(3)), 10.0, 9.0, 5.0)
+            rayleigh_quotient(np.ones(3), 0.5, 10.0, 9.0, 5.0)
+
+    def test_nonfinite_values_rejected(self):
+        vals = np.ones(41)
+        vals[3] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            rayleigh_quotient(vals, 0.5, 10.0, 9.0, 5.0)
 
 
 class TestMinimize:
     def test_base_instance_converges_to_constant(self):
         res = minimize_rayleigh(B0, L=40.0, h=0.01)
         assert res.value == pytest.approx(PHI_B0, rel=1e-4)
-        assert res.grid.values[res.grid.n_nodes // 2] > 0.0
+        assert len(res.values) == 8001
+        assert res.values[4000] > 0.0
 
     def test_result_fields(self):
         res = minimize_rayleigh(B0, L=40.0, h=0.01)
@@ -123,7 +106,7 @@ class TestMinimize:
         assert res.iterations > 1
 
     def test_profile_is_even_and_positive(self):
-        v = minimize_rayleigh(B0, L=30.0, h=0.02).grid.values
+        v = minimize_rayleigh(B0, L=30.0, h=0.02).values
         assert np.all(v >= 0.0)
         assert np.max(np.abs(v - v[::-1])) < 1e-8 * np.max(v)
 
@@ -140,8 +123,8 @@ class TestMinimize:
         # a quotient that rises on every call leaves no acceptable step
         calls = []
 
-        def rising(grid, K2, K0, p):
-            calls.append(grid)
+        def rising(values, h, K2, K0, p):
+            calls.append(values)
             return float(len(calls))
 
         monkeypatch.setattr(variational, "rayleigh_quotient", rising)
@@ -159,6 +142,10 @@ class TestMinimize:
         # (1e9, 0.01) would need 2e11 nodes; the cap refuses it up front
         with pytest.raises(ValidationError, match="grid"):
             minimize_rayleigh(B0, L=L, h=h)
+
+    def test_noninteger_ratio_rejected(self):
+        with pytest.raises(ValidationError, match="L/h must be integral"):
+            minimize_rayleigh(B0, L=10.0, h=0.3)
 
 
 class TestBandCholesky:
