@@ -429,13 +429,13 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     K2, K0, p = coeff.K2, coeff.K0, params.p
     if K2 <= 0.0 or K0 <= 0.0:
         raise RegimeError(f"homoclinic profile requires K2 > 0 and K0 > 0, got K2={K2}, K0={K0}")
-    if K2 * K2 - 4.0 * K0 < 0.0:
+    if coeff.discriminant < 0.0:
         raise RegimeError(
-            f"uniqueness regime requires K2^2 - 4 K0 >= 0, got {K2 * K2 - 4.0 * K0}"
+            f"uniqueness regime requires K2^2 - 4 K0 >= 0, got {coeff.discriminant}"
         )
     problem = ReducedProblem(K2, K0, p)
-    lam1 = math.sqrt(0.5 * (K2 + math.sqrt(K2 * K2 - 4.0 * K0)))
-    lam2 = math.sqrt(0.5 * (K2 - math.sqrt(K2 * K2 - 4.0 * K0)))
+    lam1 = math.sqrt(0.5 * (K2 + math.sqrt(coeff.discriminant)))
+    lam2 = math.sqrt(0.5 * (K2 - math.sqrt(coeff.discriminant)))
     l = K0 ** (1.0 / (p - 1.0))
     s_star = (0.5 * (p + 1.0) * K0) ** (1.0 / (p - 1.0))
     t_max = 80.0 / lam2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple, Union
@@ -131,7 +132,8 @@ class DerivedCoefficients:
     """Reduced-ODE coefficients and the linearization eigenvalues at v = 0.
 
     K2, K0 are the coefficients of v'''' - K2 v'' + K0 v = v^p.  ``l`` is the
-    positive constant equilibrium K0^{1/(p-1)} (None when K0 < 0).  The four
+    positive constant equilibrium K0^{1/(p-1)} (None when K0 < 0).
+    ``discriminant`` is K2^2 - 4 K0 (see _discriminant).  The four
     eigenvalues solve r^4 - K2 r^2 + K0 = 0; with all four real they are
     ordered lam1 > lam2 > 0 > lam4 > lam3 and satisfy lam3 = -lam1,
     lam4 = -lam2 and K0 = lam1^2 lam2^2.
@@ -139,6 +141,7 @@ class DerivedCoefficients:
 
     K2: float
     K0: float
+    discriminant: float
     l: Optional[float]
     lam1: Eigenvalue
     lam2: Eigenvalue
@@ -163,6 +166,22 @@ def k0_value(n: int, alpha: float, lam: float, mu: float) -> float:
     return q * q * (n + alpha) ** 2 / 4.0 - lam * q * q + mu
 
 
+def _discriminant(n: int, alpha: float, lam: float, mu: float) -> float:
+    """K2^2 - 4 K0, which collapses to x^2 - 4 mu with x = lam - (n-2)(alpha+2).
+
+    It reads 0 where it lies within the rounding of its terms, so that the
+    double roots on lam = (n-2)(alpha+2) +- 2 sqrt(mu) come out real.  An
+    infinite value is returned as it is.  Raises OverflowError when x^2
+    overflows.
+    """
+    ab = (n - 2.0) * (alpha + 2.0)
+    x = lam - ab
+    x2 = x ** 2
+    disc = x2 - 4.0 * mu
+    scale = abs(x) * (abs(lam) + abs(ab)) + x2 + 4.0 * abs(mu)
+    return 0.0 if abs(disc) <= 4.0 * sys.float_info.epsilon * scale < math.inf else disc
+
+
 def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
     """Compute (K2, K0), the equilibrium l, and the linearization eigenvalues.
 
@@ -178,8 +197,7 @@ def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
             l = 0.0
         else:
             l = None
-        # The discriminant K2^2 - 4 K0 collapses to (lam - (n-2)(alpha+2))^2 - 4 mu.
-        disc = (lam - (n - 2.0) * (alpha + 2.0)) ** 2 - 4.0 * mu
+        disc = _discriminant(n, alpha, lam, mu)
     except OverflowError:
         raise ValidationError(
             f"coefficients overflow at n={n}, alpha={alpha}, p={params.p}, "
@@ -193,7 +211,8 @@ def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
     lam2 = _principal_sqrt(w_minus)
     lam3 = _negate(lam1)
     lam4 = _negate(lam2)
-    return DerivedCoefficients(K2=K2, K0=K0, l=l, lam1=lam1, lam2=lam2, lam3=lam3, lam4=lam4)
+    return DerivedCoefficients(K2=K2, K0=K0, discriminant=disc, l=l,
+                               lam1=lam1, lam2=lam2, lam3=lam3, lam4=lam4)
 
 
 def _principal_sqrt(z: complex) -> Eigenvalue:
@@ -255,7 +274,7 @@ def check_conditions(params: ProblemParams) -> ConditionReport:
     norm_ok = (lam <= mu / (q * q) + quarter_sum and mu <= q ** 4) or (
         lam <= q * q + quarter_sum and mu > q ** 4
     )
-    uniqueness_ok = k2_value(n, alpha, lam) ** 2 - 4.0 * k0_value(n, alpha, lam, mu) >= 0.0
+    uniqueness_ok = _discriminant(n, alpha, lam, mu) >= 0.0
     periodicity_regime = (
         -2.0 < alpha < n - 4.0
         and mu > 0.0

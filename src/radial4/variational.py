@@ -1,22 +1,23 @@
 """Rayleigh quotient of the reduced equation and best-constant assembly.
 
 The quotient Q(v) = (int |v''|^2 + K2 |v'|^2 + K0 v^2) / (int |v|^{p+1})^{2/(p+1)}
-over H^2(R) is discretized on a uniform grid with second-order stencils and
-trapezoidal quadrature, and minimized by a preconditioned fixed-point
-iteration.  Its one linear solve per step reuses a banded Cholesky factor
-of the pentadiagonal quadratic-form operator, computed once on Python
-floats (Golub & Van Loan, Matrix Computations, section 4.3).  The infimum
-phi also has a closed form whenever the explicit cosh-profile solution
-exists, and the radial best constant is S_rad = omega_n^{(p-1)/(p+1)} * phi.
+over H^2(R) is discretized on one uniform periodic grid with second-order
+central differences and the rectangle rule, and minimized by a
+preconditioned fixed-point iteration.  On that grid the quadratic-form
+operator is circulant, so its one linear solve per step is a division by
+the operator's eigenvalues between two real FFTs (P. J. Davis, Circulant
+Matrices, 1979).  The infimum phi also has a closed form whenever the
+explicit cosh-profile solution exists, and the radial best constant is
+S_rad = omega_n^{(p-1)/(p+1)} * phi.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Tuple
 
 from .closed_form import build_cosh_solution
 from .errors import (
@@ -47,29 +48,9 @@ class BestConstantResult:
         return {"phi": self.phi, "S_rad": self.S_rad, "source": self.source.value}
 
 
-def _derivatives(v: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Second-order first and second differences, one-sided at the ends."""
-    import numpy as np
-    d1 = np.empty_like(v)
-    d2 = np.empty_like(v)
-    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-    d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    return d1, d2
-
-
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    import numpy as np
-    w = np.full(n, h, dtype=float)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def rayleigh_quotient(values: np.ndarray, h: float, K2: float, K0: float, p: float) -> float:
-    """Discrete quotient of the values of v at uniform nodes h apart.
+    """Discrete quotient of the values of v at uniform nodes h apart, the
+    last node wrapping round to the first.
 
     Raises ValidationError for fewer than 5 nodes or a value that is not
     finite, and DomainError when the denominator vanishes.
@@ -80,121 +61,54 @@ def rayleigh_quotient(values: np.ndarray, h: float, K2: float, K0: float, p: flo
         raise ValidationError("quotient needs at least 5 grid nodes")
     if not np.all(np.isfinite(v)):
         raise ValidationError("grid values must be finite")
-    w = _trapezoid_weights(len(v), h)
-    d1, d2 = _derivatives(v, h)
-    num = float(np.sum(w * (d2 * d2 + K2 * d1 * d1 + K0 * v * v)))
-    den = float(np.sum(w * np.abs(v) ** (p + 1.0)))
+    ahead, behind = np.roll(v, -1), np.roll(v, 1)
+    d1 = (ahead - behind) / (2.0 * h)
+    d2 = (ahead - 2.0 * v + behind) / (h * h)
+    num = h * float(np.sum(d2 * d2 + K2 * d1 * d1 + K0 * v * v))
+    den = h * float(np.sum(np.abs(v) ** (p + 1.0)))
     if den <= 0.0:
         raise DomainError("quotient denominator vanished: values are identically zero")
     return num * math.exp(-2.0 / (p + 1.0) * math.log(den))
 
 
-def _gram_bands(stencil: Tuple[float, float, float], n: int):
-    """Diagonal and first two superdiagonals of D^T D, where D is the
-    (n-2) x n matrix whose row i holds the 3-point stencil at columns i..i+2."""
+def _operator_symbol(n: int, h: float, K2: float, K0: float) -> np.ndarray:
+    """Eigenvalues, in rfft order, of the circulant operator
+    A = h (D2^T D2 + K2 D1^T D1 + K0 I) whose form rayleigh_quotient evaluates."""
     import numpy as np
-    a, b, c = stencil
-    m = n - 2
-    d0 = np.zeros(n)
-    d0[:m] += a * a
-    d0[1:m + 1] += b * b
-    d0[2:] += c * c
-    d1 = np.zeros(n - 1)
-    d1[:m] += a * b
-    d1[1:] += b * c
-    return d0, d1, np.full(m, a * c)
+    theta = 2.0 * math.pi * np.arange(n // 2 + 1) / n
+    return h * ((2.0 - 2.0 * np.cos(theta)) ** 2 / h ** 4
+                + K2 * np.sin(theta) ** 2 / (h * h) + K0)
 
 
-def _quadratic_form_bands(n: int, h: float, K2: float, K0: float):
-    """Bands (diagonal, first and second superdiagonal) of the operator
-    A = h (D2^T D2 + K2 D1^T D1) + K0 h I, with D2 and D1 the second and
-    first central differences on the interior nodes."""
-    inv_h2 = 1.0 / (h * h)
-    half_inv_h = 1.0 / (2.0 * h)
-    s0, s1, s2 = _gram_bands((inv_h2, -2.0 * inv_h2, inv_h2), n)
-    t0, t1, t2 = _gram_bands((-half_inv_h, 0.0, half_inv_h), n)
-    return h * (s0 + K2 * t0) + K0 * h, h * (s1 + K2 * t1), h * (s2 + K2 * t2)
-
-
-def _band_cholesky(diag, off1, off2):
-    """Cholesky factor L of a symmetric positive definite pentadiagonal matrix.
-
-    Takes the diagonal and the first and second superdiagonals as float
-    sequences and returns (g, e, f) lists indexed by row: L[i, i] = g[i],
-    L[i, i-1] = e[i] and L[i, i-2] = f[i], with e[0] = f[0] = f[1] = 0.
-    Raises DomainError on a pivot that is not positive.
-    """
-    g: List[float] = []
-    e: List[float] = []
-    f: List[float] = []
-    g2 = g1 = 1.0  # L[i-2, i-2], L[i-1, i-1]
-    e1 = 0.0  # L[i-1, i-2]
-    for a, b, c in zip(diag, [0.0, *off1], [0.0, 0.0, *off2]):
-        fi = c / g2
-        ei = (b - fi * e1) / g1
-        piv = a - fi * fi - ei * ei
-        if not piv > 0.0:
-            raise DomainError(f"quadratic-form operator is not positive definite (pivot {piv})")
-        gi = math.sqrt(piv)
-        g.append(gi)
-        e.append(ei)
-        f.append(fi)
-        g2, g1, e1 = g1, gi, ei
-    return g, e, f
-
-
-def _band_cholesky_solve(factor, rhs) -> np.ndarray:
-    """Solve L L^T x = rhs by one forward and one back substitution."""
-    import numpy as np
-    g, e, f = factor
-    y: List[float] = []
-    y2 = y1 = 0.0
-    for r, gi, ei, fi in zip(rhs, g, e, f):
-        yi = (r - ei * y1 - fi * y2) / gi
-        y.append(yi)
-        y2, y1 = y1, yi
-    x: List[float] = []
-    x2 = x1 = 0.0
-    for yi, gi, ei, fi in zip(reversed(y), reversed(g), reversed([*e[1:], 0.0]),
-                              reversed([*f[2:], 0.0, 0.0])):
-        xi = (yi - ei * x1 - fi * x2) / gi
-        x.append(xi)
-        x2, x1 = x1, xi
-    x.reverse()
-    return np.array(x)
-
-
-# Largest grid minimize_rayleigh accepts; its band factor then holds about
-# 100 MB of Python floats.
+# Largest grid minimize_rayleigh accepts; each of its float arrays then
+# takes 8 MB.
 _MAX_NODES = 1_000_001
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Quotient value, the iterations it took, and the minimizer's values at
-    the nodes of [-L, L] spaced h apart."""
+    """Minimized quotient value and the iterations it took."""
 
     value: float
     iterations: int
-    values: np.ndarray = field(repr=False, compare=False)
 
 
 def minimize_rayleigh(params: ProblemParams, L: float, h: float,
                       max_iter: int = 400) -> MinimizeResult:
     """Minimize the discrete quotient by preconditioned fixed-point descent.
 
-    Starts from the sech(t)^{4/(p-1)} profile, repeatedly solves
-    A w = W |v|^{p-1} v with A the quadratic-form operator (pentadiagonal,
-    positive definite for K2, K0 > 0; factored once by a banded Cholesky
-    decomposition, so each iteration costs one forward and one back
-    substitution), renormalizes in L^{p+1}, and damps the update whenever
-    the quotient would increase.  Stops when the
-    relative quotient change drops below 1e-10; raises ConvergenceError when
-    even the most damped step (1e-4) raises the quotient, or after max_iter
-    iterations.  Warns when the minimizer
-    has not decayed below 1e-8 at the grid ends.  Raises ValidationError,
-    before allocating, for L or h that is not finite and positive and for
-    grids of more than _MAX_NODES nodes.
+    The nodes of [-L, L] spaced h apart form one periodic grid.  Starts from
+    the sech(t)^{4/(p-1)} profile, repeatedly solves A w = h |v|^{p-1} v with
+    A the quadratic-form operator (circulant, positive definite for
+    K2, K0 > 0, so one FFT pair solves it), renormalizes in L^{p+1}, and
+    damps the update whenever the quotient would increase: a normalized
+    Petviashvili-type iteration (Pelinovsky & Stepanyants, SIAM J. Numer.
+    Anal. 42 (2004) 1110).  Stops when the relative quotient change drops
+    below 1e-10; raises ConvergenceError when even the most damped step
+    (1e-4) raises the quotient, or after max_iter iterations.  Warns when
+    the minimizer has not decayed below 1e-8 at the grid ends.  Raises
+    ValidationError, before allocating, for L or h that is not finite and
+    positive and for grids of more than _MAX_NODES nodes.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
@@ -218,15 +132,10 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
         sech = 1.0 / np.cosh(ts)
     v = sech ** (4.0 / (p - 1.0))
 
-    # Quadratic form on interior stencils: pentadiagonal, symmetric positive
-    # definite thanks to the K0 mass term.
-    factor = _band_cholesky(*(band.tolist() for band in
-                              _quadratic_form_bands(n_nodes, h, K2, K0)))
-
-    w_quad = _trapezoid_weights(n_nodes, h)
+    symbol = _operator_symbol(n_nodes, h, K2, K0)
 
     def lp_normalize(u: np.ndarray) -> np.ndarray:
-        den = float(np.sum(w_quad * np.abs(u) ** (p + 1.0)))
+        den = h * float(np.sum(np.abs(u) ** (p + 1.0)))
         if den <= 0.0:
             raise DomainError("iterate collapsed to zero during minimization")
         return u * math.exp(-math.log(den) / (p + 1.0))
@@ -237,8 +146,8 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
     v = lp_normalize(v)
     q = quotient(v)
     for iterations in range(1, max_iter + 1):
-        rhs = w_quad * np.abs(v) ** (p - 1.0) * v
-        u = _band_cholesky_solve(factor, rhs.tolist())
+        rhs = h * np.abs(v) ** (p - 1.0) * v
+        u = np.fft.irfft(np.fft.rfft(rhs) / symbol, n_nodes)
         u = lp_normalize(np.abs(u))
         accepted = False
         sigma = 1.0
@@ -271,7 +180,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    return MinimizeResult(value=float(q), iterations=iterations, values=v)
+    return MinimizeResult(value=float(q), iterations=iterations)
 
 
 def _phi_from_exponents(nu: float, m: float, exp_nu: float, exp_bracket: float) -> float:

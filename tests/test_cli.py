@@ -220,12 +220,12 @@ class TestBestConstant:
                          + ["--method", "numerical", "--grid-L", "1", "--grid-h", "0.5"])
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
-            "warning: minimizer has boundary contamination |v(+-L)|=6.941e-01 > 1e-8; increase L"
+            "warning: minimizer has boundary contamination |v(+-L)|=8.584e-01 > 1e-8; increase L"
         ]
         assert proc.stdout == (
             '{"schema":"1","params":{"n":6,"alpha":0,"beta":0,"p":5,"lambda":0,"mu":0},'
-            '"phi":16.452736644743915,"S_rad":162.38200199892862,"source":"Numerical",'
-            '"L":1,"h":0.5,"iterations":25}\n'
+            '"phi":16.578141744207699,"S_rad":163.61970072051543,"source":"Numerical",'
+            '"L":1,"h":0.5,"iterations":21}\n'
         )
 
 
@@ -234,7 +234,7 @@ class TestBestConstant:
     [
         (["best-constant"], "197f6415f120c86764133c7c98dd2deb1dba14c29fe2aea28bbe0028f5386159"),
         (["best-constant", "--method", "numerical"],
-         "e645337885ba73cf70cc5faaf729f739f824ce9102f8ea3bf2baaaaa679a07da"),
+         "98c6209f1528cbbee1cecbadedf0eb9130e805b86900e8a64af960ac92a1af5a"),
         (["explicit", "--format", "csv", "--curve", "radial"],
          "73b4ab59501007a7c4a9368b57211cc82fd2b27f019d144abf9566d6639a6b7a"),
     ],
@@ -329,10 +329,8 @@ class TestDependencies:
     def test_every_dataclass_field_is_read_in_the_package(self):
         # Each field of an exported dataclass is read as an attribute in the
         # package.  PeriodicOrbit's newton_iterations and continuation_steps
-        # are the solve's work counters, kept for a solver stats record;
-        # MinimizeResult.values is the minimizing profile, the solve's result.
-        kept = {"PeriodicOrbit.newton_iterations", "PeriodicOrbit.continuation_steps",
-                "MinimizeResult.values"}
+        # are the solve's work counters, kept for a solver stats record.
+        kept = {"PeriodicOrbit.newton_iterations", "PeriodicOrbit.continuation_steps"}
         package = os.path.dirname(radial4.__file__)
         read = set()
         for fname in sorted(os.listdir(package)):
@@ -717,6 +715,20 @@ class TestExitCodes:
         # the Newton residual stops near 1e-16
         assert main(["orbit"] + B0_FLAGS + ["--a", "1.0", "--tol", "1e-20"]) == 3
         capsys.readouterr()
+
+    def test_double_root_instance_is_real(self, capsys):
+        # lam = (n-2)(alpha+2) + 2 sqrt(mu) to the last digit: a double root
+        flags = ["--n", "5", "--alpha", "-0.5", "--p", "3",
+                 "--lambda", "3.085786437626905", "--mu", "0.5"]
+        rc, doc = run_json(capsys, ["info"] + flags)
+        assert rc == 0 and doc["conditions"]["uniqueness_ok"]
+        assert all(isinstance(e, float) for e in doc["eigenvalues"])
+        assert doc["eigenvalues"] == pytest.approx([1.1267682908151735, 1.1267682908151735,
+                                                    -1.1267682908151735, -1.1267682908151735])
+        rc, doc = run_json(capsys, ["homoclinic"] + flags)
+        assert rc == 0
+        assert doc["singularity"]["verdict"] == "Removable"
+        assert doc["singularity"]["rate_gap"] == pytest.approx(-0.37676829081517349, rel=1e-12)
 
     def test_homoclinic_complex_eigenvalues(self, capsys):
         assert main(["homoclinic"] + B0_FLAGS + ["--lambda", "8", "--mu", "1"]) == 4

@@ -206,6 +206,25 @@ class TestDerivedCoefficients:
 
 
 class TestConditionReport:
+    def test_double_root_boundary_agrees_with_eigenvalues(self):
+        # On lam = (n-2)(alpha+2) +- 2 sqrt(mu) the roots are double; rounding
+        # must not read the discriminant with one sign here and the other there.
+        rng = np.random.default_rng(26)
+        checked = 0
+        while checked < 2000:
+            n = int(rng.integers(5, 11))
+            alpha = float(rng.uniform(-n, n - 4.0))
+            mu = float(rng.uniform(0.0, 5.0))
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            lam = (n - 2.0) * (alpha + 2.0) + sign * 2.0 * math.sqrt(mu)
+            params = ProblemParams(n=n, alpha=alpha, p=float(rng.uniform(1.2, 8.0)),
+                                   lam=lam, mu=mu)
+            coeff = derive_coefficients(params)
+            if coeff.K2 <= 0.0:
+                continue
+            assert coeff.eigenvalues_real == check_conditions(params).uniqueness_ok, params
+            checked += 1
+
     def test_base_instance_flags(self):
         rep = check_conditions(ProblemParams(**B0))
         assert rep.c1 and not rep.c2 and rep.c3
