@@ -3,16 +3,19 @@
 The package reduces the radial problem to the autonomous fourth-order
 equation v'''' - K2 v'' + K0 v = v^p through a logarithmic change of
 variables, and provides: parameter validation and derived coefficients,
-explicit cosh-power solutions, an adaptive integrator with energy
-monitoring and event detection, periodic and homoclinic orbit solvers,
-singularity classification, Rayleigh-quotient minimization with closed-form
-best constants, and quadrature verification of the weighted integral
-identities underlying the norm estimates.
+explicit cosh-power solutions, the conserved energy, periodic and
+homoclinic orbit solvers, singularity classification, Rayleigh-quotient
+minimization with closed-form best constants, and quadrature verification
+of the weighted integral identities underlying the norm estimates.
 
 The exports below resolve lazily (PEP 562): ``import radial4`` loads no
 submodule, and the first access to a name imports only the module that
 defines it.  Scalar work (coefficients, conditions, the cosh solution, the
 closed-form best constant) therefore never loads numpy.
+
+The Dormand-Prince integrator (integrate, rhs, Event, OdeState, Trajectory)
+is not exported: no solver calls it.  It stays in radial4.dynamics as an
+independent ODE oracle for the tests and a target of the benchmark tracer.
 """
 
 import importlib
@@ -25,7 +28,7 @@ _EXPORTS = {
     for module, names in {
         "closed_form": "CoshSolution build_cosh_solution cosh_profile_derivatives curve_rows"
                        " eval_u radial_curve_rows",
-        "dynamics": "Event OdeState ReducedProblem Trajectory energy integrate rhs",
+        "dynamics": "ReducedProblem energy",
         "errors": "ConvergenceError DomainError NoExplicitSolutionError PoleError Radial4Error"
                   " RegimeError TailError ValidationError",
         "identities": "IdentityId IdentityReport QuadratureGrid RadialTestFunction TEST_FUNCTIONS"

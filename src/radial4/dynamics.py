@@ -98,7 +98,7 @@ def _field(y, K2: float, K0: float, p: float) -> State:
     return (y[1], y[2], y[3], v ** p + K2 * y[2] - K0 * v)
 
 
-# Not called in the package: kept because perfbench/tracer.py counts its calls.
+# Not called in the package: a target of perfbench/tracer.py, which counts its calls.
 def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
     """Right-hand side of the first-order system; requires v >= 0."""
     if isinstance(y, OdeState):
@@ -272,6 +272,7 @@ def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: fl
     return min(100.0 * h0, h1, span)
 
 
+# Not called in the package: the tests' ODE oracle, and a target of perfbench/tracer.py.
 def integrate(
     y0: OdeState,
     t_end: float,
@@ -280,24 +281,18 @@ def integrate(
     events: Sequence[Event] = (),
     max_step: float = math.inf,
     max_steps: int = 1_000_000,
-    *,
-    escaped: Optional[Callable[[State], bool]] = None,
 ) -> Trajectory:
     """Integrate forward from y0.t to t_end with local error per step <= tol.
 
     Every way the run can end is a returned Trajectory, told apart by its
     stop_reason: "t_end"; "event", at the first triggered terminal event,
-    whose name is event_name; "escape", once the escaped hook returns true;
-    "blowup", once the state norm passes 1e12, or at y0 itself when v**p
-    overflows there (a one-node run); "domain", when the solution runs
-    into v = 0 so that the nonlinearity cannot be evaluated.  When escaped
-    is given, it is called on each accepted state y (a 4-tuple) after the
-    events, so an event in the same step wins, and the run stops there
-    unrefined; the caller vouches that no event can follow.  Raises
-    ConvergenceError when the step size underflows away from the v = 0
-    boundary or the run takes more than max_steps steps.  A step with a
-    stage below v = 0 is retried at half the size; one whose error
-    estimate is not finite (or whose v**p overflows) at a quarter.
+    whose name is event_name; "blowup", once the state norm passes 1e12, or
+    at y0 itself when v**p overflows there (a one-node run); "domain", when
+    the solution runs into v = 0 so that the nonlinearity cannot be
+    evaluated.  Raises ConvergenceError when the step size underflows away
+    from the v = 0 boundary or the run takes more than max_steps steps.  A
+    step with a stage below v = 0 is retried at half the size; one whose
+    error estimate is not finite (or whose v**p overflows) at a quarter.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValidationError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
@@ -410,8 +405,6 @@ def integrate(
 
         if max(b0, b1, b2, b3) > _BLOWUP_BOUND:
             return build("blowup")
-        if escaped is not None and escaped(y):
-            return build("escape")
 
         fac = 0.9 * err ** -0.2 * err_prev ** 0.04 if err > 1e-12 else 5.0
         h *= min(5.0, max(0.2, fac))

@@ -8,17 +8,11 @@ Viswanath, SIAM Rev. 43 (2001) 478), continued from the small orbits about
 the equilibrium l.  A global method has none of the e^{lambda t} growth of
 round-off that limits shooting on these hyperbolic loops.
 
-The homoclinic (even, positive, decaying) profile lives on the zero level
-of the conserved energy, which pins v''(0) given the peak value, leaving a
-one-parameter shooting problem resolved by a dichotomy bisection.  Its
-shots are read only as 'turn' or 'cross', and since K2 > 0 there, one that
-enters the forward-invariant dive cone {v < l, v' < 0, v'' <= 0, v''' <= 0}
-is stopped there as a crossing.  The scan classifies its grid in order and
-stops at the first sign change.  A shot only has to tell a turn from a
-cross, so the scan and bisection run each shot at a DP tolerance that
-tracks the bracket width (1e-2 width / v0, clipped to [1e-12, 1e-6]); the
-ends of the final bracket are then confirmed by 1e-12 shots, and a search
-with any verdict those overturn is redone at 1e-12 throughout.
+The homoclinic (even, positive, decaying) profile is the limit of that
+family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
+find_homoclinic solves the orbit at a = 1e-6 l once and reads the peak,
+the decay rate (an order-2 Prony fit, de Prony 1795) and the samples off
+its uniform grid, which one inverse FFT per state column evaluates.
 
 Singularity classification compares the slowest linear decay rate of the
 reduced equation against the Emden-Fowler weight exponent (n-4-alpha)/2.
@@ -32,19 +26,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    Event,
-    OdeState,
-    ReducedProblem,
-    Trajectory,
-    integrate,
-)
+from .dynamics import ReducedProblem, Trajectory
 from .errors import ConvergenceError, DomainError, RegimeError, ValidationError
 from .params import ProblemParams, check_conditions, derive_coefficients
 
-_SHOOT_TOL = 1e-12  # DP tolerance of every shot whose verdict find_homoclinic keeps
-_MAX_SHOOT_TOL = 1e-6  # coarsest classification shot
-_TOL_PER_WIDTH = 1e-2  # classification tolerance per relative bracket width
+_HOMOCLINIC_MIN = 1e-6  # minimum over l of the orbit that find_homoclinic reads
+_ROW_SPACING = 0.25  # homoclinic sample spacing, times lambda2
 _MODES, _MAX_MODES = 32, 512  # first and largest Fourier truncation N
 _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
@@ -76,7 +63,8 @@ class PeriodicOrbit:
     """Even periodic orbit of the reduced equation with minimum a at t=0.
 
     The orbit is the cosine series v(t) = sum_k coefficients[k] cos(k omega t),
-    which sample and rows evaluate.  newton_iterations, continuation_steps
+    which sample sums directly at any times and rows evaluates on a uniform
+    grid by inverse FFT.  newton_iterations, continuation_steps
     and modes count the work of the solve; to_dict leaves them out.
     """
 
@@ -107,9 +95,25 @@ class PeriodicOrbit:
         return np.stack(states, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
 
     def _grid(self):
-        """Times, states and energies at 8 N + 1 uniform times over one period."""
-        ts = np.linspace(0.0, self.period, 8 * self.modes + 1)
-        states = self.sample(ts)
+        """Times, states and energies at 8 N + 1 uniform times over one period.
+
+        At t_j = j T / (8 N) the m-th derivative is the real part of
+        sum_k c_k (i k omega)^m e^{2 pi i k j / (8 N)}, one inverse real FFT
+        of the zero-padded coefficients per column, in O(N log N) time and
+        O(N) memory; the last time closes the period with the first state.
+        """
+        m = 8 * self.modes
+        ik = 1j * self.omega * np.arange(self.modes)
+        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+        scaled = 0.5 * m * self.coefficients  # irfft divides by m and counts k > 0 twice
+        scaled[0] *= 2.0
+        states = np.empty((m + 1, 4))
+        for order in range(4):
+            spectrum[:self.modes] = scaled * ik ** order
+            states[:m, order] = np.fft.irfft(spectrum, m)
+        states[m] = states[0]
+        states += 0.0  # turns -0.0 into 0.0
+        ts = np.linspace(0.0, self.period, m + 1)
         return ts, states, self.problem.energy(states.T)
 
     def rows(self):
@@ -132,7 +136,11 @@ class PeriodicOrbit:
 
 @dataclass(frozen=True)
 class HomoclinicProfile:
-    """Even, positive, decaying solution on the zero-energy level."""
+    """Even, positive, decaying solution on the zero-energy level.
+
+    samples holds the profile at uniform times from t = 0 at the peak while
+    v >= 1e3 a (see find_homoclinic), with rows() for CSV output.
+    """
 
     peak: float
     decay_rate: float
@@ -297,208 +305,74 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     return replace(orbit, energy_drift=float(drift))
 
 
-def _dive_cone(problem: ReducedProblem):
-    """Test for the dive cone {v < l, v' < 0, v'' <= 0, v''' <= 0}.
+def _prony_decay_rate(x: np.ndarray, h: float) -> float:
+    """Smaller decay rate of an order-2 Prony fit to samples x at spacing h.
 
-    The cone is forward invariant for K2 > 0 (see find_homoclinic).  v is
-    compared with l (1 - 1e-12) rather than l, so that the rounding in
-    l = K0^{1/(p-1)} cannot admit a state with v >= l.
+    The least-squares linear prediction x[j+2] = c1 x[j+1] + c0 x[j] has
+    the characteristic roots z = e^{-rate h} of z^2 = c1 z + c0; the larger
+    root gives the smaller rate.  A discriminant c1^2 + 4 c0 <= 0 is read as
+    a double root, which equal rates (K2^2 = 4 K0) produce up to rounding.
+    Raises ConvergenceError when that root is not in (0, 1).
     """
-    v_max = problem.K0 ** (1.0 / (problem.p - 1.0)) * (1.0 - 1e-12)
-    return lambda y: y[0] < v_max and y[1] < 0.0 and y[2] <= 0.0 and y[3] <= 0.0
-
-
-def _classify_homoclinic_shot(
-    problem: ReducedProblem, v0: float, t_max: float, floor: float, tol: float, dive=None
-):
-    """One zero-energy shot from the peak at DP tolerance tol; returns
-    ('turn'|'cross', trajectory).
-
-    A shot whose peak exceeds the homoclinic value turns back up at a
-    positive local minimum ('turn'); a shot below it tracks the profile for
-    a while and then dives through v = 0 ('cross').  The profile itself is
-    the boundary between the two behaviors.  A shot that reaches v = 0, the
-    floor, or the dive predicate (integrate's escaped hook) is a crossing;
-    one that blows up, reaches a local minimum or runs to t_max turns.
-    """
-    g0 = potential(v0, problem.K0, problem.p)
-    if g0 > 0.0:
-        return "turn", None
-    b0 = -math.sqrt(-2.0 * g0)
-    ev_min = Event("local_min", lambda t, y: y[1], direction=+1)
-    ev_floor = Event("v_floor", lambda t, y: y[0] - floor, direction=-1)
-    traj = integrate(
-        OdeState(0.0, (v0, 0.0, b0, 0.0)),
-        t_max,
-        tol,
-        problem,
-        events=(ev_min, ev_floor),
-        max_step=0.25,
-        escaped=dive,
-    )
-    crossed = traj.stop_reason in ("domain", "escape") or traj.event_name == "v_floor"
-    return ("cross" if crossed else "turn"), traj
-
-
-def _coarse_tol(width: float, v0: float) -> float:
-    """DP tolerance of a classification shot at v0 inside a bracket of this width."""
-    return min(_MAX_SHOOT_TOL, max(_SHOOT_TOL, _TOL_PER_WIDTH * width / v0))
-
-
-def _bracket_transition(classify, l: float, s_star: float, shot_tol):
-    """Scan and bisect (l, s*) for the turn -> cross transition of classify.
-
-    The scan classifies 24 points down from s* - m to l + m in order, for
-    m = 1e-6 (s* - l), then 1e-2 and 1e-4 times that, and stops at its
-    first turn -> cross pair; bisection then halves that bracket until its
-    width is at most 1e-14 max(1, v).  Each point is classified at
-    shot_tol(width, v0), width being the grid spacing in the scan and the
-    bracket width in the bisection.  Returns ((v_lo, tol_lo), (v_hi,
-    tol_hi)), the crossing and turning ends with the tolerance of their last
-    verdicts, or None when no scan finds the transition.
-    """
-    margin = 1e-6 * (s_star - l)
-    bracket = None
-    for shrink in range(3):
-        m = margin * 10.0 ** (-2 * shrink)
-        grid = [float(v) for v in np.linspace(s_star - m, l + m, 24)]
-        spacing = grid[0] - grid[1]
-        tol_prev = shot_tol(spacing, grid[0])
-        kind_prev = classify(grid[0], tol_prev)
-        for v_prev, v in zip(grid, grid[1:]):
-            tol = shot_tol(spacing, v)
-            kind = classify(v, tol)
-            if kind_prev == "turn" and kind == "cross":
-                bracket = [v, tol, v_prev, tol_prev]
-                break
-            kind_prev, tol_prev = kind, tol
-        if bracket is not None:
-            break
-    if bracket is None:
-        return None
-
-    v_lo, tol_lo, v_hi, tol_hi = bracket  # crossing side below, turning side above
-    for _ in range(70):
-        width = v_hi - v_lo
-        if width <= 1e-14 * max(1.0, v_hi):
-            break
-        mid = 0.5 * (v_lo + v_hi)
-        tol = shot_tol(width, mid)
-        if classify(mid, tol) == "cross":
-            v_lo, tol_lo = mid, tol
-        else:
-            v_hi, tol_hi = mid, tol
-    return (v_lo, tol_lo), (v_hi, tol_hi)
+    (c1, c0), *_ = np.linalg.lstsq(np.column_stack((x[1:-1], x[:-2])), x[2:], rcond=None)
+    z = 0.5 * (c1 + math.sqrt(max(c1 * c1 + 4.0 * c0, 0.0)))
+    if not 0.0 < z < 1.0:
+        raise ConvergenceError(f"decay fit gave the root {z!r}, outside (0, 1)")
+    return -math.log(z) / h
 
 
 def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
-    """Even decaying profile on the zero-energy level, by dichotomy shooting.
+    """Even decaying profile on the zero-energy level, as the a -> 0 limit
+    of the periodic family.
 
-    The peak v(0) is searched in (l, s*) where s* is the positive zero of
-    the potential G; v''(0) is fixed by E = 0.  Shots above the profile
-    turn back up at a positive local minimum, shots below it cross zero;
-    the profile sits on the boundary between the two behaviors.  A
-    classification shot stops as a crossing once it enters the dive cone
-    D = {v < l, v' < 0, v'' <= 0, v''' <= 0}: there K2 > 0 and 0 <= v < l
-    give v'''' = K2 v'' + v (v^{p-1} - K0) <= 0, so v''', v'', v' and v
-    never increase, v' <= v'(t_e) < 0 never returns to 0 (no local minimum)
-    and v reaches 0 by t_e + v(t_e)/|v'(t_e)|, as the full shot would.  The
-    scan stops at its first turn -> cross pair, the only one it reads, and
-    the final shot at the peak runs without the cone.
+    The periodic orbit with minimum a = 1e-6 l (find_periodic) follows the
+    homoclinic loop: its maximum at T/2 differs from the profile's peak by
+    O(a^2), and away from its minimum it differs from the profile by O(a).
+    Everything is read off the orbit's uniform grid of 8 N + 1 times
+    (PeriodicOrbit._grid) on the half period s = t - T/2 >= 0:
 
-    A point v0 in a bracket of width w is classified at DP tolerance
-    min(1e-6, max(_SHOOT_TOL, 1e-2 w / v0)) (_coarse_tol): the step count
-    grows like tol^(-1/5), and a shot whose peak lies far from the root
-    tells a turn from a cross at a loose tolerance, so only the last dozen
-    or so bisection shots, with w / v0 below 1e-10, run at _SHOOT_TOL =
-    1e-12.  Certification: each end of the final bracket whose last verdict
-    came from a coarser shot is shot again at _SHOOT_TOL, and if either
-    verdict changes, the scan and bisection are redone with every shot at
-    _SHOOT_TOL, as is a coarse search that finds no transition.  So both
-    ends of the bracket that yields the peak carry 1e-12 verdicts.  Where
-    the 1e-12 verdicts change once near the root, a wrong coarse verdict
-    leaves that change outside the bracket; every later verdict then moves
-    the other end towards the wrong one, which stays an end of the final
-    bracket, and its re-shot sends the search to the fallback.
+    - peak = max_value; the first sample is the peak state (peak, 0,
+      -sqrt(-2 G(peak)), 0) on the zero-energy level, so the odd
+      derivatives are exactly 0 there;
+    - decay_rate is the smaller rate of an order-2 Prony fit
+      (_prony_decay_rate) to v on the window 1e3 a < v < 1e-2 peak, where
+      the e^{-lambda2 s} mode leads and the e^{-lambda1 s} mode is still
+      resolved; a one-rate log-slope there is biased by the second mode;
+    - the samples are the grid rows from the peak while v >= 1e3 a, every
+      k-th one for a spacing near 0.25 / lambda2.
 
-    The returned samples are truncated a safety margin before the shot
-    departs along the unstable direction, and the decay rate is a
-    least-squares log-slope over the trailing fifth.
+    Raises RegimeError unless K2 > 0, K0 > 0 and K2^2 - 4 K0 >= 0, and
+    ConvergenceError when find_periodic or the fit fails.
     """
     coeff = derive_coefficients(params)
-    K2, K0, p = coeff.K2, coeff.K0, params.p
+    K2, K0 = coeff.K2, coeff.K0
     if K2 <= 0.0 or K0 <= 0.0:
         raise RegimeError(f"homoclinic profile requires K2 > 0 and K0 > 0, got K2={K2}, K0={K0}")
     if coeff.discriminant < 0.0:
         raise RegimeError(
             f"uniqueness regime requires K2^2 - 4 K0 >= 0, got {coeff.discriminant}"
         )
-    problem = ReducedProblem(K2, K0, p)
-    lam1 = math.sqrt(0.5 * (K2 + math.sqrt(coeff.discriminant)))
-    lam2 = math.sqrt(0.5 * (K2 - math.sqrt(coeff.discriminant)))
-    l = K0 ** (1.0 / (p - 1.0))
-    s_star = (0.5 * (p + 1.0) * K0) ** (1.0 / (p - 1.0))
-    t_max = 80.0 / lam2
+    orbit = find_periodic(_HOMOCLINIC_MIN * coeff.l, params)
+    ts, states, _ = orbit._grid()
+    half = len(ts) // 2  # t = T/2, as 8 N is even
+    s, states = ts[half:] - ts[half], states[half:]
+    v, h = states[:, 0], float(s[1])
+    peak, floor = orbit.max_value, 1e3 * orbit.a
+    g = potential(peak, K0, params.p)
+    if not g < 0.0:
+        raise ConvergenceError(f"peak {peak!r} is not below the zero of the potential")
+    states[0] = (peak, 0.0, -math.sqrt(-2.0 * g), 0.0)
 
-    floor_frac = 1e-10
-    dive = _dive_cone(problem)
+    window = v[(v > floor) & (v < 1e-2 * peak)]
+    if len(window) < 8:
+        raise ConvergenceError(f"{len(window)} grid points in the decay-fit window")
+    decay_rate = _prony_decay_rate(window, h)
 
-    def classify(v0: float, tol: float) -> str:
-        kind, _ = _classify_homoclinic_shot(problem, v0, t_max, floor_frac * v0, tol, dive)
-        return kind
-
-    found = _bracket_transition(classify, l, s_star, _coarse_tol)
-    if found is not None:
-        (v_lo, tol_lo), (v_hi, tol_hi) = found
-        if (tol_lo > _SHOOT_TOL and classify(v_lo, _SHOOT_TOL) != "cross") or (
-            tol_hi > _SHOOT_TOL and classify(v_hi, _SHOOT_TOL) != "turn"
-        ):
-            found = None
-    if found is None:
-        found = _bracket_transition(classify, l, s_star, lambda width, v0: _SHOOT_TOL)
-    if found is None:
-        raise ConvergenceError(
-            f"dichotomy scan found no turn/cross transition on ({l}, {s_star})"
-        )
-
-    (v_lo, _), (v_hi, _) = found
-    peak = 0.5 * (v_lo + v_hi)
-    kind, traj = _classify_homoclinic_shot(problem, peak, t_max, floor_frac * peak, _SHOOT_TOL)
-    if traj is None or len(traj.ts) < 8:
-        raise ConvergenceError("homoclinic shot produced no usable trajectory")
-
-    # Truncate before the unstable direction takes over.
-    delta = 8.0 / (lam1 + lam2)
-    t_stop = float(traj.ts[-1])
-    t_keep = t_stop - delta
-    if t_keep <= 0.0:
-        raise ConvergenceError(
-            f"homoclinic trajectory too short to truncate (t_stop={t_stop}, margin={delta})"
-        )
-    keep = traj.ts <= t_keep
-    if int(np.sum(keep)) < 8:
-        raise ConvergenceError("too few homoclinic samples after truncation")
-    kept = Trajectory(
-        problem=problem,
-        ts=traj.ts[keep].copy(),
-        ys=traj.ys[keep].copy(),
-        n_accepted=traj.n_accepted,
-        n_rejected=traj.n_rejected,
-        stop_reason="truncated",
-    )
-
-    span = kept.ts[-1] - kept.ts[0]
-    tail = kept.ts >= kept.ts[-1] - 0.2 * span
-    tv = kept.ts[tail]
-    vv = kept.ys[tail, 0]
-    ok = vv > 1e-12
-    tv, vv = tv[ok], vv[ok]
-    if len(tv) < 4:
-        raise ConvergenceError("too few tail samples for the decay fit")
-    slope = float(np.polyfit(tv, np.log(vv), 1)[0])
-    decay_rate = -slope
-
-    return HomoclinicProfile(peak=float(peak), decay_rate=float(decay_rate), samples=kept)
+    stride = max(1, round(_ROW_SPACING / (float(coeff.lam2) * h)))
+    keep = np.arange(0, int(np.sum(v >= floor)), stride)
+    samples = Trajectory(problem=orbit.problem, ts=s[keep], ys=states[keep],
+                         n_accepted=0, n_rejected=0, stop_reason="truncated")
+    return HomoclinicProfile(peak=peak, decay_rate=decay_rate, samples=samples)
 
 
 def classify_singularity(params: ProblemParams) -> SingularityVerdict:

@@ -182,6 +182,13 @@ def _discriminant(n: int, alpha: float, lam: float, mu: float) -> float:
     return 0.0 if abs(disc) <= 4.0 * sys.float_info.epsilon * scale < math.inf else disc
 
 
+def _overflow_error(params: ProblemParams) -> ValidationError:
+    return ValidationError(
+        f"coefficients overflow at n={params.n}, alpha={params.alpha}, p={params.p}, "
+        f"lambda={params.lam}, mu={params.mu}"
+    )
+
+
 def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
     """Compute (K2, K0), the equilibrium l, and the linearization eigenvalues.
 
@@ -199,10 +206,7 @@ def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
             l = None
         disc = _discriminant(n, alpha, lam, mu)
     except OverflowError:
-        raise ValidationError(
-            f"coefficients overflow at n={n}, alpha={alpha}, p={params.p}, "
-            f"lambda={lam}, mu={mu}"
-        ) from None
+        raise _overflow_error(params) from None
     _check_finite(K2=K2, K0=K0, discriminant=disc)
     sq = cmath.sqrt(complex(disc))
     w_plus = (complex(K2) + sq) / 2.0
@@ -259,6 +263,14 @@ class ConditionReport:
 
 
 def check_conditions(params: ProblemParams) -> ConditionReport:
+    """Regime flags of params; raises ValidationError when a term overflows."""
+    try:
+        return _conditions(params)
+    except OverflowError:
+        raise _overflow_error(params) from None
+
+
+def _conditions(params: ProblemParams) -> ConditionReport:
     n, alpha, lam, mu = params.n, params.alpha, params.lam, params.mu
     q = (n - 4.0 - alpha) / 2.0  # half of n-4-alpha, appears squared below
     ab = (n - 2.0) * (alpha + 2.0)

@@ -9,13 +9,13 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from radial4 import (
     IdentityId,
-    OdeState,
     ProblemParams,
     QuadratureGrid,
     ReducedProblem,
@@ -28,7 +28,6 @@ from radial4 import (
     eval_u,
     find_homoclinic,
     find_periodic,
-    integrate,
     linearized_frequency,
     minimize_rayleigh,
     record_deviation,
@@ -36,6 +35,7 @@ from radial4 import (
     verify_identity,
 )
 from radial4.cli import main
+from radial4.dynamics import OdeState, integrate
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -161,6 +161,47 @@ def test_periodic_work_outside_newton(monkeypatch):
         "periodic work outside Newton",
         calls == {"array energy": 1, "scalar energy": 1, "derive_coefficients": 1},
         f"calls per find_periodic(1.0, B0) = {calls}",
+    )
+
+
+def test_periodic_memory_peak():
+    # the tracemalloc peak of one near-homoclinic solve (N = 128 modes): the
+    # Newton matrices and one FFT column of the grid at a time; with the grid
+    # summed directly, its (8N+1) x N cos and sin matrices took it to 3.26 MB
+    a = 1e-6 * derive_coefficients(B0).l
+    find_periodic(a, B0)  # load numpy's FFT before counting
+    tracemalloc.start()
+    try:
+        find_periodic(a, B0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _report(
+        "periodic memory peak",
+        peak < 1.5e6,
+        f"tracemalloc peak {peak / 1e6:.2f} MB in find_periodic(1e-6 l, B0)",
+    )
+
+
+def test_homoclinic_work_counts(monkeypatch):
+    # one periodic solve at a = 1e-6 l; its Newton iterations are left out,
+    # since at N = 128 they follow the BLAS thread count of the LU solve
+    from radial4 import orbits
+
+    solves = []
+
+    def recording(a, params, *args):
+        orbit = find_periodic(a, params, *args)
+        solves.append((a == 1e-6 * derive_coefficients(params).l,
+                       orbit.continuation_steps, orbit.modes))
+        return orbit
+
+    monkeypatch.setattr(orbits, "find_periodic", recording)
+    find_homoclinic(B0)
+    _report(
+        "homoclinic work counts",
+        solves == [(True, 11, 128)],
+        f"(at 1e-6 l, continuation steps, modes) per periodic solve = {solves}",
     )
 
 

@@ -138,16 +138,18 @@ class TestOrbit:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            ("1.0", "effefb086184517388ec1e36ccace7c555900809fb0bc1fd044a3e7f360321c4"),
+            pytest.param("1.0", "4160c457c164a7fdbdbead72d953da551221ee9e9b220643d765ab5e065db1da",
+                         id="1.0"),
             # 1e-3 l, N = 128 modes
-            ("0.0017320508075688772",
-             "d2d3f6bc6267c8fb127c6057f5c32a6aee8b424134365a85265499b569503b5c"),
+            pytest.param("0.0017320508075688772",
+                         "17959d31c61affb074f9dbca619c4b72e735cca91bf823dc62dd5b335164a095",
+                         id="1e-3l"),
         ],
     )
     def test_orbit_csv_bytes(self, a, digest):
-        # every digit of every row, E included, as the per-row evaluation
-        # printed them; a fresh interpreter, so that BLAS runs on one thread
-        # however this process loaded numpy
+        # every digit of every row, E included, as the inverse FFT of each
+        # state column printed them; a fresh interpreter, so that BLAS runs
+        # on one thread however this process loaded numpy
         proc = run_child(["-m", "radial4.cli", "orbit"] + B0_FLAGS + ["--a", a, "--format", "csv"])
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
@@ -159,23 +161,24 @@ class TestHomoclinic:
         assert rc == 0
         assert doc["peak"] == pytest.approx(PEAK_B0, abs=1e-6)
         assert doc["decay_rate"] == pytest.approx(1.0, abs=1e-3)
-        assert doc["n_samples"] > 100
+        # from the peak down to v = 1e3 a, 8 grid steps (about 0.25 / lambda2) apart
+        assert doc["n_samples"] == 33
         assert doc["singularity"]["verdict"] == "Boundary"
 
     @pytest.mark.parametrize(
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "11799a9e59bbc3a1fa78be0f74352e3d1aaaa33792ba60b00b5c7e62f379d912"),
+             "a2d5bb4a290b7bf3da49afa41591adb59a7acf120dee5fa7341f1c6d85304549"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "355cda5fa48a7c00510d69951522572873bae8463a7d99a3368b520f95028b20"),
+             "fb4af42dd169d0d5438765a1624ae805aee68468a2bd76cf558cf6de2c3aa5d6"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "3f7bcb15df951d1a031596408806653ec1b76caf7acdd2b4d4ff977cecb91233"),
+             "021549b30ee3bc90d5ccb05566cb6efed9d15f172f1c1528b97f072a904d171d"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json"],
     )
     def test_homoclinic_bytes(self, flags, digest):
-        # every digit of the profile, as the all-1e-12 shooting printed it; a
+        # every digit of the profile, as the orbit at a = 1e-6 l gave it; a
         # fresh interpreter, as in test_orbit_csv_bytes
         proc = run_child(["-m", "radial4.cli", "homoclinic"] + flags)
         assert proc.returncode == 0, proc.stderr
@@ -306,9 +309,8 @@ class TestDependencies:
 
     def test_every_export_has_a_caller_in_the_package(self):
         # A public name is imported by another module or loaded in its own.
-        # rhs stays for the benchmark tracer, explicit_lambda_branches as the
-        # paper's lambda branches.
-        kept = {"rhs", "explicit_lambda_branches"}
+        # explicit_lambda_branches stays as the paper's lambda branches.
+        kept = {"explicit_lambda_branches"}
         package = os.path.dirname(radial4.__file__)
         imported, loaded = set(), {}
         for fname in sorted(os.listdir(package)):

@@ -1,13 +1,16 @@
 """Adaptive integration of the reduced fourth-order system."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import radial4
 from radial4 import (
     ConvergenceError,
     DomainError,
-    Event,
-    OdeState,
     ProblemParams,
     ReducedProblem,
     ValidationError,
@@ -15,12 +18,9 @@ from radial4 import (
     cosh_profile_derivatives,
     derive_coefficients,
     energy,
-    find_homoclinic,
     find_periodic,
-    integrate,
-    rhs,
 )
-from radial4.dynamics import _dp5_step, _field, _rms
+from radial4.dynamics import Event, OdeState, _dp5_step, _field, _rms, integrate, rhs
 
 B0 = ReducedProblem(10.0, 9.0, 5.0)
 EQUILIBRIUM = 3.0 ** 0.5  # K0^{1/(p-1)} for (K0, p) = (9, 5)
@@ -211,6 +211,24 @@ def _final_state(traj):
     return repr(tuple(float(c) for c in traj.ys[-1]))
 
 
+def _fresh_homoclinic(lam: str):
+    """repr of peak and decay_rate, and the sample count, of find_homoclinic
+    on (6, 0, 5, lam, 0) in a fresh interpreter on one BLAS thread: the
+    N = 128 Newton solve behind them moves in its last digits with the
+    thread count of the LU solve."""
+    code = (
+        "from radial4 import ProblemParams, find_homoclinic\n"
+        f"prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0, {lam}))\n"
+        "print(repr(prof.peak), repr(prof.decay_rate), len(prof.samples.ts))\n"
+    )
+    src = os.path.dirname(os.path.dirname(radial4.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestPinnedArithmetic:
     """Exact step counts and digits, so a kernel rewrite must keep every rounding."""
 
@@ -267,7 +285,7 @@ class TestPinnedArithmetic:
         orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))
         assert repr(orbit.b) == "0.7836654928915208"
         assert repr(orbit.period) == "4.437135754761857"
-        assert repr(orbit.energy_drift) == "1.4210854715202004e-14"
+        assert repr(orbit.energy_drift) == "1.0658141036401503e-14"
         assert repr(orbit.max_value) == "2.112009426855794"
 
     def test_periodic_orbit_digits_near_equilibrium(self):
@@ -285,16 +303,11 @@ class TestPinnedArithmetic:
         assert repr(orbit.max_value) == "0.6844071248038927"
 
     def test_homoclinic_profile_digits(self):
-        prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))
-        assert repr(prof.peak) == "2.213363839400719"
-        assert repr(prof.decay_rate) == "0.9999073253253943"
-        assert len(prof.samples.ts) == 530
+        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072316911", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
-        prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0))
-        assert repr(prof.peak) == "0.7377879464670356"
-        assert repr(prof.decay_rate) == "0.33338387439872574"
-        assert len(prof.samples.ts) == 305
+        assert _fresh_homoclinic("lam=80.0 / 9.0") == [
+            "0.737787946466797", "0.33333330241044445", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

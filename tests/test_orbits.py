@@ -9,22 +9,22 @@ from hypothesis import strategies as st
 
 from radial4 import (
     ConvergenceError,
-    Event,
-    OdeState,
     ProblemParams,
     ReducedProblem,
     RegimeError,
     ValidationError,
     Verdict,
+    build_cosh_solution,
     classify_singularity,
     derive_coefficients,
     find_homoclinic,
     find_periodic,
-    integrate,
     linearized_frequency,
+    phi_closed_form,
     potential,
 )
 from radial4 import orbits
+from radial4.dynamics import OdeState, integrate
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -91,6 +91,15 @@ class TestFindPeriodic:
         assert len(rows) == 8 * orbit_b0.modes + 1
         assert rows[0][0] == 0.0 and rows[-1][0] == orbit_b0.period
         assert max(abs(row[-1] - orbit_b0.energy) for row in rows) == orbit_b0.energy_drift
+
+    @pytest.mark.parametrize("a", [1.0, 1e-6 * EQUILIBRIUM])
+    def test_rows_match_the_direct_sum(self, a):
+        # the inverse FFT of each column against sum_k c_k (cos, sin)(k omega t)
+        orbit = find_periodic(a, B0)
+        rows = np.array(orbit.rows()[1])
+        direct = orbit.sample(rows[:, 0])
+        err = np.max(np.abs(rows[:, 1:5] - direct), axis=0) / np.max(np.abs(direct), axis=0)
+        assert np.max(err) <= 2e-14
 
     @pytest.mark.parametrize("a", [1.0, 1e-3 * EQUILIBRIUM])
     def test_array_energy_matches_per_state_energy(self, a):
@@ -290,121 +299,48 @@ def test_failed_continuation_steps_are_halved(params, fraction):
     assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
 
 
-def _record_integrate(monkeypatch):
-    """Wrap orbits.integrate; returns the list of (args, kwargs, trajectory)."""
-    calls = []
-
-    def recording(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        calls.append((args, kwargs, traj))
-        return traj
-
-    monkeypatch.setattr(orbits, "integrate", recording)
-    return calls
+CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
+N7_P2 = ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)  # no closed form
+N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
 
 
-def _homoclinic_fate(problem, y):
-    """'turn' or 'cross' for a run from y with the classification shot's events."""
-    ev_min = Event("local_min", lambda t, y: y[1], direction=+1)
-    ev_floor = Event("v_floor", lambda t, y: y[0] - 1e-10, direction=-1)
-    traj = integrate(OdeState(0.0, y), 20.0, 1e-12, problem, events=(ev_min, ev_floor))
-    return "cross" if traj.stop_reason == "domain" or traj.event_name == "v_floor" else "turn"
+class TestHomoclinicOracles:
+    """find_homoclinic against checks that share none of its code."""
 
+    @pytest.mark.parametrize("params", [B0, SHIFTED, N7_P2], ids=["b0", "shifted", "n7-p2"])
+    def test_samples_follow_the_flow(self, params):
+        # 16 spread rows, each carried into the next by a 1e-12 DP run
+        prof = find_homoclinic(params)
+        ts, ys = prof.samples.ts, prof.samples.ys
+        worst = 0.0
+        for i in np.unique(np.linspace(0, len(ts) - 2, 16).astype(int)):
+            run = integrate(OdeState(ts[i], ys[i]), ts[i + 1], 1e-12, prof.samples.problem)
+            worst = max(worst, float(np.max(np.abs(run.ys[-1] - ys[i + 1]))))
+        assert worst <= 1e-10 * prof.peak
 
-class TestDiveCone:
-    """Homoclinic classification shots stop once they enter the forward-invariant dive cone."""
+    @pytest.mark.parametrize("params", [N7_P2, N8_P4], ids=["n7-p2", "n8-p4"])
+    def test_decay_rate_meets_lambda2(self, params):
+        # the two rates e^{-lambda1 t} and e^{-lambda2 t} are both alive in
+        # the fit window; a one-rate log-slope missed lambda2 by 2.5e-2 and
+        # 1.2e-2 here
+        prof = find_homoclinic(params)
+        assert abs(prof.decay_rate - derive_coefficients(params).lam2) <= 1e-3
 
-    @pytest.mark.parametrize(
-        "params", [B0, SHIFTED, ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)]
-    )
-    def test_stopped_shots_cross_without_the_cone(self, monkeypatch, params):
-        calls = _record_integrate(monkeypatch)
-        find_homoclinic(params)
-        stopped = [c for c in calls if c[2].stop_reason == "escape"]
-        assert stopped
-        for args, kwargs, traj in stopped:
-            assert traj.event_name is None
-            full = {k: v for k, v in kwargs.items() if k != "escaped"}
-            rerun = integrate(*args, **full)
-            assert rerun.stop_reason == "domain" or rerun.event_name == "v_floor"
+    @pytest.mark.parametrize("params", [B0, SHIFTED, CONJUGATE], ids=["b0", "shifted", "conjugate"])
+    def test_peak_meets_closed_form(self, params):
+        assert abs(find_homoclinic(params).peak - build_cosh_solution(params).C) <= 1e-10
 
-    def test_each_cone_condition_is_needed(self):
-        # from inside the cone the shot crosses; breaking any one condition
-        # alone lets it turn back up (or blow up, which also reads 'turn')
-        problem = ReducedProblem(10.0, 9.0, 5.0)
-        cone = orbits._dive_cone(problem)
-        for inside in [(0.3 * EQUILIBRIUM, -0.01, 0.0, 0.0), (0.9 * EQUILIBRIUM, -0.01, 0.0, 0.0)]:
-            assert cone(inside)
-            assert _homoclinic_fate(problem, inside) == "cross"
-        for y in [
-            (1.01 * EQUILIBRIUM, -0.01, 0.0, 0.0),
-            (0.9 * EQUILIBRIUM, 1.0, 0.0, 0.0),
-            (0.3 * EQUILIBRIUM, -0.01, 0.1, 0.0),
-            (0.3 * EQUILIBRIUM, -0.01, 0.0, 1.0),
-        ]:
-            assert not cone(y)
-            assert _homoclinic_fate(problem, y) == "turn"
-        # v = l itself stays out, so the rounding in l cannot admit v > l
-        assert not cone((EQUILIBRIUM, -0.01, 0.0, 0.0))
-
-    def test_work_count(self, monkeypatch):
-        calls = _record_integrate(monkeypatch)
-        find_homoclinic(B0)
-        # 65 shots and 26317 accepted steps (1783 rejected) before the cone
-        # and the lazy scan; 45 and 20273 (0 rejected) with them, all at
-        # 1e-12; 45 and 11934 with coarse classification shots, 14 of them
-        # (the kept shot included) at 1e-12
-        assert len(calls) <= 45
-        assert sum(traj.n_accepted for _, _, traj in calls) <= 12000
-        assert sum(1 for args, _, _ in calls if args[2] == orbits._SHOOT_TOL) <= 15
-        # the kept shot at the peak runs to its end
-        assert calls[-1][1].get("escaped") is None
-
-
-def _all_fine_homoclinic(monkeypatch, params):
-    """find_homoclinic with every classification shot at _SHOOT_TOL."""
-    with monkeypatch.context() as m:
-        m.setattr(orbits, "_TOL_PER_WIDTH", 0.0)
-        return find_homoclinic(params)
-
-
-class TestCoarseToFine:
-    """Coarse classification shots move no result of the all-1e-12 search."""
-
-    @pytest.mark.parametrize(
-        "params",
-        [B0, SHIFTED, ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)],
-        ids=["b0", "shifted", "n7-p2"],
-    )
-    def test_peak_equals_all_fine_search(self, monkeypatch, params):
-        assert find_homoclinic(params).peak == _all_fine_homoclinic(monkeypatch, params).peak
-
-    def test_lying_coarse_verdict_falls_back_to_all_fine_search(self, monkeypatch):
-        fine = _all_fine_homoclinic(monkeypatch, B0)
-        classify, bracket = orbits._classify_homoclinic_shot, orbits._bracket_transition
-        coarse_shots, schedules = [], []
-
-        def lying(problem, v0, t_max, floor, tol, dive=None):
-            kind, traj = classify(problem, v0, t_max, floor, tol, dive)
-            if tol > orbits._SHOOT_TOL:
-                coarse_shots.append(v0)
-                if len(coarse_shots) == 20:  # a bisection shot, at tol 3.3e-9
-                    kind = "turn" if kind == "cross" else "cross"
-            return kind, traj
-
-        def recording(classify, l, s_star, shot_tol):
-            schedules.append(shot_tol(1.0, 1.0))
-            return bracket(classify, l, s_star, shot_tol)
-
-        monkeypatch.setattr(orbits, "_classify_homoclinic_shot", lying)
-        monkeypatch.setattr(orbits, "_bracket_transition", recording)
-        prof = find_homoclinic(B0)
-        # the coarse search, then the all-1e-12 one
-        assert schedules == [orbits._MAX_SHOOT_TOL, orbits._SHOOT_TOL]
-        assert len(coarse_shots) > 20
-        assert prof.peak == fine.peak and prof.decay_rate == fine.decay_rate
-        assert prof.samples.ts.tobytes() == fine.samples.ts.tobytes()
-        assert prof.samples.ys.tobytes() == fine.samples.ys.tobytes()
+    @pytest.mark.parametrize("params", [B0, SHIFTED, CONJUGATE], ids=["b0", "shifted", "conjugate"])
+    def test_nehari_value_meets_closed_form_constant(self, params):
+        # v'''' - K2 v'' + K0 v = v^p times v, integrated over the line:
+        # int (v''^2 + K2 v'^2 + K0 v^2) = int v^{p+1}, so the quotient at
+        # the profile is (int v^{p+1})^{(p-1)/(p+1)}; the trapezoid rule over
+        # one period of the orbit that find_homoclinic reads
+        p = params.p
+        orbit = find_periodic(orbits._HOMOCLINIC_MIN * derive_coefficients(params).l, params)
+        v = np.array(orbit.rows()[1])[:-1, 1]
+        nehari = (orbit.period / len(v) * np.sum(v ** (p + 1.0))) ** ((p - 1.0) / (p + 1.0))
+        assert nehari == pytest.approx(phi_closed_form(params).phi, rel=1e-10)
 
 
 class TestFindHomoclinic:

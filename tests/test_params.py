@@ -251,6 +251,12 @@ class TestConditionReport:
         rep = check_conditions(ProblemParams(n=6, alpha=0.0, p=5.0, lam=8.0, mu=1.0))
         assert not rep.uniqueness_ok
 
+    @pytest.mark.parametrize("lam", [1e308, -1e308])
+    def test_overflowing_discriminant_is_a_validation_error(self, lam):
+        # (lam - (n-2)(alpha+2))^2 overflows, as in derive_coefficients
+        with pytest.raises(ValidationError):
+            check_conditions(ProblemParams(n=6, alpha=0.0, p=5.0, lam=lam))
+
     def test_to_dict_fields(self):
         d = check_conditions(ProblemParams(**B0)).to_dict()
         assert set(d) == {
