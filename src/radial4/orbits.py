@@ -177,7 +177,8 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     omega, iterations, residual).  The iteration stops once a correction is
     at round-off level, or after _MAX_NEWTON steps; residual is the sup of
     the collocation residual over the sup of v^p at the nodes, and inf when
-    the Jacobian is singular or a correction is not finite.
+    the Jacobian is singular or a correction is not finite.  omega enters
+    only as omega^2, so a Newton path that crosses 0 returns |omega|.
     """
     n = len(d)
     k = np.arange(n, dtype=float)
@@ -208,7 +209,7 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
             converged = (np.max(np.abs(step[:n])) <= _STEP_TOL * np.max(np.abs(d))
                          and abs(step[n]) <= _STEP_TOL * omega)
         residual = float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
-    return d, omega, iteration, residual
+    return d, abs(omega), iteration, residual
 
 
 def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> PeriodicOrbit:
@@ -224,9 +225,11 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     and starting from the linearized orbit c_0 = l, c_1 = -eps l, omega =
     linearized_frequency.  A step on which Newton fails (a singular
     Jacobian, a non-finite correction, a relative residual above tol) is
-    halved and tried again.  N starts at 32 and doubles, from the last
-    orbit, until the last four coefficients of w are below 1e-15 of its
-    largest.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
+    halved and tried again.  N starts at 32 and doubles until the last four
+    coefficients of w are below 1e-15 of its largest; the solve at 2 N
+    starts from the zero-padded trial that failed that test and, should
+    Newton fail there, once more from the padded last orbit, which is not
+    a halving.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
     are read off the coefficients.  Raises ConvergenceError after the
     sixth halving or when N would pass 512, ValidationError for a outside
     (0, l) or tol outside (0, 1e-4], RegimeError when no positive
@@ -254,13 +257,17 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     d[1] = -eps * l
     omega = linearized_frequency(K2, K0, p)
     done = 0.0  # eps of the last orbit solved; 0 is the equilibrium
+    restart = None  # the padded trial orbit, tried before d after a doubling
     iterations = steps = retries = 0
     while True:
         w0 = a - l if eps >= eps_target else -eps * l
-        trial, trial_omega, its, residual = _collocate(d, omega, w0, l, K2, K0, p)
+        start, restart = restart or (d, omega), None
+        trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p)
         iterations += its
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
         if not residual <= tol:
+            if start[0] is not d:
+                continue  # solve again from the padded last orbit, not a halving
             # halve the continuation step
             retries += 1
             if retries > _MAX_RETRIES:
@@ -270,10 +277,11 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             eps = 0.5 * (done + eps)
             continue
         if np.max(np.abs(trial[-4:])) > _TAIL_TOL * np.max(np.abs(trial)):
-            # solve again with twice the modes, from the last orbit
+            # solve again with twice the modes, from the padded trial
             if 2 * len(d) > _MAX_MODES:
                 raise ConvergenceError(f"Fourier tail still above 1e-15 {where}")
             d = np.concatenate([d, np.zeros_like(d)])
+            restart = np.concatenate([trial, np.zeros_like(trial)]), trial_omega
             continue
         d, omega, done = trial, trial_omega, eps
         steps += 1

@@ -186,6 +186,7 @@ def test_periodic_memory_peak():
 def test_homoclinic_work_counts(monkeypatch):
     # one periodic solve at a = 1e-6 l; its Newton iterations are left out,
     # since at N = 128 they follow the BLAS thread count of the LU solve
+    # (test_near_homoclinic_newton_iterations pins them on one thread)
     from radial4 import orbits
 
     solves = []

@@ -142,7 +142,7 @@ class TestOrbit:
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "17959d31c61affb074f9dbca619c4b72e735cca91bf823dc62dd5b335164a095",
+                         "cc86ee7450e802df51e541517d440d0b7d60944e8ac40d2c42d9505c855f4b5d",
                          id="1e-3l"),
         ],
     )
@@ -169,11 +169,11 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "a2d5bb4a290b7bf3da49afa41591adb59a7acf120dee5fa7341f1c6d85304549"),
+             "3cca1e3eaa0004ff09b03492cacea1d3071a32f4f512ce78bffc2307d9ac9e87"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "fb4af42dd169d0d5438765a1624ae805aee68468a2bd76cf558cf6de2c3aa5d6"),
+             "0199fed554ad9d0736824ea1466130430c6492d09082b435953bea967537b3b6"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "021549b30ee3bc90d5ccb05566cb6efed9d15f172f1c1528b97f072a904d171d"),
+             "553bb69646a11a6414f492788d30c77a3221c7dc607f8da921bf378adf128d83"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json"],
     )

@@ -211,22 +211,56 @@ def _final_state(traj):
     return repr(tuple(float(c) for c in traj.ys[-1]))
 
 
-def _fresh_homoclinic(lam: str):
-    """repr of peak and decay_rate, and the sample count, of find_homoclinic
-    on (6, 0, 5, lam, 0) in a fresh interpreter on one BLAS thread: the
-    N = 128 Newton solve behind them moves in its last digits with the
-    thread count of the LU solve."""
-    code = (
-        "from radial4 import ProblemParams, find_homoclinic\n"
-        f"prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0, {lam}))\n"
-        "print(repr(prof.peak), repr(prof.decay_rate), len(prof.samples.ts))\n"
-    )
+def _fresh(code: str):
+    """Words that code prints in a fresh interpreter on one BLAS thread: a
+    Newton solve at N = 128 moves in its last digits, and in its iteration
+    count, with the thread count of the LU solve."""
     src = os.path.dirname(os.path.dirname(radial4.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def _fresh_homoclinic(lam: str):
+    """repr of peak and decay_rate, and the sample count, of find_homoclinic
+    on (6, 0, 5, lam, 0), in a fresh interpreter."""
+    return _fresh(
+        "from radial4 import ProblemParams, find_homoclinic\n"
+        f"prof = find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0, {lam}))\n"
+        "print(repr(prof.peak), repr(prof.decay_rate), len(prof.samples.ts))\n"
+    )
+
+
+# the first Newton solve at each doubled N, the one from the padded trial,
+# reports an infinite residual, so every doubling falls back to the padded
+# last orbit
+_FIRST_SOLVE_AT_EACH_N_FAILS = (
+    "import math\n"
+    "from radial4 import orbits\n"
+    "collocate, seen = orbits._collocate, {orbits._MODES}\n"
+    "def first_fails(d, omega, *args):\n"
+    "    if len(d) in seen:\n"
+    "        return collocate(d, omega, *args)\n"
+    "    seen.add(len(d))\n"
+    "    return d, omega, 0, math.inf\n"
+    "orbits._collocate = first_fails\n"
+)
+
+
+def _fresh_near_homoclinic(lam: str, setup: str = ""):
+    """Newton iterations, and repr of b, period and max_value, of
+    find_periodic(1e-6 l) on (6, 0, 5, lam, 0) after setup, in a fresh
+    interpreter."""
+    return _fresh(
+        setup
+        + "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
+        f"params = ProblemParams(n=6, alpha=0.0, p=5.0, {lam})\n"
+        "orbit = find_periodic(1e-6 * derive_coefficients(params).l, params)\n"
+        "print(orbit.newton_iterations, repr(orbit.b), repr(orbit.period), "
+        "repr(orbit.max_value))\n"
+    )
 
 
 class TestPinnedArithmetic:
@@ -302,12 +336,25 @@ class TestPinnedArithmetic:
         assert repr(orbit.period) == "12.394698030470373"
         assert repr(orbit.max_value) == "0.6844071248038927"
 
+    def test_near_homoclinic_newton_iterations(self):
+        # two doublings, N = 32 -> 128; each solve at 2 N starts from the
+        # padded trial that failed the tail test at N (from the padded last
+        # orbit, these took 89 and 87)
+        counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
+        assert counts == ["68", "70"]
+
+    def test_doubling_fallback_digits(self):
+        # with every restart failed, each doubling solves again from the
+        # padded last orbit: the iterations and digits of that path alone
+        assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
+            "89", "1.7320508080740842e-06", "30.894024464068995", "2.213363839400393"]
+
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072316911", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072320518", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.737787946466797", "0.33333330241044445", "33"]
+            "0.7377879464667972", "0.33333330241038456", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

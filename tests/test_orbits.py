@@ -25,6 +25,7 @@ from radial4 import (
 )
 from radial4 import orbits
 from radial4.dynamics import OdeState, integrate
+from radial4.params import k0_value, k2_value
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -299,9 +300,70 @@ def test_failed_continuation_steps_are_halved(params, fraction):
     assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
 
 
+N10_P9 = ProblemParams(n=10, alpha=5.631633655833825, p=9.264386279047944)
+N5_P11 = ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816)
+N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
+
+
+def _fail_first_solve_at_each_doubling(monkeypatch):
+    """Make the first Newton solve at each doubled N, the one from the padded
+    trial, report an infinite residual, so that every doubling falls back to
+    the padded last orbit.  Returns the set of N reached."""
+    collocate, seen = orbits._collocate, {orbits._MODES}
+
+    def first_fails(d, omega, *args):
+        if len(d) in seen:
+            return collocate(d, omega, *args)
+        seen.add(len(d))
+        return d, omega, 0, math.inf
+
+    monkeypatch.setattr(orbits, "_collocate", first_fails)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "params, fraction",
+    [(B0, 1e-3), (N8_P4, 1e-3), (N10_P9, 0.006987657359575838), (N5_P11, 0.0008355571996189617)],
+    ids=["b0", "n8-p4", "n10-p9.3", "n5-p11.4"],
+)
+def test_doubling_restart_meets_fallback(monkeypatch, params, fraction):
+    # the restart from the padded trial and the fallback to the padded last
+    # orbit reach the same orbit.  At 1e-6 l, b differs between them by up
+    # to rel 4e-9: v(0) = a enters as sum d_k = a - l, to about 1e-16 l
+    a = fraction * derive_coefficients(params).l
+    restarted = find_periodic(a, params)
+    seen = _fail_first_solve_at_each_doubling(monkeypatch)
+    fallback = find_periodic(a, params)
+    assert restarted.modes == fallback.modes == max(seen) > orbits._MODES
+    for name in ("b", "period", "max_value"):
+        assert getattr(restarted, name) == pytest.approx(getattr(fallback, name), rel=1e-12)
+
+
+def test_doubling_fallback_is_not_a_halving(monkeypatch):
+    # B0 at 1e-6 l takes no halving; with none allowed, its two fallbacks
+    # (N = 64 and 128) still reach the orbit
+    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    seen = _fail_first_solve_at_each_doubling(monkeypatch)
+    orbit = find_periodic(1e-6 * EQUILIBRIUM, B0)
+    assert seen == {32, 64, 128} and orbit.continuation_steps == 11
+
+
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
 N7_P2 = ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)  # no closed form
-N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
+
+
+def _nehari_value(params):
+    """(int v^{p+1})^{(p-1)/(p+1)} by the trapezoid rule over one period of
+    the orbit that find_homoclinic reads.
+
+    v'''' - K2 v'' + K0 v = v^p times v, integrated over the line, gives
+    int (v''^2 + K2 v'^2 + K0 v^2) = int v^{p+1}, so this is the quotient
+    at the profile.
+    """
+    p = params.p
+    orbit = find_periodic(orbits._HOMOCLINIC_MIN * derive_coefficients(params).l, params)
+    v = np.array(orbit.rows()[1])[:-1, 1]
+    return (orbit.period / len(v) * np.sum(v ** (p + 1.0))) ** ((p - 1.0) / (p + 1.0))
 
 
 class TestHomoclinicOracles:
@@ -332,15 +394,48 @@ class TestHomoclinicOracles:
 
     @pytest.mark.parametrize("params", [B0, SHIFTED, CONJUGATE], ids=["b0", "shifted", "conjugate"])
     def test_nehari_value_meets_closed_form_constant(self, params):
-        # v'''' - K2 v'' + K0 v = v^p times v, integrated over the line:
-        # int (v''^2 + K2 v'^2 + K0 v^2) = int v^{p+1}, so the quotient at
-        # the profile is (int v^{p+1})^{(p-1)/(p+1)}; the trapezoid rule over
-        # one period of the orbit that find_homoclinic reads
-        p = params.p
-        orbit = find_periodic(orbits._HOMOCLINIC_MIN * derive_coefficients(params).l, params)
-        v = np.array(orbit.rows()[1])[:-1, 1]
-        nehari = (orbit.period / len(v) * np.sum(v ** (p + 1.0))) ** ((p - 1.0) / (p + 1.0))
-        assert nehari == pytest.approx(phi_closed_form(params).phi, rel=1e-10)
+        assert _nehari_value(params) == pytest.approx(phi_closed_form(params).phi, rel=1e-10)
+
+
+@st.composite
+def cosh_instances(draw):
+    """Instances with a cosh profile, K2 > 0, K0 > 0 and real rates.
+
+    K2 is drawn and mu is set by the solvability relation
+    4 (p+1)^2 K2^2 = ((p+1)^2 + 4)^2 K0, so that K0 > 0 and
+    K2^2 - 4 K0 = K2^2 ((p+1)^2 - 4)^2 / ((p+1)^2 + 4)^2 >= 0.
+    """
+    n = draw(st.integers(5, 8))
+    alpha = draw(st.floats(-n, n - 4.0, exclude_min=True, exclude_max=True))
+    p = draw(st.floats(1.5, 6.0, exclude_min=True, exclude_max=True))
+    lam = k2_value(n, alpha, 0.0) - 10.0 ** draw(st.floats(-1.0, 2.0))
+    square = (p + 1.0) ** 2
+    K0 = 4.0 * square * k2_value(n, alpha, lam) ** 2 / (square + 4.0) ** 2
+    return ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=K0 - k0_value(n, alpha, lam, 0.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cosh_instances())
+def test_closed_form_constant_meets_nehari_value(params):
+    # an oracle for phi_closed_form that shares none of its Gamma function
+    # or cosh algebra; the rates are real, so the decaying solution is the
+    # quotient's minimizer
+    coeff = derive_coefficients(params)
+    assert coeff.K2 > 0.0 and coeff.K0 > 0.0 and coeff.discriminant >= 0.0
+    assert _nehari_value(params) == pytest.approx(phi_closed_form(params).phi, rel=1e-10)
+
+
+# a cosh instance past the property's p < 6, on which the Newton solve at
+# N = 256, started from the padded trial, crossed omega = 0 and came back
+# with a negative period; the collocation sees only omega^2
+N6_P9 = ProblemParams(n=6, alpha=1.0135694091284568, p=9.698076468771882,
+                      lam=-8.301813009274522, mu=9.163681739004128)
+
+
+def test_newton_path_through_zero_frequency():
+    orbit = find_periodic(orbits._HOMOCLINIC_MIN * derive_coefficients(N6_P9).l, N6_P9)
+    assert orbit.omega > 0.0 and orbit.period > 0.0
+    assert _nehari_value(N6_P9) == pytest.approx(phi_closed_form(N6_P9).phi, rel=1e-10)
 
 
 class TestFindHomoclinic:
