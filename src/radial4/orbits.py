@@ -221,19 +221,22 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine
     (c, omega); Newton's method solves them with the analytic Jacobian,
     written for w = v - l (see _collocate).  The minimum a is reached by
-    continuation in eps = 1 - a/l, doubling eps from min(1e-3, 1 - a/l)
+    continuation in eps = 1 - a/l, doubling eps from min(0.03, 1 - a/l)
     and starting from the linearized orbit c_0 = l, c_1 = -eps l, omega =
     linearized_frequency.  A step on which Newton fails (a singular
-    Jacobian, a non-finite correction, a relative residual above tol) is
-    halved and tried again.  N starts at 32 and doubles until the last four
-    coefficients of w are below 1e-15 of its largest; the solve at 2 N
-    starts from the zero-padded trial that failed that test and, should
-    Newton fail there, once more from the padded last orbit, which is not
-    a halving.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
-    are read off the coefficients.  Raises ConvergenceError after the
-    sixth halving or when N would pass 512, ValidationError for a outside
-    (0, l) or tol outside (0, 1e-4], RegimeError when no positive
-    equilibrium exists.
+    Jacobian, a non-finite correction, a relative residual above tol, or
+    v(pi/omega) <= l) is halved and tried again.  The last test rejects
+    the half-period alias, an orbit of twice the period with v(pi/omega)
+    = a: integrating the equation over a period gives int v (K0 - v^{p-1})
+    = 0, so an orbit with minimum a < l has its maximum above l.  N starts
+    at 32 and doubles until the last four coefficients of w are below
+    1e-15 of its largest; the solve at 2 N starts from the zero-padded
+    trial that failed that test and, should Newton fail there, once more
+    from the padded last orbit, which is not a halving.  period = 2 pi /
+    omega, b = v''(0) and max_value = v(pi/omega) are read off the
+    coefficients.  Raises ConvergenceError after the sixth halving or when
+    N would pass 512, ValidationError for a outside (0, l) or tol outside
+    (0, 1e-4], RegimeError when no positive equilibrium exists.
     """
     coeff = derive_coefficients(params)
     problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
@@ -252,7 +255,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
 
     K2, K0, p = problem.K2, problem.K0, problem.p
     eps_target = 1.0 - a / l
-    eps = min(1e-3, eps_target)
+    eps = min(0.03, eps_target)
     d = np.zeros(_MODES)
     d[1] = -eps * l
     omega = linearized_frequency(K2, K0, p)
@@ -265,7 +268,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
         trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p)
         iterations += its
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
-        if not residual <= tol:
+        alias = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
+        if not residual <= tol or alias:
             if start[0] is not d:
                 continue  # solve again from the padded last orbit, not a halving
             # halve the continuation step
@@ -273,6 +277,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             if retries > _MAX_RETRIES:
                 raise ConvergenceError(
                     f"collocation residual {residual:.3e} did not reach tol={tol:.3e} {where}"
+                    if not residual <= tol else f"collocation met only the half-period alias {where}"
                 )
             eps = 0.5 * (done + eps)
             continue

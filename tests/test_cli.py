@@ -138,11 +138,11 @@ class TestOrbit:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            pytest.param("1.0", "4160c457c164a7fdbdbead72d953da551221ee9e9b220643d765ab5e065db1da",
+            pytest.param("1.0", "809ffce121511fa913467fba464c18416507e497db51c633893c4b329f874048",
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "cc86ee7450e802df51e541517d440d0b7d60944e8ac40d2c42d9505c855f4b5d",
+                         "a1d8107b3038169b5a4621f6872aa2bf411ded5a2cf3843c4b28f54b48228cec",
                          id="1e-3l"),
         ],
     )
@@ -169,11 +169,11 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "3cca1e3eaa0004ff09b03492cacea1d3071a32f4f512ce78bffc2307d9ac9e87"),
+             "c528da492f1a80cffc0b86c3e7b69ae6ec779bbddba0df27b0f651cc34a00e93"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "0199fed554ad9d0736824ea1466130430c6492d09082b435953bea967537b3b6"),
+             "75a9328b1b3c36a9c1f3bb4e79fa4e0abb2b5f1f242af61c3312b9d6eec19b71"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "553bb69646a11a6414f492788d30c77a3221c7dc607f8da921bf378adf128d83"),
+             "e6d0ff0402e7d81ae407bef3167628a8f5d3af89e76c76d468f54805a16e91f0"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json"],
     )

@@ -317,9 +317,9 @@ class TestPinnedArithmetic:
 
     def test_periodic_orbit_digits(self):
         orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))
-        assert repr(orbit.b) == "0.7836654928915208"
-        assert repr(orbit.period) == "4.437135754761857"
-        assert repr(orbit.energy_drift) == "1.0658141036401503e-14"
+        assert repr(orbit.b) == "0.7836654928915205"
+        assert repr(orbit.period) == "4.437135754761858"
+        assert repr(orbit.energy_drift) == "9.769962616701378e-15"
         assert repr(orbit.max_value) == "2.112009426855794"
 
     def test_periodic_orbit_digits_near_equilibrium(self):
@@ -332,29 +332,30 @@ class TestPinnedArithmetic:
 
     def test_periodic_orbit_digits_shifted(self):
         orbit = find_periodic(0.4, ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0))
-        assert repr(orbit.b) == "0.02853218365884202"
+        assert repr(orbit.b) == "0.028532183658842022"
         assert repr(orbit.period) == "12.394698030470373"
         assert repr(orbit.max_value) == "0.6844071248038927"
 
     def test_near_homoclinic_newton_iterations(self):
         # two doublings, N = 32 -> 128; each solve at 2 N starts from the
         # padded trial that failed the tail test at N (from the padded last
-        # orbit, these took 89 and 87)
+        # orbit, these take 65 and 67; with the continuation started at
+        # 1 - v(0)/l = 1e-3 rather than 0.03, they took 68 and 70)
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["68", "70"]
+        assert counts == ["50", "51"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
         # padded last orbit: the iterations and digits of that path alone
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "89", "1.7320508080740842e-06", "30.894024464068995", "2.213363839400393"]
+            "65", "1.7320508077939999e-06", "30.894024464273414", "2.213363839400393"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072320518", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072315717", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667972", "0.33333330241038456", "33"]
+            "0.7377879464667971", "0.33333330241055564", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

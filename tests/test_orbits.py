@@ -284,25 +284,66 @@ def test_periodic_orbits_across_the_regime(instance):
         assert _dp_half_period_error(orbit, segments) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "params, fraction",
-    [
-        (ProblemParams(n=10, alpha=5.631633655833825, p=9.264386279047944), 0.006987657359575838),
-        (ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816), 0.0008355571996189617),
-    ],
-    ids=["n10-p9.3", "n5-p11.4"],
-)
-def test_failed_continuation_steps_are_halved(params, fraction):
-    # the jump from 1 - v(0)/l = 0.512 to the target fails at N = 64 or 128
-    # and succeeds once halved
-    orbit = find_periodic(fraction * derive_coefficients(params).l, params)
-    assert orbit.continuation_steps == 12
-    assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
-
-
 N10_P9 = ProblemParams(n=10, alpha=5.631633655833825, p=9.264386279047944)
 N5_P11 = ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816)
 N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
+
+
+@pytest.mark.parametrize(
+    "params, fraction",
+    [
+        (N10_P9, 0.006987657359575838),
+        (ProblemParams(n=8, alpha=3.4700381893036125, p=9.356198689612572), 0.05237564708623536),
+    ],
+    ids=["n10-p9.3", "n8-p9.4"],
+)
+def test_failed_continuation_steps_are_halved(monkeypatch, params, fraction):
+    # the jump from 1 - v(0)/l = 0.48 to 0.96 (n10-p9.3) or to the target
+    # 0.948 (n8-p9.4) misses tol at N = 64 and succeeds once halved; with no
+    # halving allowed, that miss ends the solve
+    a = fraction * derive_coefficients(params).l
+    orbit = find_periodic(a, params)
+    assert orbit.continuation_steps == 7
+    assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
+    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    with pytest.raises(ConvergenceError, match="did not reach tol"):
+        find_periodic(a, params)
+
+
+ALIAS = ProblemParams(n=7, alpha=2.070850096417338, p=9.968139854866239,
+                      lam=1.9317413557530543, mu=2.4712632989035095)
+
+
+def test_half_period_alias_is_rejected(monkeypatch):
+    # the jump from 1 - v(0)/l = 0.48 to 0.96 meets tol at N = 32 on the
+    # orbit of twice the period, whose v(period/2) is v(0) < l; followed to
+    # the target, it gave period 74.6468.  The step is halved instead
+    l = derive_coefficients(ALIAS).l
+    a = 4.8606241398472726e-05 * l
+    orbit = find_periodic(a, ALIAS)
+    assert orbit.period == pytest.approx(37.3234077252, rel=1e-9)
+    assert orbit.max_value > l
+    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    with pytest.raises(ConvergenceError, match="half-period alias"):
+        find_periodic(a, ALIAS)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(5, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.floats(-2.0, n - 4.0, exclude_min=True, exclude_max=True),
+        st.floats(1.2, 20.0, exclude_min=True, exclude_max=True),
+        st.floats(-4.0, math.log10(0.99), exclude_min=True, exclude_max=True),
+    ))
+)
+def test_every_orbit_peaks_above_the_equilibrium(instance):
+    # int v (K0 - v^{p-1}) = 0 over a period, so an orbit with minimum
+    # a < l has its maximum above l
+    n, alpha, p, log_fraction = instance
+    params = ProblemParams(n=n, alpha=alpha, p=p)
+    l = derive_coefficients(params).l
+    assert find_periodic(10.0 ** log_fraction * l, params).max_value > l
 
 
 def _fail_first_solve_at_each_doubling(monkeypatch):
@@ -345,7 +386,7 @@ def test_doubling_fallback_is_not_a_halving(monkeypatch):
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
     seen = _fail_first_solve_at_each_doubling(monkeypatch)
     orbit = find_periodic(1e-6 * EQUILIBRIUM, B0)
-    assert seen == {32, 64, 128} and orbit.continuation_steps == 11
+    assert seen == {32, 64, 128} and orbit.continuation_steps == 7
 
 
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
