@@ -20,8 +20,9 @@ reduced equation against the Emden-Fowler weight exponent (n-4-alpha)/2.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,7 +65,9 @@ class PeriodicOrbit:
 
     The orbit is the cosine series v(t) = sum_k coefficients[k] cos(k omega t),
     which sample sums directly at any times and rows evaluates on a uniform
-    grid by inverse FFT.  newton_iterations, continuation_steps
+    grid by inverse FFT.  That grid is computed once per orbit, when first
+    read, and its energies once, when energy_drift or rows first reads
+    them; both are kept read-only.  newton_iterations, continuation_steps
     and modes count the work of the solve; to_dict leaves them out.
     """
 
@@ -75,7 +78,6 @@ class PeriodicOrbit:
     energy: float
     residual_sup: float
     in_proven_regime: bool
-    energy_drift: float
     omega: float
     coefficients: np.ndarray = field(repr=False, compare=False)
     problem: ReducedProblem = field(repr=False, compare=False)
@@ -94,8 +96,9 @@ class PeriodicOrbit:
         states = [cos @ c, sin @ (-w * c), cos @ (-w ** 2 * c), sin @ (w ** 3 * c)]
         return np.stack(states, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
 
+    @functools.cached_property
     def _grid(self):
-        """Times, states and energies at 8 N + 1 uniform times over one period.
+        """Times and states at 8 N + 1 uniform times over one period.
 
         At t_j = j T / (8 N) the m-th derivative is the real part of
         sum_k c_k (i k omega)^m e^{2 pi i k j / (8 N)}, one inverse real FFT
@@ -114,11 +117,23 @@ class PeriodicOrbit:
         states[m] = states[0]
         states += 0.0  # turns -0.0 into 0.0
         ts = np.linspace(0.0, self.period, m + 1)
-        return ts, states, self.problem.energy(states.T)
+        ts.flags.writeable = states.flags.writeable = False
+        return ts, states
+
+    @functools.cached_property
+    def _grid_energies(self) -> np.ndarray:
+        energies = self.problem.energy(self._grid[1].T)
+        energies.flags.writeable = False
+        return energies
+
+    @property
+    def energy_drift(self) -> float:
+        """Largest |E - energy| over the grid: how well the series conserves E."""
+        return float(np.max(np.abs(self._grid_energies - self.energy)))
 
     def rows(self):
         """(t, v, dv, d2v, d3v, E) rows at 8 N + 1 uniform times over one period."""
-        rows = np.column_stack(self._grid()).tolist()
+        rows = np.column_stack((*self._grid, self._grid_energies)).tolist()
         return ("t", "v", "dv", "d2v", "d3v", "E"), rows
 
     def to_dict(self) -> dict:
@@ -167,6 +182,21 @@ class SingularityVerdict:
         return {"verdict": self.verdict.value, "rate_gap": self.rate_gap}
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(n: int):
+    """k^2, k^4 and the collocation matrix cos(k tau_j) at N = n modes, read-only.
+
+    N only doubles from _MODES to _MAX_MODES, so at most five sets are kept,
+    2.8 MB in all, most of it the 512 x 512 matrix.
+    """
+    k = np.arange(n, dtype=float)
+    k2, k4 = k * k, k ** 4
+    cos = np.cos(np.outer(np.pi * (np.arange(n) + 0.5) / n, k))
+    for array in (k2, k4, cos):
+        array.flags.writeable = False
+    return k2, k4, cos
+
+
 def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: float, p: float):
     """Newton's method for the collocation system at N = len(d) modes.
 
@@ -179,36 +209,63 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     the collocation residual over the sup of v^p at the nodes, and inf when
     the Jacobian is singular or a correction is not finite.  omega enters
     only as omega^2, so a Newton path that crosses 0 returns |omega|.
+
+    The iterations write into one Jacobian and a few buffers allocated per
+    call, in the operation order of the expressions in the comments, so
+    every rounding is theirs; the caller's d is left as it was.
     """
     n = len(d)
-    k = np.arange(n, dtype=float)
-    k2, k4 = k * k, k ** 4
-    cos = np.cos(np.outer(np.pi * (np.arange(n) + 0.5) / n, k))
+    k2, k4, cos = _basis(n)
     jac = np.zeros((n + 1, n + 1))
     jac[n, :n] = 1.0
-    rhs = np.empty(n + 1)
+    block, rhs = jac[:n, :n], np.empty(n + 1)
+    res = rhs[:n]
+    symbol, x, node, mode = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    scaled = np.empty((n, n))
+    d = d.copy()
     converged = False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(_MAX_NEWTON + 1):
-            symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
-            x = np.maximum(cos @ d / l, -1.0)
-            rhs[:n] = cos @ (symbol * d) - K0 * l * np.expm1(p * np.log1p(x))
+            # symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
+            np.multiply(omega ** 4, k4, out=symbol)
+            symbol += np.multiply(K2 * omega ** 2, k2, out=mode)
+            symbol += K0
+            # x = np.maximum(cos @ d / l, -1.0)
+            np.matmul(cos, d, out=x)
+            x /= l
+            np.maximum(x, -1.0, out=x)
+            # res = cos @ (symbol * d) - K0 * l * np.expm1(p * np.log1p(x))
+            np.log1p(x, out=node)
+            node *= p
+            np.expm1(node, out=node)
+            node *= K0 * l
+            np.matmul(cos, np.multiply(symbol, d, out=mode), out=res)
+            res -= node
             if converged or iteration == _MAX_NEWTON:
                 break
             rhs[n] = d.sum() - w0
-            jac[:n, :n] = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
-            jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
+            # block = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
+            np.multiply(cos, symbol, out=block)
+            np.add(1.0, x, out=node)
+            node **= p - 1.0
+            node *= p * K0
+            block -= np.multiply(node[:, None], cos, out=scaled)
+            # jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
+            np.multiply(4.0 * omega ** 3, k4, out=mode)
+            mode += np.multiply(2.0 * K2 * omega, k2, out=node)
+            mode *= d
+            jac[:n, n] = np.matmul(cos, mode, out=node)
             try:
                 step = np.linalg.solve(jac, -rhs)
             except np.linalg.LinAlgError:
                 return d, omega, iteration + 1, math.inf
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 return d, omega, iteration + 1, math.inf
-            d = d + step[:n]
+            d += step[:n]
             omega += step[n]
-            converged = (np.max(np.abs(step[:n])) <= _STEP_TOL * np.max(np.abs(d))
+            converged = (np.abs(step[:n], out=mode).max() <= _STEP_TOL * np.abs(d, out=node).max()
                          and abs(step[n]) <= _STEP_TOL * omega)
-        residual = float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+        residual = float(np.abs(res).max() / (K0 * l * ((1.0 + x) ** p).max()))
     return d, abs(omega), iteration, residual
 
 
@@ -296,26 +353,22 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
 
     k = np.arange(len(d), dtype=float)
     b = float(-omega * omega * np.sum(k * k * d))
-    energy0 = float(problem.energy((a, 0.0, b, 0.0)))
     c = d.copy()
     c[0] += l
-    orbit = PeriodicOrbit(
+    return PeriodicOrbit(
         a=float(a),
         b=b,
         period=float(2.0 * math.pi / omega),
         max_value=float(l + np.sum(np.where(k % 2 == 0, d, -d))),
-        energy=energy0,
+        energy=float(problem.energy((a, 0.0, b, 0.0))),
         residual_sup=residual,
         in_proven_regime=bool(in_regime),
-        energy_drift=0.0,
         omega=float(omega),
         coefficients=c,
         problem=problem,
         newton_iterations=iterations,
         continuation_steps=steps,
     )
-    drift = np.max(np.abs(orbit._grid()[2] - energy0))
-    return replace(orbit, energy_drift=float(drift))
 
 
 def _prony_decay_rate(x: np.ndarray, h: float) -> float:
@@ -342,7 +395,9 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     homoclinic loop: its maximum at T/2 differs from the profile's peak by
     O(a^2), and away from its minimum it differs from the profile by O(a).
     Everything is read off the orbit's uniform grid of 8 N + 1 times
-    (PeriodicOrbit._grid) on the half period s = t - T/2 >= 0:
+    (PeriodicOrbit._grid, computed once) on the half period s = t - T/2 >= 0,
+    from a copy, so that the orbit keeps its grid.  No energy is computed
+    here; samples.rows() computes the E column when CSV output asks for it:
 
     - peak = max_value; the first sample is the peak state (peak, 0,
       -sqrt(-2 G(peak)), 0) on the zero-energy level, so the odd
@@ -366,9 +421,9 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
             f"uniqueness regime requires K2^2 - 4 K0 >= 0, got {coeff.discriminant}"
         )
     orbit = find_periodic(_HOMOCLINIC_MIN * coeff.l, params)
-    ts, states, _ = orbit._grid()
+    ts, states = orbit._grid
     half = len(ts) // 2  # t = T/2, as 8 N is even
-    s, states = ts[half:] - ts[half], states[half:]
+    s, states = ts[half:] - ts[half], states[half:].copy()  # the orbit keeps its grid
     v, h = states[:, 0], float(s[1])
     peak, floor = orbit.max_value, 1e3 * orbit.a
     g = potential(peak, K0, params.p)

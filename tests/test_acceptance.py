@@ -132,14 +132,14 @@ def test_periodic_work_counts():
     )
 
 
-def test_periodic_work_outside_newton(monkeypatch):
-    # the energy of the start state, one array energy over the whole drift
-    # grid, and one coefficient derivation per solve
+def _count_work(monkeypatch):
+    """Count energy calls, array and scalar apart, derive_coefficients calls
+    and inverse real FFTs; returns the dict of counts."""
     import radial4.dynamics
     import radial4.params
 
-    calls = {"array energy": 0, "scalar energy": 0, "derive_coefficients": 0}
-    energy = radial4.dynamics.energy
+    calls = {"array energy": 0, "scalar energy": 0, "derive_coefficients": 0, "irfft": 0}
+    energy, irfft = radial4.dynamics.energy, np.fft.irfft
     derive = radial4.params.derive_coefficients
 
     def counted_energy(y, *args):
@@ -150,17 +150,60 @@ def test_periodic_work_outside_newton(monkeypatch):
         calls["derive_coefficients"] += 1
         return derive(*args)
 
+    def counted_irfft(*args):
+        calls["irfft"] += 1
+        return irfft(*args)
+
     monkeypatch.setattr(radial4.dynamics, "energy", counted_energy)
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("radial4"):
             for name, value in list(vars(module).items()):
                 if value is derive:
                     monkeypatch.setattr(module, name, counted_derive)
-    find_periodic(1.0, B0)
+    return calls
+
+
+def test_periodic_work_outside_newton(monkeypatch):
+    # the solve: the energy of the start state and one coefficient
+    # derivation.  The grid (4 inverse FFTs) and its array energy wait for
+    # the first read of energy_drift, and rows reuses both
+    calls = _count_work(monkeypatch)
+    orbit = find_periodic(1.0, B0)
+    counts = [dict(calls)]
+    orbit.energy_drift
+    counts.append(dict(calls))
+    orbit.rows()
+    counts.append(dict(calls))
+    solve = {"array energy": 0, "scalar energy": 1, "derive_coefficients": 1, "irfft": 0}
+    read = dict(solve, **{"array energy": 1, "irfft": 4})
     _report(
         "periodic work outside Newton",
-        calls == {"array energy": 1, "scalar energy": 1, "derive_coefficients": 1},
-        f"calls per find_periodic(1.0, B0) = {calls}",
+        counts == [solve, read, read],
+        f"calls after find_periodic(1.0, B0), energy_drift and rows() = {counts}",
+    )
+
+
+def test_homoclinic_work_outside_newton(monkeypatch):
+    # one periodic solve, one grid (4 inverse FFTs) read off it, and no
+    # array energy: the JSON document holds none
+    from radial4 import orbits
+
+    calls = _count_work(monkeypatch)
+    periodic = orbits.find_periodic
+    solves = []
+
+    def counted(*args):
+        solves.append(args[0])
+        return periodic(*args)
+
+    monkeypatch.setattr(orbits, "find_periodic", counted)
+    find_homoclinic(B0)
+    ok = len(solves) == 1 and calls["irfft"] == 4 and calls["array energy"] == 0
+    _report(
+        "homoclinic work outside Newton",
+        ok,
+        f"{len(solves)} find_periodic calls and {calls} in find_homoclinic(B0)",
     )
 
 

@@ -174,8 +174,10 @@ class TestHomoclinic:
              "75a9328b1b3c36a9c1f3bb4e79fa4e0abb2b5f1f242af61c3312b9d6eec19b71"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
              "e6d0ff0402e7d81ae407bef3167628a8f5d3af89e76c76d468f54805a16e91f0"),
+            (["--n", "6", "--alpha", "-4", "--p", "5"],
+             "17b4b16edeaa05de9f388410d5544e2b39f1e2416fb064efb47716a050eceec2"),
         ],
-        ids=["b0-csv", "shifted-csv", "n7-p2-json"],
+        ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )
     def test_homoclinic_bytes(self, flags, digest):
         # every digit of the profile, as the orbit at a = 1e-6 l gave it; a
@@ -183,6 +185,16 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli", "homoclinic"] + flags)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    def test_sweep_orbit_bytes(self):
+        # two orbits solved in one process, each with its energy_drift: the
+        # per-N matrices kept from the first solve must leave every digit of
+        # the second; a fresh interpreter, as above
+        argv = ["sweep", "orbit"] + B0_FLAGS + ["--vary", "a=0.5:1.2:2", "--format", "json"]
+        proc = run_child(["-m", "radial4.cli"] + argv)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "427ef3ca87ad1310bbe38a761e0aba78d51ab4288f9d156cfbb6a3e69196961b")
 
 
 class TestBestConstant:

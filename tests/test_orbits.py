@@ -248,6 +248,19 @@ class TestPeriodicOracles:
         limit_45 = (1e-4 * c5 - 1e-5 * c4) / (1e-4 - 1e-5)
         assert abs(limit_34 - limit_45) <= 1e-3
 
+    @pytest.mark.parametrize("params", [B0, SHIFTED], ids=["b0", "shifted"])
+    def test_near_homoclinic_period_law(self, params):
+        # near the loop T(a) = (2/lambda2) ln(1/a) + const + O(a^2), as
+        # lambda1 = 3 lambda2 here, and v''(0) = b -> lambda2^2 a.  Met to
+        # 3.1e-8 and 7.0e-8 in T, 1.9e-8 in b; N = 128 and 256 modes
+        coeff = derive_coefficients(params)
+        near, nearer = (find_periodic(f * coeff.l, params) for f in (1e-6, 1e-8))
+        assert nearer.modes == 256
+        law = 2.0 / coeff.lam2 * math.log(100.0)
+        assert abs(nearer.period - near.period - law) <= 1e-6
+        for orbit in (near, nearer):
+            assert abs(orbit.b / (coeff.lam2 ** 2 * orbit.a) - 1.0) <= 1e-6
+
 
 @st.composite
 def periodicity_instances(draw):
@@ -506,6 +519,102 @@ class TestFindHomoclinic:
 
     def test_to_dict_keys(self, homoclinic_b0):
         assert set(homoclinic_b0.to_dict()) == {"peak", "decay_rate"}
+
+
+def _plain_collocate(d, omega, w0, l, K2, K0, p):
+    """orbits._collocate with every array built afresh by an expression."""
+    n = len(d)
+    k = np.arange(n, dtype=float)
+    k2, k4 = k * k, k ** 4
+    cos = np.cos(np.outer(np.pi * (np.arange(n) + 0.5) / n, k))
+    jac = np.zeros((n + 1, n + 1))
+    jac[n, :n] = 1.0
+    rhs = np.empty(n + 1)
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iteration in range(orbits._MAX_NEWTON + 1):
+            symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
+            x = np.maximum(cos @ d / l, -1.0)
+            rhs[:n] = cos @ (symbol * d) - K0 * l * np.expm1(p * np.log1p(x))
+            if converged or iteration == orbits._MAX_NEWTON:
+                break
+            rhs[n] = d.sum() - w0
+            jac[:n, :n] = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
+            jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
+            step = np.linalg.solve(jac, -rhs)
+            d = d + step[:n]
+            omega += step[n]
+            converged = (np.max(np.abs(step[:n])) <= orbits._STEP_TOL * np.max(np.abs(d))
+                         and abs(step[n]) <= orbits._STEP_TOL * omega)
+        residual = float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+    return d, abs(omega), iteration, residual
+
+
+class TestReusedArrays:
+    """The per-N matrices, the Newton buffers and the orbit's grid are kept
+    or reused between calls; none of them may carry state from one to the next."""
+
+    def test_cached_basis_is_read_only(self):
+        for array in orbits._basis(orbits._MODES):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_orbit_grid_is_read_only(self, orbit_b0):
+        for array in orbit_b0._grid + (orbit_b0._grid_energies,):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_homoclinic_leaves_its_orbit_grid(self, monkeypatch):
+        # find_homoclinic writes the peak state into its copy of the grid
+        periodic, kept = orbits.find_periodic, []
+
+        def keeping(*args):
+            orbit = periodic(*args)
+            kept.append((orbit, [array.copy() for array in orbit._grid]))
+            return orbit
+
+        monkeypatch.setattr(orbits, "find_periodic", keeping)
+        find_homoclinic(B0)
+        (orbit, before), = kept
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(orbit._grid, before))
+
+    def test_collocate_repeats_bit_for_bit(self):
+        # the same start twice, with a solve at another N in between, gives
+        # the same bits; the start itself is left unchanged
+        coeff = derive_coefficients(B0)
+        K2, K0, p, l = coeff.K2, coeff.K0, B0.p, coeff.l
+        omega = linearized_frequency(K2, K0, p)
+
+        def start(n):
+            d = np.zeros(n)
+            d[1] = -0.03 * l
+            return d
+
+        d = start(orbits._MODES)
+        first = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p)
+        orbits._collocate(start(2 * orbits._MODES), omega, -0.03 * l, l, K2, K0, p)
+        second = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p)
+        assert d.tobytes() == start(orbits._MODES).tobytes()
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1:] == second[1:] and first[3] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "params, eps, n",
+        [(B0, 0.03, 32), (B0, 0.5, 64), (ProblemParams(n=7, alpha=1.0, p=3.0), 0.2, 32),
+         (ProblemParams(n=5, alpha=0.5, p=2.0, mu=1.0), 0.3, 64)],
+        ids=["b0", "b0-n64", "p3", "p2"],
+    )
+    def test_collocate_matches_plain_expressions(self, params, eps, n):
+        # every iterate of the buffered Newton solve, bit for bit, against
+        # the same solve written as whole-array expressions (p = 2 and 3
+        # take numpy's fast paths for ** 1.0 and ** 2.0)
+        coeff = derive_coefficients(params)
+        K2, K0, p, l = coeff.K2, coeff.K0, params.p, coeff.l
+        d = np.zeros(n)
+        d[1] = -eps * l
+        args = (d, linearized_frequency(K2, K0, p), -eps * l, l, K2, K0, p)
+        got, want = orbits._collocate(*args), _plain_collocate(*args)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 
 class TestClassifySingularity:
