@@ -6,7 +6,15 @@ whose coefficients and frequency solve a collocation system by Newton's
 method (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001;
 Viswanath, SIAM Rev. 43 (2001) 478), continued from the small orbits about
 the equilibrium l.  A global method has none of the e^{lambda t} growth of
-round-off that limits shooting on these hyperbolic loops.
+round-off that limits shooting on these hyperbolic loops.  Each Newton solve
+stops on Deuflhard's contraction monitor (Newton Methods for Nonlinear
+Problems, 2004, ch. 2): converged once the next correction is estimated
+below round-off, or once the correction stops shrinking at a residual
+already within tol; failed once it grows twice in a row.  Each continuation
+step starts from the secant through the last two orbits or, for a large cut
+in a near the homoclinic loop, from Lin's seed (X.-B. Lin, Proc. Roy. Soc.
+Edinburgh 116A (1990) 401); a predicted start that fails falls back once to
+the last orbit.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -38,6 +46,7 @@ _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
+_MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
 
 
 def potential(s: float, K0: float, p: float) -> float:
@@ -197,18 +206,31 @@ def _basis(n: int):
     return k2, k4, cos
 
 
-def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: float, p: float):
+def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: float, p: float,
+               tol: float):
     """Newton's method for the collocation system at N = len(d) modes.
 
     The unknowns are omega and the coefficients d of w = v - l.  Since
     K0 l = l^p, the equation reads L[w] = K0 l expm1(p log1p(w/l)), whose
     round-off is relative to w rather than to l; otherwise a small orbit's
     period would carry an error of order 1e-16 / (1 - a/l).  Returns (d,
-    omega, iterations, residual).  The iteration stops once a correction is
-    at round-off level, or after _MAX_NEWTON steps; residual is the sup of
-    the collocation residual over the sup of v^p at the nodes, and inf when
-    the Jacobian is singular or a correction is not finite.  omega enters
-    only as omega^2, so a Newton path that crosses 0 returns |omega|.
+    omega, iterations, residual): iterations counts the linear solves, and
+    residual is the sup of the collocation residual over the sup of v^p at
+    the nodes.  omega enters only as omega^2, so a Newton path that crosses
+    0 returns |omega|.
+
+    The stop follows the contraction theta = |D_k| / |D_{k-1}| of the
+    relative corrections D (the larger of max |dd| / max |d| and |domega| /
+    |omega|), Deuflhard's affine-invariant monitor (Newton Methods for
+    Nonlinear Problems, 2004, ch. 2).  The solve has converged once |D_k|
+    <= _STEP_TOL, or once theta < 1/2 and theta |D_k| <= _STEP_TOL, the next
+    correction's estimate; then the residual is evaluated at the corrected
+    iterate.  It has also converged when the correction stops shrinking
+    (theta >= 1) at an iterate whose residual is already at most tol: that
+    correction is rounding, and the iterate is returned without it.  It has
+    failed (residual inf) when the correction grows twice in a row, when the
+    Jacobian is singular or a correction is not finite, and it ends after
+    _MAX_NEWTON steps.
 
     The iterations write into one Jacobian and a few buffers allocated per
     call, in the operation order of the expressions in the comments, so
@@ -223,7 +245,12 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     symbol, x, node, mode = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     scaled = np.empty((n, n))
     d = d.copy()
-    converged = False
+    converged = grew = False
+    last = math.nan  # |D_{k-1}|; theta is nan on the first step, which passes no theta test
+
+    def relative_residual():
+        return float(np.abs(res).max() / (K0 * l * ((1.0 + x) ** p).max()))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(_MAX_NEWTON + 1):
             # symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
@@ -261,12 +288,62 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
                 return d, omega, iteration + 1, math.inf
             if not np.isfinite(step).all():
                 return d, omega, iteration + 1, math.inf
+            # delta = max(max |step_d| / max |d|, |step_omega / omega|)
+            delta = max(np.abs(step[:n], out=mode).max() / np.abs(d, out=node).max(),
+                        abs(step[n] / omega))
+            theta, last = delta / last, delta
+            if theta >= 1.0:
+                residual = relative_residual()
+                if residual <= tol:  # the correction is rounding
+                    return d, abs(omega), iteration + 1, residual
+                if grew and theta > 1.0:
+                    return d, omega, iteration + 1, math.inf
+            grew = theta > 1.0
             d += step[:n]
             omega += step[n]
-            converged = (np.abs(step[:n], out=mode).max() <= _STEP_TOL * np.abs(d, out=node).max()
-                         and abs(step[n]) <= _STEP_TOL * omega)
-        residual = float(np.abs(res).max() / (K0 * l * ((1.0 + x) ** p).max()))
+            converged = delta <= _STEP_TOL or theta < 0.5 and theta * delta <= _STEP_TOL
+        residual = relative_residual()
     return d, abs(omega), iteration, residual
+
+
+def _predict(d: np.ndarray, omega: float, done: float, before, eps: float, l: float, lam2):
+    """Start for the continuation step from the orbit (d, omega) at 1 - a/l =
+    done > 0 to the orbit at 1 - a/l = eps.
+
+    A step that cuts a = l (1 - eps) more than tenfold from done >= 1/2,
+    with real rates (lam2, the slow one, is not None), starts from Lin's
+    seed: near the homoclinic loop an orbit is a chain of humps joined along
+    the slow decay e^{-lam2 |s|} (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
+    (1990) 401), so the period grows by (2/lam2) ln(a_old/a_new).  v at the
+    nodes is the old hump about the new half period T/2, continued by
+    a_old e^{-lam2 (|s| - T_old/2)} beyond it, where s = t - T/2.  The
+    columns of the collocation matrix are orthogonal (the sum over the nodes
+    of cos(i tau) cos(k tau) is N/2 for i = k > 0, N for i = k = 0, else 0),
+    so one product with its transpose projects v - l onto the cosines.  Any
+    other step starts from the secant through before = (d0, omega0, eps0),
+    the orbit accepted before d with d0 padded to len(d), and (d, omega,
+    done).
+    """
+    n = len(d)
+    a_old, a_new = l * (1.0 - done), l * (1.0 - eps)
+    if lam2 is not None and done >= 0.5 and a_old > 10.0 * a_new:
+        period = 2.0 * math.pi / omega
+        new_omega = 2.0 * math.pi / (period + 2.0 / lam2 * math.log(a_old / a_new))
+        k = np.arange(n)
+        _, _, cos = _basis(n)
+        s = (math.pi - math.pi / n * (k + 0.5)) / new_omega  # |s| at the nodes
+        hump = s <= 0.5 * period
+        w = a_old * np.exp(-lam2 * (s - 0.5 * period)) - l
+        # on the hump v(T_old/2 + s) - l = sum_k (-1)^k d_k cos(k omega s)
+        w[hump] = np.cos(np.multiply.outer(omega * s[hump], k)) @ np.where(k % 2 == 0, d, -d)
+        seed = 2.0 / n * (cos.T @ w)
+        seed[0] *= 0.5
+        return seed, new_omega
+    d0, omega0, eps0 = before
+    r = (eps - done) / (done - eps0)
+    guess = (1.0 + r) * d
+    guess[:len(d0)] -= r * d0
+    return guess, omega + r * (omega - omega0)
 
 
 def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> PeriodicOrbit:
@@ -277,23 +354,31 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     omega^4 v'''' - K2 omega^2 v'' + K0 v - max(v, 0)^p = 0 (derivatives in
     tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine
     (c, omega); Newton's method solves them with the analytic Jacobian,
-    written for w = v - l (see _collocate).  The minimum a is reached by
-    continuation in eps = 1 - a/l, doubling eps from min(0.03, 1 - a/l)
-    and starting from the linearized orbit c_0 = l, c_1 = -eps l, omega =
-    linearized_frequency.  A step on which Newton fails (a singular
-    Jacobian, a non-finite correction, a relative residual above tol, or
-    v(pi/omega) <= l) is halved and tried again.  The last test rejects
-    the half-period alias, an orbit of twice the period with v(pi/omega)
-    = a: integrating the equation over a period gives int v (K0 - v^{p-1})
-    = 0, so an orbit with minimum a < l has its maximum above l.  N starts
-    at 32 and doubles until the last four coefficients of w are below
-    1e-15 of its largest; the solve at 2 N starts from the zero-padded
-    trial that failed that test and, should Newton fail there, once more
-    from the padded last orbit, which is not a halving.  period = 2 pi /
-    omega, b = v''(0) and max_value = v(pi/omega) are read off the
-    coefficients.  Raises ConvergenceError after the sixth halving or when
-    N would pass 512, ValidationError for a outside (0, l) or tol outside
-    (0, 1e-4], RegimeError when no positive equilibrium exists.
+    written for w = v - l, and stops on a contraction monitor (see
+    _collocate).  The minimum a is reached by continuation in eps = 1 - a/l,
+    doubling eps from min(0.03, 1 - a/l).  The first step starts from the
+    linearized orbit c_0 = l, c_1 = -eps l, omega = linearized_frequency;
+    every later one from a prediction (_predict): the secant through the
+    last two accepted orbits, the equilibrium counting as the first, or
+    Lin's seed for a tenfold cut in a near the homoclinic loop.  A predicted
+    start on which Newton fails is tried once more from the last orbit,
+    which is not a halving.  A step on which Newton fails from the last
+    orbit (a singular Jacobian, a non-finite or twice-growing correction, a
+    relative residual above tol, or an alias) is halved and tried again.
+    Two tests reject aliases.  v(pi/omega) <= l marks the half-period
+    alias, an orbit of twice the period with v(pi/omega) = a: integrating
+    the equation over a period gives int v (K0 - v^{p-1}) = 0, so an orbit
+    with minimum a < l has its maximum above l.  d_1 >= -0.01 max |d| marks
+    a k-fold alias, whose modes are k, 2k, ... only, so that d_1 = 0; the
+    period-tripled alias passes the first test.  N starts at 32 and doubles
+    until the last four coefficients of w are below 1e-15 of its largest;
+    the solve at 2 N starts from the zero-padded trial that failed that
+    test and, should Newton fail there, once more from the padded last
+    orbit, again not a halving.  period = 2 pi / omega, b = v''(0) and
+    max_value = v(pi/omega) are read off the coefficients.  Raises
+    ConvergenceError after the sixth halving or when N would pass 512,
+    ValidationError for a outside (0, l) or tol outside (0, 1e-4],
+    RegimeError when no positive equilibrium exists.
     """
     coeff = derive_coefficients(params)
     problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
@@ -311,45 +396,57 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     in_regime = report.periodicity_regime or report.uniqueness_ok
 
     K2, K0, p = problem.K2, problem.K0, problem.p
+    lam2 = float(coeff.lam2) if K2 > 0.0 and coeff.discriminant >= 0.0 else None
     eps_target = 1.0 - a / l
     eps = min(0.03, eps_target)
     d = np.zeros(_MODES)
     d[1] = -eps * l
     omega = linearized_frequency(K2, K0, p)
+    before = np.zeros(1), omega, 0.0  # the orbit accepted before d: at first the equilibrium
     done = 0.0  # eps of the last orbit solved; 0 is the equilibrium
-    restart = None  # the padded trial orbit, tried before d after a doubling
+    start = d, omega  # the linearized orbit
     iterations = steps = retries = 0
     while True:
         w0 = a - l if eps >= eps_target else -eps * l
-        start, restart = restart or (d, omega), None
-        trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p)
+        if start is None:
+            start = _predict(d, omega, done, before, eps, l, lam2) if done > 0.0 else (d, omega)
+        trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol)
         iterations += its
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
-        alias = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
-        if not residual <= tol or alias:
+        half = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
+        folded = not trial[1] < -_MODE1_MIN * np.abs(trial).max()  # d_1 ~ 0
+        if not residual <= tol or half or folded:
             if start[0] is not d:
-                continue  # solve again from the padded last orbit, not a halving
+                start = d, omega  # solve again from the last orbit, not a halving
+                continue
             # halve the continuation step
             retries += 1
             if retries > _MAX_RETRIES:
-                raise ConvergenceError(
-                    f"collocation residual {residual:.3e} did not reach tol={tol:.3e} {where}"
-                    if not residual <= tol else f"collocation met only the half-period alias {where}"
-                )
+                if not residual <= tol:
+                    reason = f"collocation residual {residual:.3e} did not reach tol={tol:.3e}"
+                elif half:
+                    reason = "collocation met only the half-period alias"
+                else:
+                    reason = f"collocation met only a k-fold alias, d_1 = {trial[1]:.3e},"
+                raise ConvergenceError(f"{reason} {where}")
             eps = 0.5 * (done + eps)
+            start = None
             continue
         if np.max(np.abs(trial[-4:])) > _TAIL_TOL * np.max(np.abs(trial)):
             # solve again with twice the modes, from the padded trial
             if 2 * len(d) > _MAX_MODES:
                 raise ConvergenceError(f"Fourier tail still above 1e-15 {where}")
             d = np.concatenate([d, np.zeros_like(d)])
-            restart = np.concatenate([trial, np.zeros_like(trial)]), trial_omega
+            start = np.concatenate([trial, np.zeros_like(trial)]), trial_omega
             continue
+        if done > 0.0:  # until the first step is accepted, d is the linearized orbit
+            before = d, omega, done
         d, omega, done = trial, trial_omega, eps
         steps += 1
         if eps >= eps_target:
             break
         eps = min(eps_target, 2.0 * eps)
+        start = None
 
     k = np.arange(len(d), dtype=float)
     b = float(-omega * omega * np.sum(k * k * d))

@@ -127,7 +127,7 @@ def test_periodic_work_counts():
         counts.append((orbit.newton_iterations, orbit.continuation_steps, orbit.modes))
     _report(
         "periodic work counts",
-        counts == [(25, 5, 32), (3, 1, 32)],
+        counts == [(18, 5, 32), (2, 1, 32)],
         f"(Newton iterations, continuation steps, modes) = {counts} at a = 1 and l - 1e-3",
     )
 

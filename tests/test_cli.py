@@ -138,11 +138,11 @@ class TestOrbit:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            pytest.param("1.0", "809ffce121511fa913467fba464c18416507e497db51c633893c4b329f874048",
+            pytest.param("1.0", "bb40c79969163171a99d263a3f44289c924e7a2f1126450a24e4ea85c48ccc79",
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "a1d8107b3038169b5a4621f6872aa2bf411ded5a2cf3843c4b28f54b48228cec",
+                         "ed30d80fb98c58e75183c53e57df5971c0cedf874af8ab86846fc48b7f87ac24",
                          id="1e-3l"),
         ],
     )
@@ -169,13 +169,13 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "c528da492f1a80cffc0b86c3e7b69ae6ec779bbddba0df27b0f651cc34a00e93"),
+             "61c16c4657b336d6932ebb1e2b1f95b3b824a1e40636940a149af639b55a7213"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "75a9328b1b3c36a9c1f3bb4e79fa4e0abb2b5f1f242af61c3312b9d6eec19b71"),
+             "3938a746595996b80fe03a3b61eae94270342fa41aeac921e6799be72db2ab96"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "e6d0ff0402e7d81ae407bef3167628a8f5d3af89e76c76d468f54805a16e91f0"),
+             "43e682aceb0536771927c369f5e38ebe0bc9723f4597d395b99897d28145037f"),
             (["--n", "6", "--alpha", "-4", "--p", "5"],
-             "17b4b16edeaa05de9f388410d5544e2b39f1e2416fb064efb47716a050eceec2"),
+             "19db56e6f81da9719a6c83ef641ab085447869fe4d4cfcde061d4e447c8fe2be"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )
@@ -194,7 +194,7 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "427ef3ca87ad1310bbe38a761e0aba78d51ab4288f9d156cfbb6a3e69196961b")
+            "378fd76c5f969764ed75609261eeeb1aac28d556e8ce96b15e037633b2bf9f8d")
 
 
 class TestBestConstant:

@@ -317,16 +317,16 @@ class TestPinnedArithmetic:
 
     def test_periodic_orbit_digits(self):
         orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))
-        assert repr(orbit.b) == "0.7836654928915205"
+        assert repr(orbit.b) == "0.783665492891521"
         assert repr(orbit.period) == "4.437135754761858"
-        assert repr(orbit.energy_drift) == "9.769962616701378e-15"
+        assert repr(orbit.energy_drift) == "1.4210854715202004e-14"
         assert repr(orbit.max_value) == "2.112009426855794"
 
     def test_periodic_orbit_digits_near_equilibrium(self):
         # a single Newton solve from the linearized orbit
         params = ProblemParams(n=6, alpha=0.0, p=5.0)
         orbit = find_periodic(derive_coefficients(params).l - 1e-3, params)
-        assert repr(orbit.b) == "0.002807142454377176"
+        assert repr(orbit.b) == "0.002807142454377177"
         assert repr(orbit.period) == "3.7480695543341698"
         assert repr(orbit.max_value) == "1.7330496218589106"
 
@@ -339,23 +339,42 @@ class TestPinnedArithmetic:
     def test_near_homoclinic_newton_iterations(self):
         # two doublings, N = 32 -> 128; each solve at 2 N starts from the
         # padded trial that failed the tail test at N (from the padded last
-        # orbit, these take 65 and 67; with the continuation started at
-        # 1 - v(0)/l = 1e-3 rather than 0.03, they took 68 and 70)
+        # orbit, these take 46 and 46), each continuation step from the
+        # secant, and the jump from 1 - v(0)/l = 0.96 to 1 - 1e-6 from Lin's
+        # seed.  Started from the last orbit and stopped only on a correction
+        # below _STEP_TOL, these took 50 and 51
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["50", "51"]
+        assert counts == ["30", "30"]
+
+    def test_homoclinic_newton_iterations_per_mode_count(self):
+        # find_homoclinic(B0): the continuation at N = 32, one solve at
+        # N = 64 on the padded trial and the jump to 1 - 1e-6 from Lin's seed,
+        # then the padded trial at N = 128 (33, 13 and 4 before the
+        # contraction monitor, the secant and Lin's seed)
+        assert _fresh(
+            "from radial4 import ProblemParams, find_homoclinic, orbits\n"
+            "collocate, counts = orbits._collocate, {}\n"
+            "def counting(d, *args):\n"
+            "    out = collocate(d, *args)\n"
+            "    counts[len(d)] = counts.get(len(d), 0) + out[2]\n"
+            "    return out\n"
+            "orbits._collocate = counting\n"
+            "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
+            "print(*(f'{n}:{count}' for n, count in sorted(counts.items())))\n"
+        ) == ["32:24", "64:4", "128:2"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
         # padded last orbit: the iterations and digits of that path alone
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "65", "1.7320508077939999e-06", "30.894024464273414", "2.213363839400393"]
+            "46", "1.7320508075621993e-06", "30.894024464702497", "2.2133638394003934"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072315717", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072316699", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667971", "0.33333330241055564", "33"]
+            "0.7377879464667972", "0.3333333024106051", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

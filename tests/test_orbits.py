@@ -1,6 +1,8 @@
 """Periodic and decaying orbit solvers plus singularity classification."""
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,6 +264,27 @@ class TestPeriodicOracles:
             assert abs(orbit.b / (coeff.lam2 ** 2 * orbit.a) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("params", [B0, SHIFTED], ids=["b0", "shifted"])
+@pytest.mark.parametrize("fraction", [1e-8, 1e-10])
+def test_newton_stops_at_the_rounding_floor(monkeypatch, params, fraction):
+    # below about 1e-8 l the correction stalls at rounding above _STEP_TOL
+    # once the residual is near 1e-15; each such solve ran all _MAX_NEWTON
+    # iterations (two at 1e-8 l on B0, three at 1e-10 l) before Newton
+    # stopped on a correction that no longer shrinks.  The stop is a
+    # convergence: no solve on the way fails
+    collocate, solves = orbits._collocate, []
+
+    def recording(*args):
+        out = collocate(*args)
+        solves.append(out[2:])
+        return out
+
+    monkeypatch.setattr(orbits, "_collocate", recording)
+    orbit = find_periodic(fraction * derive_coefficients(params).l, params)
+    assert all(its < orbits._MAX_NEWTON and residual <= 1e-8 for its, residual in solves)
+    assert orbit.residual_sup <= 1e-8 and orbit.modes == 256
+
+
 @st.composite
 def periodicity_instances(draw):
     """lambda = mu = 0 and alpha in (-2, n-4): the paper's periodicity regime."""
@@ -325,20 +348,77 @@ def test_failed_continuation_steps_are_halved(monkeypatch, params, fraction):
 
 ALIAS = ProblemParams(n=7, alpha=2.070850096417338, p=9.968139854866239,
                       lam=1.9317413557530543, mu=2.4712632989035095)
+TRIPLED = ProblemParams(n=7, alpha=1.4972, p=9.3859, lam=2.4441)
+
+
+def _inject_alias(monkeypatch, target, fold, times=2):
+    """Make the first `times` Newton solves aimed at sum d_k = w0 = target
+    return the fold-fold alias of the orbit they reached, d_{fold k} = d_k
+    at omega / fold, with the same residual.  Two calls cover the predicted
+    start and its fallback to the last orbit, so the step must be halved.
+    Returns the list of aliases returned and the list of (w0, N) of every
+    call."""
+    collocate, aliases, calls = orbits._collocate, [], []
+
+    def aliasing(d, omega, w0, l, *args):
+        trial, trial_omega, its, residual = collocate(d, omega, w0, l, *args)
+        calls.append((w0, len(d)))
+        if w0 != target or len(aliases) == times:
+            return trial, trial_omega, its, residual
+        alias = np.zeros_like(trial)
+        alias[::fold] = trial[:len(alias[::fold])]
+        aliases.append((alias, trial_omega / fold))
+        return alias, trial_omega / fold, its, residual
+
+    monkeypatch.setattr(orbits, "_collocate", aliasing)
+    return aliases, calls
 
 
 def test_half_period_alias_is_rejected(monkeypatch):
-    # the jump from 1 - v(0)/l = 0.48 to 0.96 meets tol at N = 32 on the
-    # orbit of twice the period, whose v(period/2) is v(0) < l; followed to
-    # the target, it gave period 74.6468.  The step is halved instead
+    # the orbit of twice the period meets tol with v(period/2) = v(0) < l.
+    # From the linearized and last-orbit starts alone, Newton reached it on
+    # the jump from 1 - v(0)/l = 0.48 to 0.96 and, followed to the target, it
+    # gave period 74.6468.  Injected on the step to 0.48, which the solve
+    # otherwise takes without a halving, it is rejected: the step is halved
+    # to 0.36, and with no halving allowed the solve ends there
     l = derive_coefficients(ALIAS).l
     a = 4.8606241398472726e-05 * l
+    eps = 16 * 0.03  # the fifth step, as the doublings of 0.03 round it
+    aliases, calls = _inject_alias(monkeypatch, -eps * l, 2)
     orbit = find_periodic(a, ALIAS)
+    assert len(aliases) == 2 and all(d[::2].sum() - d[1::2].sum() < 0.0 for d, _ in aliases)
+    assert -0.5 * (0.5 * eps + eps) * l in [w0 for w0, _ in calls]
     assert orbit.period == pytest.approx(37.3234077252, rel=1e-9)
     assert orbit.max_value > l
+    aliases.clear()
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
     with pytest.raises(ConvergenceError, match="half-period alias"):
         find_periodic(a, ALIAS)
+
+
+def test_period_tripled_alias_is_rejected(monkeypatch):
+    # the orbit of three times the period (58.06 against 19.35 here) peaks
+    # above l at its half period, as the orbit does, so only its vanishing
+    # fundamental mode d_1 tells it apart; rejected, the step is halved
+    l = derive_coefficients(TRIPLED).l
+    a = 0.0023 * l
+    plain = find_periodic(a, TRIPLED)
+    assert plain.period == pytest.approx(19.3534799, rel=1e-7)
+    aliases, calls = _inject_alias(monkeypatch, a - l, 3)
+    orbit = find_periodic(a, TRIPLED)
+    (first, omega), _ = aliases
+    assert first[::2].sum() - first[1::2].sum() > 0.0 and first[1] == 0.0
+    assert 2.0 * math.pi / omega == pytest.approx(58.06, rel=1e-3)
+    assert orbit.continuation_steps == plain.continuation_steps + 1
+    halved = [w0 for w0, _ in calls if a - l < w0 < -0.96 * l]
+    assert halved and len(set(halved)) == 1
+    for name in ("period", "b", "max_value"):
+        assert getattr(orbit, name) == pytest.approx(getattr(plain, name), rel=1e-9)
+    assert orbit.coefficients[1] < 0.0
+    aliases.clear()
+    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    with pytest.raises(ConvergenceError, match="k-fold alias"):
+        find_periodic(a, TRIPLED)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -357,6 +437,47 @@ def test_every_orbit_peaks_above_the_equilibrium(instance):
     params = ProblemParams(n=n, alpha=alpha, p=p)
     l = derive_coefficients(params).l
     assert find_periodic(10.0 ** log_fraction * l, params).max_value > l
+
+
+def _random_draws(seed, count=250):
+    """Instances over the whole admissible region: n in 5..10, alpha in
+    (-2, n-4), p log-uniform in (1.2, 60), a/l log-uniform in (1e-6, 0.99),
+    lambda and mu each 0 or U(0, 3) with even odds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 10)
+        alpha = rng.uniform(-2.0, n - 4.0)
+        p = math.exp(rng.uniform(math.log(1.2), math.log(60.0)))
+        fraction = math.exp(rng.uniform(math.log(1e-6), math.log(0.99)))
+        lam = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+        mu = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+        yield ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=mu), fraction
+
+
+def test_random_draws_give_an_orbit_or_the_mode_cap():
+    # every draw gives an orbit that peaks above l, has a negative
+    # fundamental mode and meets tol, or needs more than the 512 modes of
+    # the cap (5 draws, with p in 33..48 and a <= 2.5e-4 l); one draw has
+    # K0 < 0 and no equilibrium
+    outcomes = Counter()
+    for seed in (21, 22):
+        for params, fraction in _random_draws(seed):
+            coeff = derive_coefficients(params)
+            if coeff.K0 <= 0.0:
+                outcomes["no equilibrium"] += 1
+                continue
+            try:
+                orbit = find_periodic(fraction * coeff.l, params)
+            except ConvergenceError as exc:
+                assert str(exc).startswith("Fourier tail still above 1e-15")
+                assert str(exc).endswith("with N=512")
+                outcomes["mode cap"] += 1
+                continue
+            assert orbit.max_value > coeff.l
+            assert orbit.coefficients[1] < 0.0
+            assert orbit.residual_sup <= 1e-8
+            outcomes["orbit"] += 1
+    assert outcomes == {"orbit": 494, "mode cap": 5, "no equilibrium": 1}
 
 
 def _fail_first_solve_at_each_doubling(monkeypatch):
@@ -521,7 +642,7 @@ class TestFindHomoclinic:
         assert set(homoclinic_b0.to_dict()) == {"peak", "decay_rate"}
 
 
-def _plain_collocate(d, omega, w0, l, K2, K0, p):
+def _plain_collocate(d, omega, w0, l, K2, K0, p, tol):
     """orbits._collocate with every array built afresh by an expression."""
     n = len(d)
     k = np.arange(n, dtype=float)
@@ -530,7 +651,12 @@ def _plain_collocate(d, omega, w0, l, K2, K0, p):
     jac = np.zeros((n + 1, n + 1))
     jac[n, :n] = 1.0
     rhs = np.empty(n + 1)
-    converged = False
+    converged = grew = False
+    last = math.nan
+
+    def relative_residual():
+        return float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(orbits._MAX_NEWTON + 1):
             symbol = omega ** 4 * k4 + K2 * omega ** 2 * k2 + K0
@@ -542,11 +668,18 @@ def _plain_collocate(d, omega, w0, l, K2, K0, p):
             jac[:n, :n] = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
             jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
             step = np.linalg.solve(jac, -rhs)
+            delta = max(np.max(np.abs(step[:n])) / np.max(np.abs(d)), abs(step[n] / omega))
+            theta, last = delta / last, delta
+            if theta >= 1.0 and relative_residual() <= tol:
+                return d, abs(omega), iteration + 1, relative_residual()
+            if theta > 1.0 and grew:
+                return d, omega, iteration + 1, math.inf
+            grew = theta > 1.0
             d = d + step[:n]
             omega += step[n]
-            converged = (np.max(np.abs(step[:n])) <= orbits._STEP_TOL * np.max(np.abs(d))
-                         and abs(step[n]) <= orbits._STEP_TOL * omega)
-        residual = float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+            tol_step = orbits._STEP_TOL
+            converged = delta <= tol_step or theta < 0.5 and theta * delta <= tol_step
+        residual = relative_residual()
     return d, abs(omega), iteration, residual
 
 
@@ -591,9 +724,9 @@ class TestReusedArrays:
             return d
 
         d = start(orbits._MODES)
-        first = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p)
-        orbits._collocate(start(2 * orbits._MODES), omega, -0.03 * l, l, K2, K0, p)
-        second = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p)
+        first = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p, 1e-8)
+        orbits._collocate(start(2 * orbits._MODES), omega, -0.03 * l, l, K2, K0, p, 1e-8)
+        second = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p, 1e-8)
         assert d.tobytes() == start(orbits._MODES).tobytes()
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1:] == second[1:] and first[3] <= 1e-8
@@ -612,9 +745,35 @@ class TestReusedArrays:
         K2, K0, p, l = coeff.K2, coeff.K0, params.p, coeff.l
         d = np.zeros(n)
         d[1] = -eps * l
-        args = (d, linearized_frequency(K2, K0, p), -eps * l, l, K2, K0, p)
+        args = (d, linearized_frequency(K2, K0, p), -eps * l, l, K2, K0, p, 1e-8)
         got, want = orbits._collocate(*args), _plain_collocate(*args)
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+
+    @pytest.mark.parametrize(
+        "params, fraction",
+        [(B0, 1e-8), (N10_P9, 0.006987657359575838)],
+        ids=["b0-floor", "n10-p9.3-growing"],
+    )
+    def test_collocate_calls_of_a_solve_match_plain_expressions(self, monkeypatch, params,
+                                                                fraction):
+        # every Newton solve of one find_periodic, replayed through the plain
+        # loop: on B0 at 1e-8 l the N = 256 solve stops at the rounding
+        # floor, and on n10-p9.3 the jump from 1 - v(0)/l = 0.48 to 0.96
+        # fails on a correction that grows twice in a row
+        collocate, calls = orbits._collocate, []
+
+        def recording(*args):
+            out = collocate(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(orbits, "_collocate", recording)
+        find_periodic(fraction * derive_coefficients(params).l, params)
+        assert any(math.isinf(out[3]) for _, out in calls) == (params is N10_P9)
+        for args, (d, *rest) in calls:
+            want = _plain_collocate(*args)
+            assert d.tobytes() == want[0].tobytes() and tuple(rest) == want[1:]
 
 
 class TestClassifySingularity:
