@@ -10,11 +10,13 @@ round-off that limits shooting on these hyperbolic loops.  Each Newton solve
 stops on Deuflhard's contraction monitor (Newton Methods for Nonlinear
 Problems, 2004, ch. 2): converged once the next correction is estimated
 below round-off, or once the correction stops shrinking at a residual
-already within tol; failed once it grows twice in a row.  Each continuation
-step starts from the secant through the last two orbits or, for a large cut
-in a near the homoclinic loop, from Lin's seed (X.-B. Lin, Proc. Roy. Soc.
-Edinburgh 116A (1990) 401); a predicted start that fails falls back once to
-the last orbit.
+already within tol; failed once it grows twice in a row.  The first
+continuation step starts from the second-order Lindstedt-Poincare orbit
+(Nayfeh, Perturbation Methods, 1973, 4.1), the second from the secant
+through the first orbit and the equilibrium, every later one from the
+parabola through the last three orbits or, for a large cut in a near the
+homoclinic loop, from Lin's seed (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
+(1990) 401); a predicted start that fails falls back once to the last orbit.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -46,6 +48,7 @@ _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
+_FIRST_STEP = 0.12  # 1 - a/l of the first continuation step, at most
 _MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
 
 
@@ -306,7 +309,35 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     return d, abs(omega), iteration, residual
 
 
-def _predict(d: np.ndarray, omega: float, done: float, before, eps: float, l: float, lam2):
+def _small_orbit(n: int, eps: float, l: float, K2: float, K0: float, p: float):
+    """Second-order Lindstedt-Poincare orbit at 1 - a/l = eps, as the start
+    (d, omega) of the first continuation step with N = n modes.
+
+    With w = v - l the equation reads L[w] = c w^2 + O(w^3), where c =
+    p (p-1) l^{p-2} / 2 and L takes cos(k tau) to S(k) cos(k tau), S(k) =
+    omega^4 k^4 + K2 omega^2 k^2 + (1-p) K0; S(1) = 0 at the linearized
+    frequency.  w = A cos(tau) + A^2 (s0 + s2 cos(2 tau)) solves it to
+    O(A^2) with s0 = c / (2 S(0)) and s2 = c / (2 S(2)), and the frequency
+    moves only at O(A^2) (A. H. Nayfeh, Perturbation Methods, 1973, 4.1).
+    v(0) = a makes A + q A^2 = -eps l with q = s0 + s2; as S(0) = (1-p) K0
+    < 0 and S(2) = 3 omega^2 (5 omega^2 + K2) > -S(0) = omega^2 (omega^2 +
+    K2) > 0, q < 0, so the root near -eps l exists for every eps and is
+    taken in the form that has no cancellation.
+    """
+    omega = linearized_frequency(K2, K0, p)
+    w2 = omega * omega
+    c = 0.5 * p * (p - 1.0) * K0 / l  # l^{p-2} = K0 / l
+    s0 = c / (2.0 * (1.0 - p) * K0)
+    s2 = c / (6.0 * w2 * (5.0 * w2 + K2))
+    q = s0 + s2
+    amplitude = -2.0 * eps * l / (1.0 + math.sqrt(1.0 - 4.0 * q * eps * l))
+    d = np.zeros(n)
+    d[:3] = s0 * amplitude ** 2, amplitude, s2 * amplitude ** 2
+    return d, omega
+
+
+def _predict(d: np.ndarray, omega: float, done: float, before: list, eps: float, l: float,
+             lam2):
     """Start for the continuation step from the orbit (d, omega) at 1 - a/l =
     done > 0 to the orbit at 1 - a/l = eps.
 
@@ -320,9 +351,12 @@ def _predict(d: np.ndarray, omega: float, done: float, before, eps: float, l: fl
     columns of the collocation matrix are orthogonal (the sum over the nodes
     of cos(i tau) cos(k tau) is N/2 for i = k > 0, N for i = k = 0, else 0),
     so one product with its transpose projects v - l onto the cosines.  Any
-    other step starts from the secant through before = (d0, omega0, eps0),
-    the orbit accepted before d with d0 padded to len(d), and (d, omega,
-    done).
+    other step starts from the Lagrange extrapolation in eps through the
+    orbits before = [(d0, omega0, eps0), ...], accepted before d, oldest
+    first, each padded with zeros to len(d), and (d, omega, done): the
+    secant through two orbits, with an error of O(h^2) in the step h, or
+    the parabola through three, O(h^3) (Allgower and Georg, Introduction to
+    Numerical Continuation Methods, 2003, ch. 6).
     """
     n = len(d)
     a_old, a_new = l * (1.0 - done), l * (1.0 - eps)
@@ -339,11 +373,14 @@ def _predict(d: np.ndarray, omega: float, done: float, before, eps: float, l: fl
         seed = 2.0 / n * (cos.T @ w)
         seed[0] *= 0.5
         return seed, new_omega
-    d0, omega0, eps0 = before
-    r = (eps - done) / (done - eps0)
-    guess = (1.0 + r) * d
-    guess[:len(d0)] -= r * d0
-    return guess, omega + r * (omega - omega0)
+    points = [*before, (d, omega, done)]
+    guess, guess_omega = np.zeros(n), 0.0
+    for i, (di, omega_i, eps_i) in enumerate(points):
+        weight = math.prod((eps - eps_j) / (eps_i - eps_j)
+                           for j, (_, _, eps_j) in enumerate(points) if j != i)
+        guess[:len(di)] += weight * di
+        guess_omega += weight * omega_i
+    return guess, guess_omega
 
 
 def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> PeriodicOrbit:
@@ -356,13 +393,16 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     (c, omega); Newton's method solves them with the analytic Jacobian,
     written for w = v - l, and stops on a contraction monitor (see
     _collocate).  The minimum a is reached by continuation in eps = 1 - a/l,
-    doubling eps from min(0.03, 1 - a/l).  The first step starts from the
-    linearized orbit c_0 = l, c_1 = -eps l, omega = linearized_frequency;
-    every later one from a prediction (_predict): the secant through the
-    last two accepted orbits, the equilibrium counting as the first, or
-    Lin's seed for a tenfold cut in a near the homoclinic loop.  A predicted
-    start on which Newton fails is tried once more from the last orbit,
-    which is not a halving.  A step on which Newton fails from the last
+    doubling eps from min(0.12, 1 - a/l).  The first step starts from the
+    second-order Lindstedt-Poincare orbit (_small_orbit), whose coefficients
+    are off by O(eps^3 l) and its frequency by O(eps^2); every later one
+    from a prediction (_predict): the Lagrange extrapolation in eps through
+    the last accepted orbits, the equilibrium counting as the first, so the
+    secant through two on the second step and the parabola through three
+    after it, or Lin's seed for a tenfold cut in a near the homoclinic
+    loop.  A predicted start on which Newton fails is tried once more from
+    the last orbit, which is not a halving.  A step on which Newton fails
+    from the last orbit or, on the first step, from the Lindstedt-Poincare
     orbit (a singular Jacobian, a non-finite or twice-growing correction, a
     relative residual above tol, or an alias) is halved and tried again.
     Two tests reject aliases.  v(pi/omega) <= l marks the half-period
@@ -398,25 +438,25 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     K2, K0, p = problem.K2, problem.K0, problem.p
     lam2 = float(coeff.lam2) if K2 > 0.0 and coeff.discriminant >= 0.0 else None
     eps_target = 1.0 - a / l
-    eps = min(0.03, eps_target)
-    d = np.zeros(_MODES)
-    d[1] = -eps * l
-    omega = linearized_frequency(K2, K0, p)
-    before = np.zeros(1), omega, 0.0  # the orbit accepted before d: at first the equilibrium
-    done = 0.0  # eps of the last orbit solved; 0 is the equilibrium
-    start = d, omega  # the linearized orbit
+    eps = min(_FIRST_STEP, eps_target)
+    d, omega, done = np.zeros(_MODES), linearized_frequency(K2, K0, p), 0.0  # the equilibrium
+    before = []  # the orbits accepted before d, at most two, oldest first
+    start = None
     iterations = steps = retries = 0
     while True:
         w0 = a - l if eps >= eps_target else -eps * l
         if start is None:
-            start = _predict(d, omega, done, before, eps, l, lam2) if done > 0.0 else (d, omega)
+            if done > 0.0:
+                start = _predict(d, omega, done, before, eps, l, lam2)
+            else:
+                start = _small_orbit(len(d), eps, l, K2, K0, p)
         trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol)
         iterations += its
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
         half = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
         folded = not trial[1] < -_MODE1_MIN * np.abs(trial).max()  # d_1 ~ 0
         if not residual <= tol or half or folded:
-            if start[0] is not d:
+            if done > 0.0 and start[0] is not d:
                 start = d, omega  # solve again from the last orbit, not a halving
                 continue
             # halve the continuation step
@@ -439,8 +479,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             d = np.concatenate([d, np.zeros_like(d)])
             start = np.concatenate([trial, np.zeros_like(trial)]), trial_omega
             continue
-        if done > 0.0:  # until the first step is accepted, d is the linearized orbit
-            before = d, omega, done
+        before = [*before[-1:], (d, omega, done)]
         d, omega, done = trial, trial_omega, eps
         steps += 1
         if eps >= eps_target:

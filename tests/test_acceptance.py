@@ -127,7 +127,7 @@ def test_periodic_work_counts():
         counts.append((orbit.newton_iterations, orbit.continuation_steps, orbit.modes))
     _report(
         "periodic work counts",
-        counts == [(18, 5, 32), (2, 1, 32)],
+        counts == [(12, 3, 32), (2, 1, 32)],
         f"(Newton iterations, continuation steps, modes) = {counts} at a = 1 and l - 1e-3",
     )
 
@@ -244,7 +244,7 @@ def test_homoclinic_work_counts(monkeypatch):
     find_homoclinic(B0)
     _report(
         "homoclinic work counts",
-        solves == [(True, 7, 128)],
+        solves == [(True, 5, 128)],
         f"(at 1e-6 l, continuation steps, modes) per periodic solve = {solves}",
     )
 

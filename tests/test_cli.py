@@ -138,11 +138,11 @@ class TestOrbit:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            pytest.param("1.0", "bb40c79969163171a99d263a3f44289c924e7a2f1126450a24e4ea85c48ccc79",
+            pytest.param("1.0", "45fb92ed865ad272f30298966d85b22ab8ef117b55bf9d3ccdf56bf4820e4c81",
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "ed30d80fb98c58e75183c53e57df5971c0cedf874af8ab86846fc48b7f87ac24",
+                         "b766ec2d2e140d8dcd830552b1db908ade92fcc18cc4a63351d147937994cbf1",
                          id="1e-3l"),
         ],
     )
@@ -169,13 +169,13 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "61c16c4657b336d6932ebb1e2b1f95b3b824a1e40636940a149af639b55a7213"),
+             "5f1435cab4aa6ecd6555bad5b2a96961d73a6a5021943d8166785bd98bab045b"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "3938a746595996b80fe03a3b61eae94270342fa41aeac921e6799be72db2ab96"),
+             "cd0d9704a4873753ee0e519a790ac8a5985651b70b68014b143bb10c0f924f51"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "43e682aceb0536771927c369f5e38ebe0bc9723f4597d395b99897d28145037f"),
+             "bbb85691023dcd98c060901c28cb56a3141f996fc7c374585f04fe4d5684cd31"),
             (["--n", "6", "--alpha", "-4", "--p", "5"],
-             "19db56e6f81da9719a6c83ef641ab085447869fe4d4cfcde061d4e447c8fe2be"),
+             "16a321b898c57c5a27697329f6feb05efbf5520dfdf0c448991229b00158b0c5"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )
@@ -194,7 +194,7 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "378fd76c5f969764ed75609261eeeb1aac28d556e8ce96b15e037633b2bf9f8d")
+            "6c4c6f404e296e5ce2bb493c827ecc01085540b5fbb14a78e8f8730b3b9ed99b")
 
 
 class TestBestConstant:

@@ -317,13 +317,13 @@ class TestPinnedArithmetic:
 
     def test_periodic_orbit_digits(self):
         orbit = find_periodic(1.0, ProblemParams(n=6, alpha=0.0, p=5.0))
-        assert repr(orbit.b) == "0.783665492891521"
-        assert repr(orbit.period) == "4.437135754761858"
-        assert repr(orbit.energy_drift) == "1.4210854715202004e-14"
+        assert repr(orbit.b) == "0.7836654928915212"
+        assert repr(orbit.period) == "4.437135754761857"
+        assert repr(orbit.energy_drift) == "1.0658141036401503e-14"
         assert repr(orbit.max_value) == "2.112009426855794"
 
     def test_periodic_orbit_digits_near_equilibrium(self):
-        # a single Newton solve from the linearized orbit
+        # a single Newton solve from the second-order Lindstedt-Poincare orbit
         params = ProblemParams(n=6, alpha=0.0, p=5.0)
         orbit = find_periodic(derive_coefficients(params).l - 1e-3, params)
         assert repr(orbit.b) == "0.002807142454377177"
@@ -332,25 +332,25 @@ class TestPinnedArithmetic:
 
     def test_periodic_orbit_digits_shifted(self):
         orbit = find_periodic(0.4, ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0))
-        assert repr(orbit.b) == "0.028532183658842022"
-        assert repr(orbit.period) == "12.394698030470373"
+        assert repr(orbit.b) == "0.028532183658842032"
+        assert repr(orbit.period) == "12.39469803047037"
         assert repr(orbit.max_value) == "0.6844071248038927"
 
     def test_near_homoclinic_newton_iterations(self):
         # two doublings, N = 32 -> 128; each solve at 2 N starts from the
         # padded trial that failed the tail test at N (from the padded last
-        # orbit, these take 46 and 46), each continuation step from the
-        # secant, and the jump from 1 - v(0)/l = 0.96 to 1 - 1e-6 from Lin's
-        # seed.  Started from the last orbit and stopped only on a correction
-        # below _STEP_TOL, these took 50 and 51
+        # orbit, these take 39 and 39), the first continuation step, to
+        # 1 - v(0)/l = 0.12, from the second-order Lindstedt-Poincare orbit,
+        # the second from the secant, the next from the parabola through the
+        # last three orbits, and the jump from 0.96 to 1 - 1e-6 from Lin's
+        # seed
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["30", "30"]
+        assert counts == ["23", "23"]
 
     def test_homoclinic_newton_iterations_per_mode_count(self):
         # find_homoclinic(B0): the continuation at N = 32, one solve at
         # N = 64 on the padded trial and the jump to 1 - 1e-6 from Lin's seed,
-        # then the padded trial at N = 128 (33, 13 and 4 before the
-        # contraction monitor, the secant and Lin's seed)
+        # then the padded trial at N = 128
         assert _fresh(
             "from radial4 import ProblemParams, find_homoclinic, orbits\n"
             "collocate, counts = orbits._collocate, {}\n"
@@ -361,20 +361,36 @@ class TestPinnedArithmetic:
             "orbits._collocate = counting\n"
             "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
             "print(*(f'{n}:{count}' for n, count in sorted(counts.items())))\n"
-        ) == ["32:24", "64:4", "128:2"]
+        ) == ["32:17", "64:4", "128:2"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
         # padded last orbit: the iterations and digits of that path alone
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "46", "1.7320508075621993e-06", "30.894024464702497", "2.2133638394003934"]
+            "39", "1.7320508075030885e-06", "30.89402446457439", "2.213363839400394"]
+
+    def test_twice_growing_stop_newton_iterations(self):
+        # seed 21 #202 of the draws in test_orbits.py, with complex rates, so
+        # no Lin seed: at N = 128 the jump from 1 - v(0)/l = 0.96 to the
+        # target fails from both starts on a correction that grows twice in a
+        # row, four times, each time halved; the jump at N = 256 then
+        # converges from its prediction.  Without that stop, which cuts these
+        # solves short, this draw took 54 iterations
+        counts = _fresh(
+            "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
+            "params = ProblemParams(n=6, alpha=-1.4044341184486604, p=48.90248196605966,\n"
+            "                       lam=0.0, mu=2.527459839525436)\n"
+            "orbit = find_periodic(4.3807119715585434e-06 * derive_coefficients(params).l, params)\n"
+            "print(orbit.newton_iterations, orbit.continuation_steps, orbit.modes)\n"
+        )
+        assert counts == ["109", "9", "256"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072316699", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072315227", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667972", "0.3333333024106051", "33"]
+            "0.7377879464667971", "0.3333333024106916", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

@@ -170,6 +170,16 @@ class TestFindPeriodic:
         with pytest.raises(ConvergenceError):
             find_periodic(1.0, B0)
 
+    @pytest.mark.parametrize("a", [1.0, 0.3 * EQUILIBRIUM, 1e-6 * EQUILIBRIUM],
+                             ids=["1.0", "0.3l", "1e-6l"])
+    def test_work_does_not_depend_on_tol(self, a):
+        # tol accepts or rejects a solve once it has stopped; it must not
+        # stop one sooner or later, from 1e-4 down to 1e-14, near the
+        # rounding floor of the collocation residual
+        work = {(orbit.newton_iterations, orbit.continuation_steps, orbit.modes)
+                for orbit in (find_periodic(a, B0, tol=tol) for tol in (1e-4, 1e-8, 1e-12, 1e-14))}
+        assert len(work) == 1
+
     def test_to_dict_keys(self, orbit_b0):
         d = orbit_b0.to_dict()
         assert set(d) >= {
@@ -323,23 +333,34 @@ def test_periodic_orbits_across_the_regime(instance):
 N10_P9 = ProblemParams(n=10, alpha=5.631633655833825, p=9.264386279047944)
 N5_P11 = ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816)
 N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
+N5_P18 = ProblemParams(n=5, alpha=-1.222606835532197, p=18.129027101951845,
+                       lam=1.0403842713102769)  # seed 21 #149 of _random_draws
+
+
+# seed 21 #202 and seed 25 #95 of _random_draws below; both have complex
+# rates, so no Lin seed
+N6_P49 = ProblemParams(n=6, alpha=-1.4044341184486604, p=48.90248196605966,
+                       lam=0.0, mu=2.527459839525436)
+N6_P10 = ProblemParams(n=6, alpha=-1.8736781456150626, p=10.018392369937835,
+                       lam=1.221147863372864, mu=0.4829161058849918)
 
 
 @pytest.mark.parametrize(
-    "params, fraction",
-    [
-        (N10_P9, 0.006987657359575838),
-        (ProblemParams(n=8, alpha=3.4700381893036125, p=9.356198689612572), 0.05237564708623536),
-    ],
-    ids=["n10-p9.3", "n8-p9.4"],
+    "params, fraction, steps",
+    [(N6_P49, 4.3807119715585434e-06, 9), (N6_P10, 1.020406677319262e-05, 6)],
+    ids=["n6-p48.9", "n6-p10.0"],
 )
-def test_failed_continuation_steps_are_halved(monkeypatch, params, fraction):
-    # the jump from 1 - v(0)/l = 0.48 to 0.96 (n10-p9.3) or to the target
-    # 0.948 (n8-p9.4) misses tol at N = 64 and succeeds once halved; with no
-    # halving allowed, that miss ends the solve
+def test_failed_continuation_steps_are_halved(monkeypatch, params, fraction, steps):
+    # the jump from 1 - v(0)/l = 0.96 to the target misses tol from the
+    # prediction and from the last orbit, on a correction that grows twice
+    # in a row (at N = 128 on n6-p48.9, N = 64 on n6-p10.0); it succeeds once
+    # halved four times (n6-p48.9) or once (n6-p10.0), past the 5 steps of
+    # the doublings from 0.12.  With no halving allowed, that miss ends the
+    # solve.  Of the 500 draws of test_random_draws_*, only n6-p48.9 halves
+    # a step
     a = fraction * derive_coefficients(params).l
     orbit = find_periodic(a, params)
-    assert orbit.continuation_steps == 7
+    assert orbit.continuation_steps == steps
     assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
     with pytest.raises(ConvergenceError, match="did not reach tol"):
@@ -383,7 +404,7 @@ def test_half_period_alias_is_rejected(monkeypatch):
     # to 0.36, and with no halving allowed the solve ends there
     l = derive_coefficients(ALIAS).l
     a = 4.8606241398472726e-05 * l
-    eps = 16 * 0.03  # the fifth step, as the doublings of 0.03 round it
+    eps = 4 * orbits._FIRST_STEP  # the third step, as the doublings of 0.12 round it
     aliases, calls = _inject_alias(monkeypatch, -eps * l, 2)
     orbit = find_periodic(a, ALIAS)
     assert len(aliases) == 2 and all(d[::2].sum() - d[1::2].sum() < 0.0 for d, _ in aliases)
@@ -454,30 +475,63 @@ def _random_draws(seed, count=250):
         yield ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=mu), fraction
 
 
-def test_random_draws_give_an_orbit_or_the_mode_cap():
+@pytest.fixture(scope="module")
+def random_draw_solves():
+    """find_periodic on the 500 draws of seeds 21 and 22: per draw, the
+    orbit, the ConvergenceError or None (K0 <= 0), and the (N, iterations,
+    residual) of each of its Newton solves."""
+    collocate, results = orbits._collocate, []
+
+    def recording(d, *args):
+        out = collocate(d, *args)
+        calls.append((len(d), out[2], out[3]))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "_collocate", recording)
+        for seed in (21, 22):
+            for params, fraction in _random_draws(seed):
+                coeff, calls = derive_coefficients(params), []
+                if coeff.K0 <= 0.0:
+                    results.append((params, None, calls))
+                    continue
+                try:
+                    outcome = find_periodic(fraction * coeff.l, params)
+                except ConvergenceError as exc:
+                    outcome = exc
+                results.append((params, outcome, calls))
+    return results
+
+
+def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
     # every draw gives an orbit that peaks above l, has a negative
     # fundamental mode and meets tol, or needs more than the 512 modes of
     # the cap (5 draws, with p in 33..48 and a <= 2.5e-4 l); one draw has
     # K0 < 0 and no equilibrium
     outcomes = Counter()
-    for seed in (21, 22):
-        for params, fraction in _random_draws(seed):
-            coeff = derive_coefficients(params)
-            if coeff.K0 <= 0.0:
-                outcomes["no equilibrium"] += 1
-                continue
-            try:
-                orbit = find_periodic(fraction * coeff.l, params)
-            except ConvergenceError as exc:
-                assert str(exc).startswith("Fourier tail still above 1e-15")
-                assert str(exc).endswith("with N=512")
-                outcomes["mode cap"] += 1
-                continue
-            assert orbit.max_value > coeff.l
-            assert orbit.coefficients[1] < 0.0
-            assert orbit.residual_sup <= 1e-8
-            outcomes["orbit"] += 1
+    for params, orbit, _ in random_draw_solves:
+        if orbit is None:
+            outcomes["no equilibrium"] += 1
+            continue
+        if isinstance(orbit, ConvergenceError):
+            assert str(orbit).startswith("Fourier tail still above 1e-15")
+            assert str(orbit).endswith("with N=512")
+            outcomes["mode cap"] += 1
+            continue
+        assert orbit.max_value > derive_coefficients(params).l
+        assert orbit.coefficients[1] < 0.0
+        assert orbit.residual_sup <= 1e-8
+        outcomes["orbit"] += 1
     assert outcomes == {"orbit": 494, "mode cap": 5, "no equilibrium": 1}
+
+
+def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
+    # a solve that wanders, say toward the half-period alias, without a
+    # correction that grows twice in a row runs all _MAX_NEWTON iterations;
+    # three did from a start that resolved only O(eps) (the linearized orbit)
+    solves = [call for _, _, calls in random_draw_solves for call in calls]
+    assert len(solves) > 3000
+    assert max(its for _, its, _ in solves) < orbits._MAX_NEWTON
 
 
 def _fail_first_solve_at_each_doubling(monkeypatch):
@@ -515,16 +569,35 @@ def test_doubling_restart_meets_fallback(monkeypatch, params, fraction):
 
 
 def test_doubling_fallback_is_not_a_halving(monkeypatch):
-    # B0 at 1e-6 l takes no halving; with none allowed, its two fallbacks
-    # (N = 64 and 128) still reach the orbit
+    # B0 at 1e-6 l takes no halving (5 steps: 1 - v(0)/l = 0.12, 0.24, 0.48,
+    # 0.96 and the target); with none allowed, its two fallbacks (N = 64 and
+    # 128) still reach the orbit
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
     seen = _fail_first_solve_at_each_doubling(monkeypatch)
     orbit = find_periodic(1e-6 * EQUILIBRIUM, B0)
-    assert seen == {32, 64, 128} and orbit.continuation_steps == 7
+    assert seen == {32, 64, 128} and orbit.continuation_steps == 5
 
 
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
 N7_P2 = ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)  # no closed form
+
+
+@pytest.mark.parametrize("params", [B0, N7_P2], ids=["b0", "n7-p2"])
+def test_first_start_is_second_order(params):
+    # the Lindstedt-Poincare start misses the orbit's coefficients by
+    # O(eps^3) and its frequency by O(eps^2), so halving 1 - a/l = eps cuts
+    # the first miss about 8 times (7.9 on b0, 8.3 on n7-p2) and the second
+    # about 4 times; the linearized orbit d_1 = -eps l misses both by O(eps^2)
+    coeff = derive_coefficients(params)
+    misses = []
+    for eps in (0.01, 0.005):
+        orbit = find_periodic((1.0 - eps) * coeff.l, params)
+        start, omega = orbits._small_orbit(orbit.modes, eps, coeff.l, coeff.K2, coeff.K0, params.p)
+        start[0] += coeff.l
+        misses.append((np.abs(orbit.coefficients - start).max(), abs(orbit.omega - omega)))
+    (d_far, omega_far), (d_near, omega_near) = misses
+    assert 7.0 < d_far / d_near < 9.5
+    assert 3.5 < omega_far / omega_near < 4.5
 
 
 def _nehari_value(params):
@@ -716,51 +789,48 @@ class TestReusedArrays:
         # the same bits; the start itself is left unchanged
         coeff = derive_coefficients(B0)
         K2, K0, p, l = coeff.K2, coeff.K0, B0.p, coeff.l
-        omega = linearized_frequency(K2, K0, p)
-
-        def start(n):
-            d = np.zeros(n)
-            d[1] = -0.03 * l
-            return d
-
-        d = start(orbits._MODES)
-        first = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p, 1e-8)
-        orbits._collocate(start(2 * orbits._MODES), omega, -0.03 * l, l, K2, K0, p, 1e-8)
-        second = orbits._collocate(d, omega, -0.03 * l, l, K2, K0, p, 1e-8)
-        assert d.tobytes() == start(orbits._MODES).tobytes()
+        eps = orbits._FIRST_STEP
+        d, omega = orbits._small_orbit(orbits._MODES, eps, l, K2, K0, p)
+        kept = d.copy()
+        first = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8)
+        other = orbits._small_orbit(2 * orbits._MODES, eps, l, K2, K0, p)
+        orbits._collocate(*other, -eps * l, l, K2, K0, p, 1e-8)
+        second = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8)
+        assert d.tobytes() == kept.tobytes()
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1:] == second[1:] and first[3] <= 1e-8
 
     @pytest.mark.parametrize(
         "params, eps, n",
-        [(B0, 0.03, 32), (B0, 0.5, 64), (ProblemParams(n=7, alpha=1.0, p=3.0), 0.2, 32),
+        [(B0, 0.12, 32), (B0, 0.5, 64), (ProblemParams(n=7, alpha=1.0, p=3.0), 0.2, 32),
          (ProblemParams(n=5, alpha=0.5, p=2.0, mu=1.0), 0.3, 64)],
         ids=["b0", "b0-n64", "p3", "p2"],
     )
     def test_collocate_matches_plain_expressions(self, params, eps, n):
-        # every iterate of the buffered Newton solve, bit for bit, against
-        # the same solve written as whole-array expressions (p = 2 and 3
-        # take numpy's fast paths for ** 1.0 and ** 2.0)
+        # every iterate of the buffered Newton solve from the first step's
+        # start, bit for bit, against the same solve written as whole-array
+        # expressions (p = 2 and 3 take numpy's fast paths for ** 1.0 and
+        # ** 2.0)
         coeff = derive_coefficients(params)
         K2, K0, p, l = coeff.K2, coeff.K0, params.p, coeff.l
-        d = np.zeros(n)
-        d[1] = -eps * l
-        args = (d, linearized_frequency(K2, K0, p), -eps * l, l, K2, K0, p, 1e-8)
+        args = (*orbits._small_orbit(n, eps, l, K2, K0, p), -eps * l, l, K2, K0, p, 1e-8)
         got, want = orbits._collocate(*args), _plain_collocate(*args)
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 
     @pytest.mark.parametrize(
         "params, fraction",
-        [(B0, 1e-8), (N10_P9, 0.006987657359575838)],
-        ids=["b0-floor", "n10-p9.3-growing"],
+        [(B0, 1e-8), (N5_P18, 0.04869516498675949)],
+        ids=["b0-floor", "n5-p18.1-growing"],
     )
     def test_collocate_calls_of_a_solve_match_plain_expressions(self, monkeypatch, params,
                                                                 fraction):
         # every Newton solve of one find_periodic, replayed through the plain
-        # loop: on B0 at 1e-8 l the N = 256 solve stops at the rounding
-        # floor, and on n10-p9.3 the jump from 1 - v(0)/l = 0.48 to 0.96
-        # fails on a correction that grows twice in a row
+        # loop from the starts the continuation gave it: on B0 at 1e-8 l the
+        # N = 256 solve stops at the rounding floor, and on n5-p18.1 the jump
+        # from 1 - v(0)/l = 0.24 to 0.48, from the parabola through the
+        # equilibrium and the first two orbits, fails on a correction that
+        # grows twice in a row
         collocate, calls = orbits._collocate, []
 
         def recording(*args):
@@ -770,7 +840,7 @@ class TestReusedArrays:
 
         monkeypatch.setattr(orbits, "_collocate", recording)
         find_periodic(fraction * derive_coefficients(params).l, params)
-        assert any(math.isinf(out[3]) for _, out in calls) == (params is N10_P9)
+        assert any(math.isinf(out[3]) for _, out in calls) == (params is N5_P18)
         for args, (d, *rest) in calls:
             want = _plain_collocate(*args)
             assert d.tobytes() == want[0].tobytes() and tuple(rest) == want[1:]

@@ -1,0 +1,97 @@
+"""Symbolic oracles (sympy) for formulas the code evaluates in floating point."""
+
+import functools
+
+import pytest
+import sympy as sp
+
+from radial4 import ProblemParams, derive_coefficients, linearized_frequency
+from radial4 import orbits
+
+B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
+SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
+N7_P2 = ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)  # no closed form
+
+omega, l, p = sp.symbols("omega l p", positive=True)
+K2, s0, s2 = sp.symbols("K2 s0 s2", real=True)
+
+
+@functools.cache
+def lindstedt_poincare():
+    """The Lindstedt-Poincare equations of the reduced ODE to O(A^2).
+
+    v = l + A cos(tau) + A^2 (s0 + s2 cos(2 tau)), with tau = omega t and
+    K0 = l^{p-1}, is put into v'''' - K2 v'' + K0 v - v^p and expanded in A.
+    The cos(tau) mode of the O(A) term gives S(1), which vanishes at the
+    linearized frequency; the cos(0) and cos(2 tau) modes of the O(A^2) term
+    vanish for s0 and s2.  Returns (S(1), {s0: ..., s2: ...}).
+    """
+    A, tau = sp.symbols("A tau", real=True)
+    v = l + A * sp.cos(tau) + A ** 2 * (s0 + s2 * sp.cos(2 * tau))
+    equation = omega ** 4 * v.diff(tau, 4) - K2 * omega ** 2 * v.diff(tau, 2) + l ** (p - 1) * v - v ** p
+    series = sp.expand(sp.series(equation, A, 0, 3).removeO())
+
+    def mode(expr, k):
+        weight = 1 if k == 0 else 2
+        integral = sp.integrate(sp.expand(expr * sp.cos(k * tau)), (tau, 0, 2 * sp.pi))
+        return sp.simplify(weight * integral / (2 * sp.pi))
+
+    assert series.coeff(A, 0) == 0  # l is the equilibrium
+    first, second = series.coeff(A, 1), series.coeff(A, 2)
+    solution, = sp.solve([mode(second, 0), mode(second, 2)], [s0, s2], dict=True)
+    return mode(first, 1), solution
+
+
+def symbol(k, K0=l ** (p - 1)):
+    """S(k) = omega^4 k^4 + K2 omega^2 k^2 + (1-p) K0, with K0 = l^{p-1}."""
+    return omega ** 4 * k ** 4 + K2 * omega ** 2 * k ** 2 + (1 - p) * K0
+
+
+def test_equations_give_the_documented_coefficients():
+    # S(1) = 0 and s_k = c / (2 S(k)), c = p (p-1) l^{p-2} / 2, as
+    # orbits._small_orbit states them
+    first, solution = lindstedt_poincare()
+    c = p * (p - 1) * l ** (p - 2) / 2
+    assert sp.simplify(first - symbol(1)) == 0
+    assert sp.simplify(solution[s0] - c / (2 * symbol(0))) == 0
+    assert sp.simplify(solution[s2] - c / (2 * symbol(2))) == 0
+
+
+def test_amplitude_equation_always_has_a_root():
+    # A + q A^2 = -eps l has a real root near -eps l for every eps > 0 when
+    # q = s0 + s2 < 0.  With S(1) = 0, (1-p) K0 = -omega^2 (omega^2 + K2) and
+    # t = omega^2 + K2 = (p-1) K0 / omega^2 > 0, so write K2 = t - w,
+    # w = omega^2 > 0: then q / c is a negative rational function of w, t > 0
+    w, t = sp.symbols("w t", positive=True)
+    s_1, s_0, s_2 = (sp.factor(symbol(k, w * t / (p - 1)).subs({omega: sp.sqrt(w), K2: t - w}))
+                     for k in (1, 0, 2))
+    assert s_1 == 0 and s_0 == -w * t and s_2 == 3 * w * (4 * w + t)
+    q_over_c = sp.factor(1 / (2 * s_0) + 1 / (2 * s_2))
+    assert q_over_c.is_negative
+    assert sp.simplify(q_over_c + (6 * w + t) / (3 * w * t * (4 * w + t))) == 0
+
+
+@pytest.mark.parametrize("params", [B0, SHIFTED, N7_P2], ids=["b0", "shifted", "n7-p2"])
+def test_small_orbit_meets_the_symbolic_coefficients(params):
+    # the code's first continuation start against the symbolic solution at
+    # the same K2, K0 and p, evaluated to 40 digits: the frequency, d_0 / d_1^2
+    # = s0 and d_2 / d_1^2 = s2 to 1e-14, and v(0) = a
+    coeff = derive_coefficients(params)
+    first, solution = lindstedt_poincare()
+    exact_K0 = sp.Rational(coeff.K0)
+    values = {K2: sp.Rational(coeff.K2), p: sp.Rational(params.p)}
+    values[l] = exact_K0 ** (1 / (values[p] - 1))
+    w = sp.Symbol("w", positive=True)
+    root, = sp.solve(sp.expand(first.subs(values)).subs(omega, sp.sqrt(w)), w)
+    values[omega] = sp.sqrt(root)
+    want = {name: sp.N(value, 40) for name, value in
+            (("omega", values[omega]), ("s0", solution[s0].subs(values)),
+             ("s2", solution[s2].subs(values)))}
+    eps = orbits._FIRST_STEP
+    d, start_omega = orbits._small_orbit(orbits._MODES, eps, coeff.l, coeff.K2, coeff.K0, params.p)
+    got = {"omega": start_omega, "s0": d[0] / d[1] ** 2, "s2": d[2] / d[1] ** 2}
+    for name in want:
+        assert abs(got[name] / want[name] - 1) <= 1e-14, name
+    assert start_omega == linearized_frequency(coeff.K2, coeff.K0, params.p)
+    assert not d[3:].any()
+    assert abs(d.sum() + eps * coeff.l) <= 1e-15 * coeff.l
