@@ -12,11 +12,13 @@ Problems, 2004, ch. 2): converged once the next correction is estimated
 below round-off, or once the correction stops shrinking at a residual
 already within tol; failed once it grows twice in a row.  The first
 continuation step starts from the second-order Lindstedt-Poincare orbit
-(Nayfeh, Perturbation Methods, 1973, 4.1), the second from the secant
-through the first orbit and the equilibrium, every later one from the
-parabola through the last three orbits or, for a large cut in a near the
-homoclinic loop, from Lin's seed (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
-(1990) 401); a predicted start that fails falls back once to the last orbit.
+(Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that one
+step reaches every target with 1 - a/l <= 1/2.  Targets nearer the
+homoclinic loop climb a ladder in 1 - a/l, whose second step starts from
+the secant through the first orbit and the equilibrium and every later one
+from the parabola through the last three orbits or, for a large cut in a,
+from Lin's seed (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A (1990) 401); a
+predicted start that fails falls back once to the last orbit.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -48,7 +50,10 @@ _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
-_FIRST_STEP = 0.12  # 1 - a/l of the first continuation step, at most
+# 1 - a/l up to which the first continuation step goes straight to the
+# target, and from which a step may start from Lin's seed
+_NEAR_LOOP = 0.5
+_FIRST_STEP = 0.12  # 1 - a/l of the first rung of the ladder to targets past _NEAR_LOOP
 _MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
 
 
@@ -341,12 +346,12 @@ def _predict(d: np.ndarray, omega: float, done: float, before: list, eps: float,
     """Start for the continuation step from the orbit (d, omega) at 1 - a/l =
     done > 0 to the orbit at 1 - a/l = eps.
 
-    A step that cuts a = l (1 - eps) more than tenfold from done >= 1/2,
-    with real rates (lam2, the slow one, is not None), starts from Lin's
-    seed: near the homoclinic loop an orbit is a chain of humps joined along
-    the slow decay e^{-lam2 |s|} (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
-    (1990) 401), so the period grows by (2/lam2) ln(a_old/a_new).  v at the
-    nodes is the old hump about the new half period T/2, continued by
+    A step that cuts a = l (1 - eps) more than tenfold from done >= 1/2
+    (_NEAR_LOOP), with real rates (lam2, the slow one, is not None), starts
+    from Lin's seed: near the homoclinic loop an orbit is a chain of humps
+    joined along the slow decay e^{-lam2 |s|} (X.-B. Lin, Proc. Roy. Soc.
+    Edinburgh 116A (1990) 401), so the period grows by (2/lam2)
+    ln(a_old/a_new).  v at the nodes is the old hump about the new half period T/2, continued by
     a_old e^{-lam2 (|s| - T_old/2)} beyond it, where s = t - T/2.  The
     columns of the collocation matrix are orthogonal (the sum over the nodes
     of cos(i tau) cos(k tau) is N/2 for i = k > 0, N for i = k = 0, else 0),
@@ -360,7 +365,7 @@ def _predict(d: np.ndarray, omega: float, done: float, before: list, eps: float,
     """
     n = len(d)
     a_old, a_new = l * (1.0 - done), l * (1.0 - eps)
-    if lam2 is not None and done >= 0.5 and a_old > 10.0 * a_new:
+    if lam2 is not None and done >= _NEAR_LOOP and a_old > 10.0 * a_new:
         period = 2.0 * math.pi / omega
         new_omega = 2.0 * math.pi / (period + 2.0 / lam2 * math.log(a_old / a_new))
         k = np.arange(n)
@@ -392,12 +397,14 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine
     (c, omega); Newton's method solves them with the analytic Jacobian,
     written for w = v - l, and stops on a contraction monitor (see
-    _collocate).  The minimum a is reached by continuation in eps = 1 - a/l,
-    doubling eps from min(0.12, 1 - a/l).  The first step starts from the
-    second-order Lindstedt-Poincare orbit (_small_orbit), whose coefficients
-    are off by O(eps^3 l) and its frequency by O(eps^2); every later one
-    from a prediction (_predict): the Lagrange extrapolation in eps through
-    the last accepted orbits, the equilibrium counting as the first, so the
+    _collocate).  The minimum a is reached by continuation in eps = 1 - a/l.
+    The first step starts from the second-order Lindstedt-Poincare orbit
+    (_small_orbit), whose coefficients are off by O(eps^3 l) and its
+    frequency by O(eps^2); it goes straight to the target when eps <= 1/2,
+    and otherwise to 0.12, from where eps doubles up to the target (the
+    ladder 0.12, 0.24, 0.48, 0.96, ...).  Every later step starts from a
+    prediction (_predict): the Lagrange extrapolation in eps through the
+    last accepted orbits, the equilibrium counting as the first, so the
     secant through two on the second step and the parabola through three
     after it, or Lin's seed for a tenfold cut in a near the homoclinic
     loop.  A predicted start on which Newton fails is tried once more from
@@ -438,7 +445,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     K2, K0, p = problem.K2, problem.K0, problem.p
     lam2 = float(coeff.lam2) if K2 > 0.0 and coeff.discriminant >= 0.0 else None
     eps_target = 1.0 - a / l
-    eps = min(_FIRST_STEP, eps_target)
+    eps = eps_target if eps_target <= _NEAR_LOOP else _FIRST_STEP
     d, omega, done = np.zeros(_MODES), linearized_frequency(K2, K0, p), 0.0  # the equilibrium
     before = []  # the orbits accepted before d, at most two, oldest first
     start = None

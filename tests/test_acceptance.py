@@ -119,16 +119,18 @@ def test_small_amplitude_period_approaches_linearized_limit():
 
 def test_periodic_work_counts():
     # the solver's work repeats exactly from run to run, so it is gated as
-    # counts next to the wall-time bound above
+    # counts next to the wall-time bound above; every target with
+    # 1 - a/l <= 1/2 takes one continuation step, from the Lindstedt-Poincare
+    # orbit
     coeff = derive_coefficients(B0)
     counts = []
-    for a in (1.0, coeff.l - 1e-3):
+    for a in (1.0, 0.6 * coeff.l, coeff.l - 1e-3):
         orbit = find_periodic(a, B0)
         counts.append((orbit.newton_iterations, orbit.continuation_steps, orbit.modes))
     _report(
         "periodic work counts",
-        counts == [(12, 3, 32), (2, 1, 32)],
-        f"(Newton iterations, continuation steps, modes) = {counts} at a = 1 and l - 1e-3",
+        counts == [(5, 1, 32), (5, 1, 32), (2, 1, 32)],
+        f"(Newton iterations, continuation steps, modes) = {counts} at a = 1, 0.6 l and l - 1e-3",
     )
 
 

@@ -138,7 +138,7 @@ class TestOrbit:
     @pytest.mark.parametrize(
         "a, digest",
         [
-            pytest.param("1.0", "45fb92ed865ad272f30298966d85b22ab8ef117b55bf9d3ccdf56bf4820e4c81",
+            pytest.param("1.0", "64a1d96c381f3242f62958ed33c763b0aeb07042ea30f6242aa1e411605e5102",
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
@@ -194,7 +194,7 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "6c4c6f404e296e5ce2bb493c827ecc01085540b5fbb14a78e8f8730b3b9ed99b")
+            "123c4c0a3bd16c0f9ff3354a6a55570db39c24b9263079d348166c6990d36996")
 
 
 class TestBestConstant:
@@ -239,7 +239,7 @@ class TestBestConstant:
         ]
         assert proc.stdout == (
             '{"schema":"1","params":{"n":6,"alpha":0,"beta":0,"p":5,"lambda":0,"mu":0},'
-            '"phi":16.578141744207699,"S_rad":163.61970072051543,"source":"Numerical",'
+            '"phi":16.578141744207699,"S_rad":163.61970072051548,"source":"Numerical",'
             '"L":1,"h":0.5,"iterations":21}\n'
         )
 
@@ -247,9 +247,9 @@ class TestBestConstant:
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["best-constant"], "197f6415f120c86764133c7c98dd2deb1dba14c29fe2aea28bbe0028f5386159"),
+        (["best-constant"], "c3129606936f8bf22189fbb5fb91d0522a609d286d4f5b1cea31877f9b8ca9ac"),
         (["best-constant", "--method", "numerical"],
-         "98c6209f1528cbbee1cecbadedf0eb9130e805b86900e8a64af960ac92a1af5a"),
+         "e872c0c8f0e8caa8cb2152e998fc2b96e55c9e3020f0149a245b2b826c7c5635"),
         (["explicit", "--format", "csv", "--curve", "radial"],
          "73b4ab59501007a7c4a9368b57211cc82fd2b27f019d144abf9566d6639a6b7a"),
     ],

@@ -206,7 +206,7 @@ class TestSuiteRunner:
         # every record, bit for bit, as the suite produced it when each
         # integral evaluated its test function afresh
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "988d14cf4d5a8ab4271fbdfb23a026b7899c1749cc03959cca539e5000b1f0d6"
+        assert digest == "82f5b0bad4f56ce0fc262427c552178b928dbb0e1433aba9afbe2314146df91d"
 
     def test_each_function_evaluated_once_per_grid(self, monkeypatch):
         calls = []

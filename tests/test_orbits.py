@@ -404,6 +404,7 @@ def test_half_period_alias_is_rejected(monkeypatch):
     # to 0.36, and with no halving allowed the solve ends there
     l = derive_coefficients(ALIAS).l
     a = 4.8606241398472726e-05 * l
+    assert 1.0 - a / l > orbits._NEAR_LOOP  # so the solve climbs the ladder
     eps = 4 * orbits._FIRST_STEP  # the third step, as the doublings of 0.12 round it
     aliases, calls = _inject_alias(monkeypatch, -eps * l, 2)
     orbit = find_periodic(a, ALIAS)
@@ -423,6 +424,7 @@ def test_period_tripled_alias_is_rejected(monkeypatch):
     # fundamental mode d_1 tells it apart; rejected, the step is halved
     l = derive_coefficients(TRIPLED).l
     a = 0.0023 * l
+    assert 1.0 - a / l > orbits._NEAR_LOOP  # so the solve climbs the ladder
     plain = find_periodic(a, TRIPLED)
     assert plain.period == pytest.approx(19.3534799, rel=1e-7)
     aliases, calls = _inject_alias(monkeypatch, a - l, 3)
@@ -525,6 +527,15 @@ def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
     assert outcomes == {"orbit": 494, "mode cap": 5, "no equilibrium": 1}
 
 
+def test_random_draw_newton_work(random_draw_solves):
+    # the Newton iterations of the 494 orbits: 18,643 from secant starts,
+    # 13,616 from the parabola, 13,529 with one solve up to 1 - a/l = 1/2
+    orbits_found = [orbit for _, orbit, _ in random_draw_solves
+                    if isinstance(orbit, orbits.PeriodicOrbit)]
+    assert len(orbits_found) == 494
+    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 13616
+
+
 def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
     # a solve that wanders, say toward the half-period alias, without a
     # correction that grows twice in a row runs all _MAX_NEWTON iterations;
@@ -598,6 +609,62 @@ def test_first_start_is_second_order(params):
     (d_far, omega_far), (d_near, omega_near) = misses
     assert 7.0 < d_far / d_near < 9.5
     assert 3.5 < omega_far / omega_near < 4.5
+
+
+def _ladder_orbit(monkeypatch, a, params):
+    """find_periodic with every target climbing the ladder from _FIRST_STEP."""
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_NEAR_LOOP", 0.0)
+        return find_periodic(a, params)
+
+
+def _assert_same_orbit(got, want):
+    for name in ("b", "period", "max_value"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [B0, SHIFTED, N7_P2], ids=["b0", "shifted", "n7-p2"])
+@pytest.mark.parametrize("eps", [0.13, 0.25, 0.4, 0.5])
+def test_one_step_orbit_meets_the_ladder(monkeypatch, params, eps):
+    # up to 1 - a/l = 1/2 one Newton solve from the Lindstedt-Poincare orbit
+    # reaches the orbit that the ladder 0.12, 0.24, ... reaches in 2-4 steps
+    a = (1.0 - eps) * derive_coefficients(params).l
+    one_step, ladder = find_periodic(a, params), _ladder_orbit(monkeypatch, a, params)
+    assert one_step.continuation_steps == 1 < ladder.continuation_steps
+    _assert_same_orbit(one_step, ladder)
+
+
+def test_one_step_orbits_of_the_random_draws_meet_the_ladder(monkeypatch, random_draw_solves):
+    # every orbit of the 500 draws with 1 - a/l in (0.12, 1/2]; on 4 of the
+    # 19, all with p > 24, the one-step solve fails and is halved once
+    steps = Counter()
+    for params, orbit, _ in random_draw_solves:
+        if not isinstance(orbit, orbits.PeriodicOrbit):
+            continue
+        l = derive_coefficients(params).l
+        if not orbits._FIRST_STEP < 1.0 - orbit.a / l <= orbits._NEAR_LOOP:
+            continue
+        steps[orbit.continuation_steps] += 1
+        _assert_same_orbit(orbit, _ladder_orbit(monkeypatch, orbit.a, params))
+    assert steps == {1: 15, 2: 4}
+
+
+def test_failed_one_step_solve_is_halved(monkeypatch):
+    # the one-step solve is failed like the first rung of the ladder: the
+    # half-period alias injected into it is rejected, the step is halved and
+    # the orbit is reached from there; with no halving allowed, the solve ends
+    l = derive_coefficients(B0).l
+    plain = find_periodic(1.0, B0)
+    aliases, calls = _inject_alias(monkeypatch, 1.0 - l, 2, times=1)
+    orbit = find_periodic(1.0, B0)
+    assert len(aliases) == 1
+    assert [w0 for w0, _ in calls[:2]] == [1.0 - l, -(0.5 * (1.0 - 1.0 / l)) * l]
+    assert orbit.continuation_steps == 2
+    _assert_same_orbit(orbit, plain)
+    aliases.clear()
+    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    with pytest.raises(ConvergenceError, match="half-period alias"):
+        find_periodic(1.0, B0)
 
 
 def _nehari_value(params):
@@ -839,6 +906,7 @@ class TestReusedArrays:
             return out
 
         monkeypatch.setattr(orbits, "_collocate", recording)
+        assert 1.0 - fraction > orbits._NEAR_LOOP  # so the solve climbs the ladder
         find_periodic(fraction * derive_coefficients(params).l, params)
         assert any(math.isinf(out[3]) for _, out in calls) == (params is N5_P18)
         for args, (d, *rest) in calls:

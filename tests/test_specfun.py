@@ -52,6 +52,12 @@ class TestGamma:
         with pytest.raises(ValidationError):
             gamma_fn(x)
 
+    @pytest.mark.parametrize("x", [172.0, 1e-320, -1e-320])
+    def test_overflow_is_validation_error(self, x):
+        # Gamma(x) past the largest float: math.gamma's OverflowError, mapped
+        with pytest.raises(ValidationError, match="overflows"):
+            gamma_fn(x)
+
 
 class TestBeta:
     def test_half_integer_value(self):
@@ -106,30 +112,31 @@ def worst_relative_error(fn, exact, samples):
 
 
 class TestMpmathOracle:
-    """gamma_fn, beta_fn and omega_n against mpmath, which shares none of the
-    Lanczos series.  The worst errors on these samples are 1.3e-14, 1.7e-13,
-    6.2e-14 and 4.1e-14."""
+    """gamma_fn, beta_fn and omega_n against mpmath at 40 digits.  The worst
+    errors on these samples are 5.7e-16, 7.8e-16, 4.2e-15 and 1.4e-14."""
 
     def test_gamma_on_positive_axis(self):
         xs = np.random.default_rng(7).uniform(0.0, 40.0, (400, 1)).tolist()
-        assert worst_relative_error(gamma_fn, mpmath.gamma, xs) <= 1e-13
+        assert worst_relative_error(gamma_fn, mpmath.gamma, xs) <= 1e-14
 
     def test_gamma_on_negative_axis(self):
-        # the reflection formula, at least 1e-3 away from every pole
+        # at least 1e-3 away from every pole
         xs = np.random.default_rng(11).uniform(-20.0, 0.0, (400, 1)).tolist()
         xs = [x for x in xs if abs(x[0] - round(x[0])) >= 1e-3]
         assert len(xs) >= 390
-        assert worst_relative_error(gamma_fn, mpmath.gamma, xs) <= 1e-11
+        assert worst_relative_error(gamma_fn, mpmath.gamma, xs) <= 1e-14
 
     def test_sphere_measure(self):
         def exact(n):
             return 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
 
-        assert worst_relative_error(omega_n, exact, [(n,) for n in range(1, 200)]) <= 1e-13
+        assert worst_relative_error(omega_n, exact, [(n,) for n in range(1, 200)]) <= 1e-14
 
     def test_beta(self):
+        # Gamma(a + b) is evaluated at the rounded sum a + b, whose error of
+        # half an ulp grows by (a + b) psi(a + b), about 220 at a + b = 55
         pairs = np.random.default_rng(13).uniform(0.05, 30.0, (400, 2)).tolist()
-        assert worst_relative_error(beta_fn, mpmath.beta, pairs) <= 1e-13
+        assert worst_relative_error(beta_fn, mpmath.beta, pairs) <= 2e-14
 
 
 def cosh_power_quadrature(g, nu):
