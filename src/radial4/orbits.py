@@ -10,15 +10,13 @@ round-off that limits shooting on these hyperbolic loops.  Each Newton solve
 stops on Deuflhard's contraction monitor (Newton Methods for Nonlinear
 Problems, 2004, ch. 2): converged once the next correction is estimated
 below round-off, or once the correction stops shrinking at a residual
-already within tol; failed once it grows twice in a row.  The first
+already within tol; failed once it has grown twice.  The first
 continuation step starts from the second-order Lindstedt-Poincare orbit
 (Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that one
-step reaches every target with 1 - a/l <= 1/2.  Targets nearer the
-homoclinic loop climb a ladder in 1 - a/l, whose second step starts from
-the secant through the first orbit and the equilibrium and every later one
-from the parabola through the last three orbits or, for a large cut in a,
-from Lin's seed (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A (1990) 401); a
-predicted start that fails falls back once to the last orbit.
+step reaches every target with 1 - a/l <= 1/2.  Nearer the homoclinic loop
+an orbit follows ln a (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A (1990)
+401), so from 1/2 the continuation jumps straight to the target, from Lin's
+seed when the rates are real, and halves a failed jump in log a.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -50,10 +48,10 @@ _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
-# 1 - a/l up to which the first continuation step goes straight to the
-# target, and from which a step may start from Lin's seed
+# 1 - a/l of the first continuation step, from which a step may start from
+# Lin's seed
 _NEAR_LOOP = 0.5
-_FIRST_STEP = 0.12  # 1 - a/l of the first rung of the ladder to targets past _NEAR_LOOP
+_MAX_CUT = 1e6  # largest factor by which one later continuation step cuts a
 _MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
 
 
@@ -236,7 +234,8 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     iterate.  It has also converged when the correction stops shrinking
     (theta >= 1) at an iterate whose residual is already at most tol: that
     correction is rounding, and the iterate is returned without it.  It has
-    failed (residual inf) when the correction grows twice in a row, when the
+    failed (residual inf) when the correction grows for the second time,
+    in a row or not (a solve whose theta swings about 1 wanders), when the
     Jacobian is singular or a correction is not finite, and it ends after
     _MAX_NEWTON steps.
 
@@ -306,7 +305,7 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
                     return d, abs(omega), iteration + 1, residual
                 if grew and theta > 1.0:
                     return d, omega, iteration + 1, math.inf
-            grew = theta > 1.0
+            grew = grew or theta > 1.0
             d += step[:n]
             omega += step[n]
             converged = delta <= _STEP_TOL or theta < 0.5 and theta * delta <= _STEP_TOL
@@ -341,51 +340,33 @@ def _small_orbit(n: int, eps: float, l: float, K2: float, K0: float, p: float):
     return d, omega
 
 
-def _predict(d: np.ndarray, omega: float, done: float, before: list, eps: float, l: float,
-             lam2):
+def _lin_seed(d: np.ndarray, omega: float, done: float, eps: float, l: float, lam2: float):
     """Start for the continuation step from the orbit (d, omega) at 1 - a/l =
-    done > 0 to the orbit at 1 - a/l = eps.
+    done to the orbit at 1 - a/l = eps, near the homoclinic loop.
 
-    A step that cuts a = l (1 - eps) more than tenfold from done >= 1/2
-    (_NEAR_LOOP), with real rates (lam2, the slow one, is not None), starts
-    from Lin's seed: near the homoclinic loop an orbit is a chain of humps
-    joined along the slow decay e^{-lam2 |s|} (X.-B. Lin, Proc. Roy. Soc.
-    Edinburgh 116A (1990) 401), so the period grows by (2/lam2)
-    ln(a_old/a_new).  v at the nodes is the old hump about the new half period T/2, continued by
+    There an orbit is a chain of humps joined along the slow decay
+    e^{-lam2 |s|} (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A (1990) 401), so
+    the period grows by (2/lam2) ln(a_old/a_new), a = l (1 - eps).  v at the
+    nodes is the old hump about the new half period T/2, continued by
     a_old e^{-lam2 (|s| - T_old/2)} beyond it, where s = t - T/2.  The
     columns of the collocation matrix are orthogonal (the sum over the nodes
     of cos(i tau) cos(k tau) is N/2 for i = k > 0, N for i = k = 0, else 0),
-    so one product with its transpose projects v - l onto the cosines.  Any
-    other step starts from the Lagrange extrapolation in eps through the
-    orbits before = [(d0, omega0, eps0), ...], accepted before d, oldest
-    first, each padded with zeros to len(d), and (d, omega, done): the
-    secant through two orbits, with an error of O(h^2) in the step h, or
-    the parabola through three, O(h^3) (Allgower and Georg, Introduction to
-    Numerical Continuation Methods, 2003, ch. 6).
+    so one product with its transpose projects v - l onto the cosines.
     """
     n = len(d)
     a_old, a_new = l * (1.0 - done), l * (1.0 - eps)
-    if lam2 is not None and done >= _NEAR_LOOP and a_old > 10.0 * a_new:
-        period = 2.0 * math.pi / omega
-        new_omega = 2.0 * math.pi / (period + 2.0 / lam2 * math.log(a_old / a_new))
-        k = np.arange(n)
-        _, _, cos = _basis(n)
-        s = (math.pi - math.pi / n * (k + 0.5)) / new_omega  # |s| at the nodes
-        hump = s <= 0.5 * period
-        w = a_old * np.exp(-lam2 * (s - 0.5 * period)) - l
-        # on the hump v(T_old/2 + s) - l = sum_k (-1)^k d_k cos(k omega s)
-        w[hump] = np.cos(np.multiply.outer(omega * s[hump], k)) @ np.where(k % 2 == 0, d, -d)
-        seed = 2.0 / n * (cos.T @ w)
-        seed[0] *= 0.5
-        return seed, new_omega
-    points = [*before, (d, omega, done)]
-    guess, guess_omega = np.zeros(n), 0.0
-    for i, (di, omega_i, eps_i) in enumerate(points):
-        weight = math.prod((eps - eps_j) / (eps_i - eps_j)
-                           for j, (_, _, eps_j) in enumerate(points) if j != i)
-        guess[:len(di)] += weight * di
-        guess_omega += weight * omega_i
-    return guess, guess_omega
+    period = 2.0 * math.pi / omega
+    new_omega = 2.0 * math.pi / (period + 2.0 / lam2 * math.log(a_old / a_new))
+    k = np.arange(n)
+    _, _, cos = _basis(n)
+    s = (math.pi - math.pi / n * (k + 0.5)) / new_omega  # |s| at the nodes
+    hump = s <= 0.5 * period
+    w = a_old * np.exp(-lam2 * (s - 0.5 * period)) - l
+    # on the hump v(T_old/2 + s) - l = sum_k (-1)^k d_k cos(k omega s)
+    w[hump] = np.cos(np.multiply.outer(omega * s[hump], k)) @ np.where(k % 2 == 0, d, -d)
+    seed = 2.0 / n * (cos.T @ w)
+    seed[0] *= 0.5
+    return seed, new_omega
 
 
 def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> PeriodicOrbit:
@@ -398,20 +379,18 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     (c, omega); Newton's method solves them with the analytic Jacobian,
     written for w = v - l, and stops on a contraction monitor (see
     _collocate).  The minimum a is reached by continuation in eps = 1 - a/l.
-    The first step starts from the second-order Lindstedt-Poincare orbit
-    (_small_orbit), whose coefficients are off by O(eps^3 l) and its
-    frequency by O(eps^2); it goes straight to the target when eps <= 1/2,
-    and otherwise to 0.12, from where eps doubles up to the target (the
-    ladder 0.12, 0.24, 0.48, 0.96, ...).  Every later step starts from a
-    prediction (_predict): the Lagrange extrapolation in eps through the
-    last accepted orbits, the equilibrium counting as the first, so the
-    secant through two on the second step and the parabola through three
-    after it, or Lin's seed for a tenfold cut in a near the homoclinic
-    loop.  A predicted start on which Newton fails is tried once more from
-    the last orbit, which is not a halving.  A step on which Newton fails
-    from the last orbit or, on the first step, from the Lindstedt-Poincare
-    orbit (a singular Jacobian, a non-finite or twice-growing correction, a
-    relative residual above tol, or an alias) is halved and tried again.
+    The first step goes to min(eps, 1/2) from the second-order
+    Lindstedt-Poincare orbit (_small_orbit), whose coefficients are off by
+    O(eps^3 l) and its frequency by O(eps^2).  Every later step goes
+    straight to the target but cuts a at most 1e6-fold (_MAX_CUT), and
+    starts from the last orbit or, when it cuts a more than tenfold from
+    eps >= 1/2 with real rates, from Lin's seed (_lin_seed); Lin's start, if
+    Newton fails on it, is tried once more from the last orbit, which is not
+    a halving.  A step on which Newton fails from any other start (a
+    singular Jacobian, a non-finite or twice-grown correction, a relative
+    residual above tol, or an alias) is halved and tried again: the first
+    step in eps, a later one in log a, to the geometric mean of the two
+    minima.  A halved first step climbs back to 1/2 before the jump.
     Two tests reject aliases.  v(pi/omega) <= l marks the half-period
     alias, an orbit of twice the period with v(pi/omega) = a: integrating
     the equation over a period gives int v (K0 - v^{p-1}) = 0, so an orbit
@@ -445,18 +424,19 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     K2, K0, p = problem.K2, problem.K0, problem.p
     lam2 = float(coeff.lam2) if K2 > 0.0 and coeff.discriminant >= 0.0 else None
     eps_target = 1.0 - a / l
-    eps = eps_target if eps_target <= _NEAR_LOOP else _FIRST_STEP
+    eps = min(eps_target, _NEAR_LOOP)
     d, omega, done = np.zeros(_MODES), linearized_frequency(K2, K0, p), 0.0  # the equilibrium
-    before = []  # the orbits accepted before d, at most two, oldest first
     start = None
     iterations = steps = retries = 0
     while True:
         w0 = a - l if eps >= eps_target else -eps * l
         if start is None:
-            if done > 0.0:
-                start = _predict(d, omega, done, before, eps, l, lam2)
-            else:
+            if done == 0.0:
                 start = _small_orbit(len(d), eps, l, K2, K0, p)
+            elif lam2 is not None and done >= _NEAR_LOOP and 1.0 - done > 10.0 * (1.0 - eps):
+                start = _lin_seed(d, omega, done, eps, l, lam2)
+            else:
+                start = d, omega
         trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol)
         iterations += its
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
@@ -466,7 +446,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             if done > 0.0 and start[0] is not d:
                 start = d, omega  # solve again from the last orbit, not a halving
                 continue
-            # halve the continuation step
+            # halve the continuation step: in eps on the first, in log a after it
             retries += 1
             if retries > _MAX_RETRIES:
                 if not residual <= tol:
@@ -476,7 +456,10 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 else:
                     reason = f"collocation met only a k-fold alias, d_1 = {trial[1]:.3e},"
                 raise ConvergenceError(f"{reason} {where}")
-            eps = 0.5 * (done + eps)
+            if done == 0.0:
+                eps *= 0.5
+            else:
+                eps = 1.0 - math.sqrt((1.0 - done) * (1.0 - eps))
             start = None
             continue
         if np.max(np.abs(trial[-4:])) > _TAIL_TOL * np.max(np.abs(trial)):
@@ -486,12 +469,11 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             d = np.concatenate([d, np.zeros_like(d)])
             start = np.concatenate([trial, np.zeros_like(trial)]), trial_omega
             continue
-        before = [*before[-1:], (d, omega, done)]
         d, omega, done = trial, trial_omega, eps
         steps += 1
         if eps >= eps_target:
             break
-        eps = min(eps_target, 2.0 * eps)
+        eps = min(eps_target, _NEAR_LOOP if done < _NEAR_LOOP else 1.0 - (1.0 - done) / _MAX_CUT)
         start = None
 
     k = np.arange(len(d), dtype=float)

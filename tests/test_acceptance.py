@@ -246,7 +246,7 @@ def test_homoclinic_work_counts(monkeypatch):
     find_homoclinic(B0)
     _report(
         "homoclinic work counts",
-        solves == [(True, 5, 128)],
+        solves == [(True, 2, 128)],
         f"(at 1e-6 l, continuation steps, modes) per periodic solve = {solves}",
     )
 

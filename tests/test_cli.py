@@ -142,7 +142,7 @@ class TestOrbit:
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "b766ec2d2e140d8dcd830552b1db908ade92fcc18cc4a63351d147937994cbf1",
+                         "a45c92c0a36531706f0e48dbda538ca4cc504a157dfc90299d2c6609f79cae29",
                          id="1e-3l"),
         ],
     )
@@ -169,13 +169,13 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "5f1435cab4aa6ecd6555bad5b2a96961d73a6a5021943d8166785bd98bab045b"),
+             "20981c584c6d57b3188b899eed3b3f2614bf7ce1f6fa7bb6f1c85d62f22c42e4"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "cd0d9704a4873753ee0e519a790ac8a5985651b70b68014b143bb10c0f924f51"),
+             "180533551cebb8fbabad4c7104bcefffb61effb4f7f8900db1b3a2e9e9ed4a26"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "bbb85691023dcd98c060901c28cb56a3141f996fc7c374585f04fe4d5684cd31"),
+             "b3f987dc257e83cd652162c3e6cd0b144442abbb9d30778fb9dc7914bb0e7677"),
             (["--n", "6", "--alpha", "-4", "--p", "5"],
-             "16a321b898c57c5a27697329f6feb05efbf5520dfdf0c448991229b00158b0c5"),
+             "296ae3d43bb9cdae9b4ccd4be74a56d639c35bb4673954e04667f519d832fd10"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )
@@ -194,7 +194,7 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "123c4c0a3bd16c0f9ff3354a6a55570db39c24b9263079d348166c6990d36996")
+            "935d81e6b7b23c1766c4a2ebf6d52fd18907e76b976c21ad6744b8af4f94da99")
 
 
 class TestBestConstant:

@@ -340,16 +340,14 @@ class TestPinnedArithmetic:
         # two doublings, N = 32 -> 128; each solve at 2 N starts from the
         # padded trial that failed the tail test at N (from the padded last
         # orbit, these take 39 and 39), the first continuation step, to
-        # 1 - v(0)/l = 0.12, from the second-order Lindstedt-Poincare orbit,
-        # the second from the secant, the next from the parabola through the
-        # last three orbits, and the jump from 0.96 to 1 - 1e-6 from Lin's
-        # seed
+        # 1 - v(0)/l = 1/2, from the second-order Lindstedt-Poincare orbit,
+        # and the jump from 1/2 to 1 - 1e-6 from Lin's seed
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["23", "23"]
+        assert counts == ["18", "18"]
 
     def test_homoclinic_newton_iterations_per_mode_count(self):
-        # find_homoclinic(B0): the continuation at N = 32, one solve at
-        # N = 64 on the padded trial and the jump to 1 - 1e-6 from Lin's seed,
+        # find_homoclinic(B0): the first step at N = 32 and, on its padded
+        # trial, at N = 64, the jump to 1 - 1e-6 from Lin's seed at N = 64,
         # then the padded trial at N = 128
         assert _fresh(
             "from radial4 import ProblemParams, find_homoclinic, orbits\n"
@@ -361,21 +359,20 @@ class TestPinnedArithmetic:
             "orbits._collocate = counting\n"
             "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
             "print(*(f'{n}:{count}' for n, count in sorted(counts.items())))\n"
-        ) == ["32:17", "64:4", "128:2"]
+        ) == ["32:11", "64:5", "128:2"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
         # padded last orbit: the iterations and digits of that path alone
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "39", "1.7320508075030885e-06", "30.89402446457439", "2.213363839400394"]
+            "39", "1.7320508083240983e-06", "30.894024464132755", "2.2133638394003934"]
 
     def test_twice_growing_stop_newton_iterations(self):
         # seed 21 #202 of the draws in test_orbits.py, with complex rates, so
-        # no Lin seed: at N = 128 the jump from 1 - v(0)/l = 0.96 to the
-        # target fails from both starts on a correction that grows twice in a
-        # row, four times, each time halved; the jump at N = 256 then
-        # converges from its prediction.  Without that stop, which cuts these
-        # solves short, this draw took 54 iterations
+        # no Lin seed: the first step fails twice on a correction that grows
+        # twice and is halved to 1 - v(0)/l = 1/8, from where the solve climbs
+        # back to 1/2; the jump from there to the target fails from the last
+        # orbit at N = 64 and converges once halved in log a
         counts = _fresh(
             "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
             "params = ProblemParams(n=6, alpha=-1.4044341184486604, p=48.90248196605966,\n"
@@ -383,14 +380,14 @@ class TestPinnedArithmetic:
             "orbit = find_periodic(4.3807119715585434e-06 * derive_coefficients(params).l, params)\n"
             "print(orbit.newton_iterations, orbit.continuation_steps, orbit.modes)\n"
         )
-        assert counts == ["109", "9", "256"]
+        assert counts == ["55", "4", "256"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072315227", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072321271", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667971", "0.3333333024106916", "33"]
+            "0.7377879464667971", "0.3333333024103996", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

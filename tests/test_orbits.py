@@ -335,29 +335,34 @@ N5_P11 = ProblemParams(n=5, alpha=0.23909451337102539, p=11.386618985728816)
 N8_P4 = ProblemParams(n=8, alpha=-1.0, p=4.0, mu=2.0)  # no closed form
 N5_P18 = ProblemParams(n=5, alpha=-1.222606835532197, p=18.129027101951845,
                        lam=1.0403842713102769)  # seed 21 #149 of _random_draws
+N10_P23 = ProblemParams(n=10, alpha=-1.7772115266912536,
+                        p=23.05904389601033)  # seed 28 #247 of _random_draws
 
 
-# seed 21 #202 and seed 25 #95 of _random_draws below; both have complex
-# rates, so no Lin seed
+# seed 21 #202, seed 25 #95 and seed 28 #40 of _random_draws below; all
+# have complex rates, so no Lin seed
 N6_P49 = ProblemParams(n=6, alpha=-1.4044341184486604, p=48.90248196605966,
                        lam=0.0, mu=2.527459839525436)
 N6_P10 = ProblemParams(n=6, alpha=-1.8736781456150626, p=10.018392369937835,
                        lam=1.221147863372864, mu=0.4829161058849918)
+N10_P4 = ProblemParams(n=10, alpha=-1.6987412646829343, p=4.48004342983336,
+                       lam=0.8719229905971526, mu=2.3503539007998477)
 
 
 @pytest.mark.parametrize(
     "params, fraction, steps",
-    [(N6_P49, 4.3807119715585434e-06, 9), (N6_P10, 1.020406677319262e-05, 6)],
-    ids=["n6-p48.9", "n6-p10.0"],
+    [(N6_P49, 4.3807119715585434e-06, 4), (N6_P10, 1.020406677319262e-05, 3),
+     (N10_P4, 1.1284289327162462e-06, 4)],
+    ids=["n6-p48.9", "n6-p10.0", "n10-p4.5"],
 )
 def test_failed_continuation_steps_are_halved(monkeypatch, params, fraction, steps):
-    # the jump from 1 - v(0)/l = 0.96 to the target misses tol from the
-    # prediction and from the last orbit, on a correction that grows twice
-    # in a row (at N = 128 on n6-p48.9, N = 64 on n6-p10.0); it succeeds once
-    # halved four times (n6-p48.9) or once (n6-p10.0), past the 5 steps of
-    # the doublings from 0.12.  With no halving allowed, that miss ends the
-    # solve.  Of the 500 draws of test_random_draws_*, only n6-p48.9 halves
-    # a step
+    # the jump from 1 - v(0)/l = 1/2 to the target misses tol from the last
+    # orbit, on a correction that grows twice; it succeeds once halved in
+    # log a, a step that moves a as far as the failed one would have.
+    # n6-p48.9 also halves its first step twice, to 1/4 and 1/8, and climbs
+    # back to 1/2.  With no halving allowed, the first miss ends the solve.
+    # Halved in 1 - a/l instead, n10-p4.5 ended at a = 6.3e-4 l, 560 times
+    # its target, after six halvings
     a = fraction * derive_coefficients(params).l
     orbit = find_periodic(a, params)
     assert orbit.continuation_steps == steps
@@ -372,13 +377,13 @@ ALIAS = ProblemParams(n=7, alpha=2.070850096417338, p=9.968139854866239,
 TRIPLED = ProblemParams(n=7, alpha=1.4972, p=9.3859, lam=2.4441)
 
 
-def _inject_alias(monkeypatch, target, fold, times=2):
+def _inject_alias(monkeypatch, target, fold, times):
     """Make the first `times` Newton solves aimed at sum d_k = w0 = target
     return the fold-fold alias of the orbit they reached, d_{fold k} = d_k
-    at omega / fold, with the same residual.  Two calls cover the predicted
-    start and its fallback to the last orbit, so the step must be halved.
-    Returns the list of aliases returned and the list of (w0, N) of every
-    call."""
+    at omega / fold, with the same residual.  One call covers a step from
+    the Lindstedt-Poincare orbit or the last orbit, two cover Lin's seed and
+    its fallback to the last orbit, so the step must be halved.  Returns the
+    list of aliases returned and the list of (w0, N) of every call."""
     collocate, aliases, calls = orbits._collocate, [], []
 
     def aliasing(d, omega, w0, l, *args):
@@ -397,19 +402,20 @@ def _inject_alias(monkeypatch, target, fold, times=2):
 
 def test_half_period_alias_is_rejected(monkeypatch):
     # the orbit of twice the period meets tol with v(period/2) = v(0) < l.
-    # From the linearized and last-orbit starts alone, Newton reached it on
-    # the jump from 1 - v(0)/l = 0.48 to 0.96 and, followed to the target, it
-    # gave period 74.6468.  Injected on the step to 0.48, which the solve
-    # otherwise takes without a halving, it is rejected: the step is halved
-    # to 0.36, and with no halving allowed the solve ends there
+    # From the linearized and last-orbit starts alone, Newton once reached it
+    # on a continuation step to 0.96 and, followed to the target, it gave
+    # period 74.6468.  Injected on the first step, to 1 - v(0)/l = 1/2, which
+    # the solve otherwise takes without a halving, it is rejected: the step
+    # is halved to 1/4, the solve climbs back to 1/2 from there and then
+    # jumps to the target; with no halving allowed the solve ends at 1/2
     l = derive_coefficients(ALIAS).l
     a = 4.8606241398472726e-05 * l
-    assert 1.0 - a / l > orbits._NEAR_LOOP  # so the solve climbs the ladder
-    eps = 4 * orbits._FIRST_STEP  # the third step, as the doublings of 0.12 round it
-    aliases, calls = _inject_alias(monkeypatch, -eps * l, 2)
+    aliases, calls = _inject_alias(monkeypatch, -orbits._NEAR_LOOP * l, 2, times=1)
     orbit = find_periodic(a, ALIAS)
-    assert len(aliases) == 2 and all(d[::2].sum() - d[1::2].sum() < 0.0 for d, _ in aliases)
-    assert -0.5 * (0.5 * eps + eps) * l in [w0 for w0, _ in calls]
+    (alias, _), = aliases
+    assert alias[::2].sum() - alias[1::2].sum() < 0.0
+    assert [w0 for w0, _ in calls[:3]] == [-0.5 * l, -0.25 * l, -0.5 * l]
+    assert orbit.continuation_steps == 3
     assert orbit.period == pytest.approx(37.3234077252, rel=1e-9)
     assert orbit.max_value > l
     aliases.clear()
@@ -421,25 +427,34 @@ def test_half_period_alias_is_rejected(monkeypatch):
 def test_period_tripled_alias_is_rejected(monkeypatch):
     # the orbit of three times the period (58.06 against 19.35 here) peaks
     # above l at its half period, as the orbit does, so only its vanishing
-    # fundamental mode d_1 tells it apart; rejected, the step is halved
-    l = derive_coefficients(TRIPLED).l
+    # fundamental mode d_1 tells it apart.  Injected on the jump from
+    # 1 - v(0)/l = 1/2 to the target, which starts from Lin's seed, it is
+    # rejected; the fallback to the last orbit fails, and the jump is halved
+    # in log a.  Injected on the first step, where nothing falls back, it
+    # ends the solve when no halving is allowed
+    coeff = derive_coefficients(TRIPLED)
+    l = coeff.l
     a = 0.0023 * l
-    assert 1.0 - a / l > orbits._NEAR_LOOP  # so the solve climbs the ladder
+    assert coeff.K2 > 0.0 and coeff.discriminant >= 0.0  # so the jump starts from Lin's seed
     plain = find_periodic(a, TRIPLED)
     assert plain.period == pytest.approx(19.3534799, rel=1e-7)
-    aliases, calls = _inject_alias(monkeypatch, a - l, 3)
+    assert plain.continuation_steps == 2
+    aliases, calls = _inject_alias(monkeypatch, a - l, 3, times=1)
     orbit = find_periodic(a, TRIPLED)
-    (first, omega), _ = aliases
+    (first, omega), = aliases
     assert first[::2].sum() - first[1::2].sum() > 0.0 and first[1] == 0.0
     assert 2.0 * math.pi / omega == pytest.approx(58.06, rel=1e-3)
-    assert orbit.continuation_steps == plain.continuation_steps + 1
-    halved = [w0 for w0, _ in calls if a - l < w0 < -0.96 * l]
-    assert halved and len(set(halved)) == 1
+    assert calls[1:3] == [(a - l, orbits._MODES)] * 2
+    assert orbit.continuation_steps == 3
+    # the halved jump ends at the geometric mean of a and l / 2
+    halved = 1.0 - math.sqrt((1.0 - orbits._NEAR_LOOP) * (1.0 - (1.0 - a / l)))
+    assert {w0 for w0, _ in calls if a - l < w0 < -orbits._NEAR_LOOP * l} == {-halved * l}
     for name in ("period", "b", "max_value"):
         assert getattr(orbit, name) == pytest.approx(getattr(plain, name), rel=1e-9)
     assert orbit.coefficients[1] < 0.0
-    aliases.clear()
+    monkeypatch.undo()
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
+    _inject_alias(monkeypatch, -orbits._NEAR_LOOP * l, 3, times=1)
     with pytest.raises(ConvergenceError, match="k-fold alias"):
         find_periodic(a, TRIPLED)
 
@@ -479,7 +494,7 @@ def _random_draws(seed, count=250):
 
 @pytest.fixture(scope="module")
 def random_draw_solves():
-    """find_periodic on the 500 draws of seeds 21 and 22: per draw, the
+    """find_periodic on the 2,000 draws of seeds 21 to 28: per draw, the
     orbit, the ConvergenceError or None (K0 <= 0), and the (N, iterations,
     residual) of each of its Newton solves."""
     collocate, results = orbits._collocate, []
@@ -491,7 +506,7 @@ def random_draw_solves():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "_collocate", recording)
-        for seed in (21, 22):
+        for seed in range(21, 29):
             for params, fraction in _random_draws(seed):
                 coeff, calls = derive_coefficients(params), []
                 if coeff.K0 <= 0.0:
@@ -508,8 +523,9 @@ def random_draw_solves():
 def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
     # every draw gives an orbit that peaks above l, has a negative
     # fundamental mode and meets tol, or needs more than the 512 modes of
-    # the cap (5 draws, with p in 33..48 and a <= 2.5e-4 l); one draw has
-    # K0 < 0 and no equilibrium
+    # the cap (27 draws); one draw has K0 < 0 and no equilibrium.  Halved in
+    # 1 - a/l rather than in log a, four draws near the loop with complex
+    # rates missed tol (seed 23 #88, 25 #41, 26 #210 and 28 #40)
     outcomes = Counter()
     for params, orbit, _ in random_draw_solves:
         if orbit is None:
@@ -524,24 +540,25 @@ def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
         assert orbit.coefficients[1] < 0.0
         assert orbit.residual_sup <= 1e-8
         outcomes["orbit"] += 1
-    assert outcomes == {"orbit": 494, "mode cap": 5, "no equilibrium": 1}
+    assert outcomes == {"orbit": 1972, "mode cap": 27, "no equilibrium": 1}
 
 
 def test_random_draw_newton_work(random_draw_solves):
-    # the Newton iterations of the 494 orbits: 18,643 from secant starts,
-    # 13,616 from the parabola, 13,529 with one solve up to 1 - a/l = 1/2
+    # the Newton iterations of the 1,972 orbits: 37,457 on one BLAS thread
+    # and 37,461 on two
     orbits_found = [orbit for _, orbit, _ in random_draw_solves
                     if isinstance(orbit, orbits.PeriodicOrbit)]
-    assert len(orbits_found) == 494
-    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 13616
+    assert len(orbits_found) == 1972
+    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 37461
 
 
 def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
-    # a solve that wanders, say toward the half-period alias, without a
-    # correction that grows twice in a row runs all _MAX_NEWTON iterations;
-    # three did from a start that resolved only O(eps) (the linearized orbit)
+    # a solve that wanders without a correction that grows twice runs all
+    # _MAX_NEWTON iterations: seed 28 #247's jump from Lin's seed did while
+    # only two growths in a row stopped a solve.  The draws take 4.7 solves
+    # each; fewer than 4 would mean that calls go unrecorded
     solves = [call for _, _, calls in random_draw_solves for call in calls]
-    assert len(solves) > 3000
+    assert len(solves) > 4 * len(random_draw_solves)
     assert max(its for _, its, _ in solves) < orbits._MAX_NEWTON
 
 
@@ -580,13 +597,14 @@ def test_doubling_restart_meets_fallback(monkeypatch, params, fraction):
 
 
 def test_doubling_fallback_is_not_a_halving(monkeypatch):
-    # B0 at 1e-6 l takes no halving (5 steps: 1 - v(0)/l = 0.12, 0.24, 0.48,
-    # 0.96 and the target); with none allowed, its two fallbacks (N = 64 and
-    # 128) still reach the orbit
+    # B0 at 1e-6 l takes no halving (2 steps: 1 - v(0)/l = 1/2 and the
+    # target); with none allowed, its two fallbacks (N = 64 and 128) still
+    # reach the orbit
     monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
     seen = _fail_first_solve_at_each_doubling(monkeypatch)
     orbit = find_periodic(1e-6 * EQUILIBRIUM, B0)
-    assert seen == {32, 64, 128} and orbit.continuation_steps == 5
+    assert seen == {32, 64, 128} and orbit.continuation_steps == 2
+    assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
 
 
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
@@ -612,9 +630,10 @@ def test_first_start_is_second_order(params):
 
 
 def _ladder_orbit(monkeypatch, a, params):
-    """find_periodic with every target climbing the ladder from _FIRST_STEP."""
+    """find_periodic on a two-rung ladder: its first step goes to 1 - a/l =
+    0.12, the next from that orbit to the target."""
     with monkeypatch.context() as patch:
-        patch.setattr(orbits, "_NEAR_LOOP", 0.0)
+        patch.setattr(orbits, "_NEAR_LOOP", 0.12)
         return find_periodic(a, params)
 
 
@@ -627,32 +646,36 @@ def _assert_same_orbit(got, want):
 @pytest.mark.parametrize("eps", [0.13, 0.25, 0.4, 0.5])
 def test_one_step_orbit_meets_the_ladder(monkeypatch, params, eps):
     # up to 1 - a/l = 1/2 one Newton solve from the Lindstedt-Poincare orbit
-    # reaches the orbit that the ladder 0.12, 0.24, ... reaches in 2-4 steps
+    # reaches an orbit that passes the DP half-period oracle, and the one
+    # that a continuation through 0.12 reaches in two steps
     a = (1.0 - eps) * derive_coefficients(params).l
     one_step, ladder = find_periodic(a, params), _ladder_orbit(monkeypatch, a, params)
     assert one_step.continuation_steps == 1 < ladder.continuation_steps
+    assert _dp_half_period_error(one_step, _dp_segments(one_step)) <= 1e-8
     _assert_same_orbit(one_step, ladder)
 
 
 def test_one_step_orbits_of_the_random_draws_meet_the_ladder(monkeypatch, random_draw_solves):
-    # every orbit of the 500 draws with 1 - a/l in (0.12, 1/2]; on 4 of the
-    # 19, all with p > 24, the one-step solve fails and is halved once
+    # every orbit of the 2,000 draws with 1 - a/l in (0.12, 1/2], against
+    # the DP half-period oracle and the two-rung ladder through 0.12; on 16
+    # of the 89, all with p > 22, the one-step solve fails and is halved once
     steps = Counter()
     for params, orbit, _ in random_draw_solves:
         if not isinstance(orbit, orbits.PeriodicOrbit):
             continue
         l = derive_coefficients(params).l
-        if not orbits._FIRST_STEP < 1.0 - orbit.a / l <= orbits._NEAR_LOOP:
+        if not 0.12 < 1.0 - orbit.a / l <= orbits._NEAR_LOOP:
             continue
         steps[orbit.continuation_steps] += 1
+        assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
         _assert_same_orbit(orbit, _ladder_orbit(monkeypatch, orbit.a, params))
-    assert steps == {1: 15, 2: 4}
+    assert steps == {1: 73, 2: 16}
 
 
 def test_failed_one_step_solve_is_halved(monkeypatch):
-    # the one-step solve is failed like the first rung of the ladder: the
-    # half-period alias injected into it is rejected, the step is halved and
-    # the orbit is reached from there; with no halving allowed, the solve ends
+    # the half-period alias injected into the one-step solve is rejected, the
+    # step is halved in 1 - a/l and the orbit is reached from there; with no
+    # halving allowed, the solve ends
     l = derive_coefficients(B0).l
     plain = find_periodic(1.0, B0)
     aliases, calls = _inject_alias(monkeypatch, 1.0 - l, 2, times=1)
@@ -814,7 +837,7 @@ def _plain_collocate(d, omega, w0, l, K2, K0, p, tol):
                 return d, abs(omega), iteration + 1, relative_residual()
             if theta > 1.0 and grew:
                 return d, omega, iteration + 1, math.inf
-            grew = theta > 1.0
+            grew = grew or theta > 1.0
             d = d + step[:n]
             omega += step[n]
             tol_step = orbits._STEP_TOL
@@ -856,7 +879,7 @@ class TestReusedArrays:
         # the same bits; the start itself is left unchanged
         coeff = derive_coefficients(B0)
         K2, K0, p, l = coeff.K2, coeff.K0, B0.p, coeff.l
-        eps = orbits._FIRST_STEP
+        eps = 0.12
         d, omega = orbits._small_orbit(orbits._MODES, eps, l, K2, K0, p)
         kept = d.copy()
         first = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8)
@@ -886,18 +909,21 @@ class TestReusedArrays:
 
 
     @pytest.mark.parametrize(
-        "params, fraction",
-        [(B0, 1e-8), (N5_P18, 0.04869516498675949)],
-        ids=["b0-floor", "n5-p18.1-growing"],
+        "params, fraction, failed",
+        [(B0, 1e-8, []), (N5_P18, 0.04869516498675949, [4]),
+         (N10_P23, 1.6537038551435733e-05, [4, 6])],
+        ids=["b0-floor", "n5-p18.1-growing", "n10-p23.1-growing-apart"],
     )
     def test_collocate_calls_of_a_solve_match_plain_expressions(self, monkeypatch, params,
-                                                                fraction):
+                                                                fraction, failed):
         # every Newton solve of one find_periodic, replayed through the plain
         # loop from the starts the continuation gave it: on B0 at 1e-8 l the
-        # N = 256 solve stops at the rounding floor, and on n5-p18.1 the jump
-        # from 1 - v(0)/l = 0.24 to 0.48, from the parabola through the
-        # equilibrium and the first two orbits, fails on a correction that
-        # grows twice in a row
+        # N = 256 solve stops at the rounding floor; on n5-p18.1 the first
+        # step, to 1 - v(0)/l = 1/2, fails on a correction that grows twice
+        # in a row; and on n10-p23.1 the first step fails so too, and the
+        # jump from 1/2, from Lin's seed, fails at its sixth correction, the
+        # second that grows (the third grew, and the two between shrank).
+        # failed lists the iterations of the failed solves
         collocate, calls = orbits._collocate, []
 
         def recording(*args):
@@ -906,9 +932,8 @@ class TestReusedArrays:
             return out
 
         monkeypatch.setattr(orbits, "_collocate", recording)
-        assert 1.0 - fraction > orbits._NEAR_LOOP  # so the solve climbs the ladder
         find_periodic(fraction * derive_coefficients(params).l, params)
-        assert any(math.isinf(out[3]) for _, out in calls) == (params is N5_P18)
+        assert [its for _, (_, _, its, residual) in calls if math.isinf(residual)] == failed
         for args, (d, *rest) in calls:
             want = _plain_collocate(*args)
             assert d.tobytes() == want[0].tobytes() and tuple(rest) == want[1:]

@@ -30,12 +30,6 @@ class TestGamma:
     def test_known_values(self, x, value):
         assert gamma_fn(x) == pytest.approx(value, rel=1e-13)
 
-    def test_matches_reference_on_positive_axis(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            x = float(rng.uniform(0.05, 30.0))
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-13)
-
     def test_recurrence(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

@@ -7,6 +7,8 @@ import sympy as sp
 
 from radial4 import ProblemParams, derive_coefficients, linearized_frequency
 from radial4 import orbits
+from radial4.dynamics import energy
+from radial4.params import k0_value, k2_value
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -87,7 +89,7 @@ def test_small_orbit_meets_the_symbolic_coefficients(params):
     want = {name: sp.N(value, 40) for name, value in
             (("omega", values[omega]), ("s0", solution[s0].subs(values)),
              ("s2", solution[s2].subs(values)))}
-    eps = orbits._FIRST_STEP
+    eps = 0.12
     d, start_omega = orbits._small_orbit(orbits._MODES, eps, coeff.l, coeff.K2, coeff.K0, params.p)
     got = {"omega": start_omega, "s0": d[0] / d[1] ** 2, "s2": d[2] / d[1] ** 2}
     for name in want:
@@ -95,3 +97,61 @@ def test_small_orbit_meets_the_symbolic_coefficients(params):
     assert start_omega == linearized_frequency(coeff.K2, coeff.K0, params.p)
     assert not d[3:].any()
     assert abs(d.sum() + eps * coeff.l) <= 1e-15 * coeff.l
+
+
+def radial_reduction():
+    """The radial equation's left side through u = r^{-(n-4-alpha)/2} v(-ln r).
+
+    Delta(r^-alpha Delta u) + lambda div(r^{-alpha-2} grad u) + mu r^{-alpha-4} u,
+    with the radial Laplacian f'' + (n-1) f'/r and n, alpha, lambda and mu
+    symbolic, is multiplied by r^{(n-4-alpha)/2 + alpha + 4} and written in
+    t = -ln r.  Returns the symbols (n, alpha, lambda, mu), the coefficients
+    of v and its first four derivatives in t, and what is left over.
+    """
+    n, alpha, lam, mu, t = sp.symbols("n alpha lambda mu t", real=True)
+    r = sp.Symbol("r", positive=True)
+    v = sp.Function("v")
+    gamma = (n - 4 - alpha) / 2
+    u = r ** -gamma * v(-sp.log(r))
+
+    def laplacian(f):
+        return f.diff(r, 2) + (n - 1) / r * f.diff(r)
+
+    left = (laplacian(r ** -alpha * laplacian(u))
+            + lam * r ** (1 - n) * (r ** (n - 3 - alpha) * u.diff(r)).diff(r)
+            + mu * r ** (-alpha - 4) * u)
+    reduced = (left * r ** (gamma + alpha + 4)).subs(r, sp.exp(-t)).doit()
+    reduced = sp.expand(sp.powsimp(sp.expand(reduced), force=True))
+    derivatives = [v(t)] + [v(t).diff(t, k) for k in range(1, 5)]
+    coefficients = [sp.simplify(reduced.coeff(d)) for d in derivatives]
+    rest = sp.simplify(reduced - sum(c * d for c, d in zip(coefficients, derivatives)))
+    return (n, alpha, lam, mu), coefficients, rest
+
+
+def test_radial_equation_reduces_to_k2_and_k0():
+    # the left side becomes v'''' - K2 v'' + K0 v, with constant coefficients
+    # and no odd derivative, and K2 and K0 are the code's k2_value and k0_value
+    (n, alpha, lam, mu), (c0, c1, c2, c3, c4), rest = radial_reduction()
+    assert rest == 0 and c4 == 1 and c3 == 0 and c1 == 0
+    assert not (c0.free_symbols | c2.free_symbols) - {n, alpha, lam, mu}
+    assert sp.simplify(c2 + sp.nsimplify(k2_value(n, alpha, lam))) == 0
+    assert sp.simplify(c0 - sp.nsimplify(k0_value(n, alpha, lam, mu))) == 0
+
+
+def test_balance_relation_makes_the_power_term_autonomous():
+    # r^beta u^p times r^{(n-4-alpha)/2 + alpha + 4} is v^p, with no power
+    # of r left, when (n+alpha)/2 + (n+beta)/(p+1) = n-2
+    n, alpha, beta = sp.symbols("n alpha beta", real=True)
+    gamma = (n - 4 - alpha) / 2
+    balanced, = sp.solve(sp.Eq((n + alpha) / 2 + (n + beta) / (p + 1), n - 2), beta)
+    assert sp.simplify(balanced - p * gamma + gamma + alpha + 4) == 0
+
+
+def test_energy_is_conserved_along_the_flow():
+    # dE/dt = grad E . (v', v'', v''', K2 v'' - K0 v + v^p) = 0 for the
+    # code's energy, with K2, K0 and p symbolic
+    y = sp.symbols("v v1 v2 v3", positive=True)
+    K0 = sp.Symbol("K0", real=True)
+    e = sp.nsimplify(energy(y, K2, K0, p))
+    flow = (y[1], y[2], y[3], K2 * y[2] - K0 * y[0] + y[0] ** p)
+    assert sp.simplify(sum(e.diff(yi) * fi for yi, fi in zip(y, flow))) == 0
