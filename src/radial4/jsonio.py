@@ -81,12 +81,25 @@ def csv_cell(value) -> str:
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render rows to CSV text with LF line endings and 17-digit floats."""
+    """Render rows to CSV text with LF line endings and 17-digit floats.
+
+    A row of as many floats as the header has names is one %-format of a
+    "%.17g" template, the cells csv.writer would write unquoted; every
+    other row, and one whose text shows a nan or inf (the only formatted
+    floats with an "n"), goes through csv.writer, where csv_cell raises.
+    """
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
+    width = len(header)
+    template = ",".join(["%.17g"] * width) + "\n"
     for row in rows:
+        if len(row) == width and all(type(c) is float for c in row):
+            line = template % tuple(row)
+            if "n" not in line:
+                buf.write(line)
+                continue
         writer.writerow([csv_cell(c) for c in row])
     return buf.getvalue()

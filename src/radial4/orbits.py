@@ -10,13 +10,18 @@ round-off that limits shooting on these hyperbolic loops.  Each Newton solve
 stops on Deuflhard's contraction monitor (Newton Methods for Nonlinear
 Problems, 2004, ch. 2): converged once the next correction is estimated
 below round-off, or once the correction stops shrinking at a residual
-already within tol; failed once it has grown twice.  The first
-continuation step starts from the second-order Lindstedt-Poincare orbit
-(Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that one
-step reaches every target with 1 - a/l <= 1/2.  Nearer the homoclinic loop
-an orbit follows ln a (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A (1990)
-401), so from 1/2 the continuation jumps straight to the target, from Lin's
-seed when the rates are real, and halves a failed jump in log a.
+already within tol; failed once it has grown twice.  Only the last solve
+sets the digits, so two early exits stop the others at the accuracy their
+result feeds: an intermediate continuation point ends at 1e-2 (a corrector
+need not converge there; Allgower and Georg, Numerical Continuation Methods,
+1990), and a solve whose residual between the nodes shows that truncation
+dominates goes on at twice the modes (nested iteration, as in Boyd).  The
+first continuation step starts from the second-order Lindstedt-Poincare
+orbit (Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that
+one step reaches every target with 1 - a/l <= 1/2.  Nearer the homoclinic
+loop an orbit follows ln a (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
+(1990) 401), so from 1/2 the continuation jumps straight to the target, from
+Lin's seed when the rates are real, and halves a failed jump in log a.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -46,6 +51,12 @@ _ROW_SPACING = 0.25  # homoclinic sample spacing, times lambda2
 _MODES, _MAX_MODES = 32, 512  # first and largest Fourier truncation N
 _TAIL_TOL = 1e-15  # last four coefficients over the largest, to accept N
 _STEP_TOL = 1e-11  # relative Newton correction taken as converged
+# estimated next correction and relative residual that end an intermediate
+# continuation step
+_COARSE_TOL = 1e-2
+# residual between the nodes above which, and above 10 times the residual at
+# them, a solve goes on at 2 N
+_TRUNCATION_FLOOR, _TRUNCATION_RATIO = 1e-6, 10.0
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
 # 1 - a/l of the first continuation step, from which a step may start from
@@ -212,8 +223,27 @@ def _basis(n: int):
     return k2, k4, cos
 
 
+def _tail_above_tol(d: np.ndarray) -> bool:
+    """Whether the last four coefficients of d exceed _TAIL_TOL of its
+    largest, so that N modes do not resolve the series."""
+    return max(map(abs, d[-4:].tolist())) > _TAIL_TOL * np.abs(d).max()
+
+
+@functools.lru_cache(maxsize=None)
+def _between_nodes(n: int) -> np.ndarray:
+    """cos(k tau) at tau = pi j / N, j = 0..N, midway between the N
+    collocation nodes and at both ends, read-only.
+
+    Only a solve that may still double N reads it, so N <= _MAX_MODES / 2
+    and the sets kept take 0.7 MB in all.
+    """
+    cos = np.cos(np.outer(np.pi * np.arange(n + 1) / n, np.arange(n)))
+    cos.flags.writeable = False
+    return cos
+
+
 def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: float, p: float,
-               tol: float):
+               tol: float, coarse: bool):
     """Newton's method for the collocation system at N = len(d) modes.
 
     The unknowns are omega and the coefficients d of w = v - l.  Since
@@ -239,6 +269,18 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     Jacobian is singular or a correction is not finite, and it ends after
     _MAX_NEWTON steps.
 
+    Two exits stop a solve sooner; a solve that meets neither stops as
+    above.  With coarse set (an intermediate continuation step), it returns
+    the corrected iterate as soon as theta |D_k| <= _COARSE_TOL = 1e-2 and
+    that iterate's residual is at most 1e-2.  And at an iterate reached by a
+    contracting correction (theta < 1/2) whose last four coefficients exceed
+    _TAIL_TOL of its largest, with 2 N <= _MAX_MODES, the residual is summed
+    at tau = pi j / N, j = 0..N, midway between the nodes and at both ends
+    (_between_nodes).  When that is above 1e-6 of the sup of v^p at the
+    nodes and 10 times the residual there, truncation dominates: the solve
+    returns the iterate zero-padded to 2 N modes, with its residual at the
+    nodes, for the caller to solve on at 2 N.
+
     The iterations write into one Jacobian and a few buffers allocated per
     call, in the operation order of the expressions in the comments, so
     every rounding is theirs; the caller's d is left as it was.
@@ -252,11 +294,20 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
     symbol, x, node, mode = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     scaled = np.empty((n, n))
     d = d.copy()
-    converged = grew = False
-    last = math.nan  # |D_{k-1}|; theta is nan on the first step, which passes no theta test
+    converged = rough = grew = False
+    # |D_{k-1}| and theta are nan on the first step, which passes no theta test
+    last = theta = math.nan
 
     def relative_residual():
         return float(np.abs(res).max() / (K0 * l * ((1.0 + x) ** p).max()))
+
+    def truncation_dominates():
+        # w and L[w] summed midway between the nodes; mode holds symbol * d
+        between_cos = _between_nodes(n)
+        w = np.maximum(between_cos @ d / l, -1.0)
+        between = np.abs(between_cos @ mode - K0 * l * np.expm1(p * np.log1p(w))).max()
+        return (between > _TRUNCATION_RATIO * np.abs(res).max()
+                and between > _TRUNCATION_FLOOR * K0 * l * ((1.0 + x) ** p).max())
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(_MAX_NEWTON + 1):
@@ -277,6 +328,13 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
             res -= node
             if converged or iteration == _MAX_NEWTON:
                 break
+            if rough:
+                residual = relative_residual()
+                if residual <= _COARSE_TOL:
+                    return d, abs(omega), iteration, residual
+            if (theta < 0.5 and 2 * n <= _MAX_MODES and _tail_above_tol(d)
+                    and truncation_dominates()):
+                return np.concatenate([d, np.zeros(n)]), abs(omega), iteration, relative_residual()
             rhs[n] = d.sum() - w0
             # block = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
             np.multiply(cos, symbol, out=block)
@@ -309,6 +367,7 @@ def _collocate(d: np.ndarray, omega: float, w0: float, l: float, K2: float, K0: 
             d += step[:n]
             omega += step[n]
             converged = delta <= _STEP_TOL or theta < 0.5 and theta * delta <= _STEP_TOL
+            rough = coarse and theta * delta <= _COARSE_TOL
         residual = relative_residual()
     return d, abs(omega), iteration, residual
 
@@ -375,36 +434,41 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     The orbit is even about its minimum at t = 0 and about the half period,
     so v(t) = sum_{k<N} c_k cos(k tau) with tau = omega t.  The N equations
     omega^4 v'''' - K2 omega^2 v'' + K0 v - max(v, 0)^p = 0 (derivatives in
-    tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine
-    (c, omega); Newton's method solves them with the analytic Jacobian,
-    written for w = v - l, and stops on a contraction monitor (see
-    _collocate).  The minimum a is reached by continuation in eps = 1 - a/l.
-    The first step goes to min(eps, 1/2) from the second-order
-    Lindstedt-Poincare orbit (_small_orbit), whose coefficients are off by
-    O(eps^3 l) and its frequency by O(eps^2).  Every later step goes
-    straight to the target but cuts a at most 1e6-fold (_MAX_CUT), and
-    starts from the last orbit or, when it cuts a more than tenfold from
-    eps >= 1/2 with real rates, from Lin's seed (_lin_seed); Lin's start, if
-    Newton fails on it, is tried once more from the last orbit, which is not
-    a halving.  A step on which Newton fails from any other start (a
-    singular Jacobian, a non-finite or twice-grown correction, a relative
-    residual above tol, or an alias) is halved and tried again: the first
-    step in eps, a later one in log a, to the geometric mean of the two
-    minima.  A halved first step climbs back to 1/2 before the jump.
-    Two tests reject aliases.  v(pi/omega) <= l marks the half-period
-    alias, an orbit of twice the period with v(pi/omega) = a: integrating
-    the equation over a period gives int v (K0 - v^{p-1}) = 0, so an orbit
-    with minimum a < l has its maximum above l.  d_1 >= -0.01 max |d| marks
-    a k-fold alias, whose modes are k, 2k, ... only, so that d_1 = 0; the
-    period-tripled alias passes the first test.  N starts at 32 and doubles
-    until the last four coefficients of w are below 1e-15 of its largest;
-    the solve at 2 N starts from the zero-padded trial that failed that
-    test and, should Newton fail there, once more from the padded last
-    orbit, again not a halving.  period = 2 pi / omega, b = v''(0) and
-    max_value = v(pi/omega) are read off the coefficients.  Raises
-    ConvergenceError after the sixth halving or when N would pass 512,
-    ValidationError for a outside (0, l) or tol outside (0, 1e-4],
-    RegimeError when no positive equilibrium exists.
+    tau) at tau_j = pi (j + 1/2) / N and sum_k c_k = v(0) = a determine (c,
+    omega); Newton's method solves them with the analytic Jacobian, written
+    for w = v - l, and stops on a contraction monitor (see _collocate).  The
+    minimum a is reached by continuation in eps = 1 - a/l.  The first step
+    goes to min(eps, 1/2) from the second-order Lindstedt-Poincare orbit
+    (_small_orbit), whose coefficients are off by O(eps^3 l) and its
+    frequency by O(eps^2).  Every later step goes straight to the target but
+    cuts a at most 1e6-fold (_MAX_CUT), and starts from the last orbit or,
+    when it cuts a more than tenfold from eps >= 1/2 with real rates, from
+    Lin's seed (_lin_seed); Lin's start, if Newton fails on it, is tried
+    once more from the last orbit, which is not a halving.  Only the final
+    step is held to tol: a step short of the target ends as soon as Newton's
+    next correction is estimated below 1e-2 and its relative residual is at
+    most 1e-2 (_collocate), and is accepted at a residual of 1e-2.  A step
+    on which Newton fails from any other start (a singular Jacobian, a
+    non-finite or twice-grown correction, a relative residual above the
+    step's tolerance, or an alias) is halved and tried again: the first step
+    in eps, a later one in log a, to the geometric mean of the two minima.
+    A halved first step climbs back to 1/2 before the jump.  Two tests
+    reject aliases.  v(pi/omega) <= l marks the half-period alias, an orbit
+    of twice the period with v(pi/omega) = a: integrating the equation over
+    a period gives int v (K0 - v^{p-1}) = 0, so an orbit with minimum a < l
+    has its maximum above l.  d_1 >= -0.01 max |d| marks a k-fold alias,
+    whose modes are k, 2k, ... only, so that d_1 = 0; the period-tripled
+    alias passes the first test.  N starts at 32 and doubles until the last
+    four coefficients of w are below 1e-15 of its largest; the solve at 2 N
+    starts from the zero-padded trial that failed that test and, should
+    Newton fail there, once more from the padded last orbit, again not a
+    halving.  A solve in which truncation dominates (_collocate) doubles N
+    before it converges, and the step goes on from its padded iterate in the
+    same way.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
+    are read off the coefficients.  Raises ConvergenceError after the sixth
+    halving or when N would pass 512, ValidationError for a outside (0, l)
+    or tol outside (0, 1e-4], RegimeError when no positive equilibrium
+    exists.
     """
     coeff = derive_coefficients(params)
     problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
@@ -429,7 +493,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     start = None
     iterations = steps = retries = 0
     while True:
-        w0 = a - l if eps >= eps_target else -eps * l
+        final = eps >= eps_target
+        w0 = a - l if final else -eps * l
         if start is None:
             if done == 0.0:
                 start = _small_orbit(len(d), eps, l, K2, K0, p)
@@ -437,20 +502,26 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 start = _lin_seed(d, omega, done, eps, l, lam2)
             else:
                 start = d, omega
-        trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol)
+        trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol, not final)
         iterations += its
+        if len(trial) > len(d):
+            # truncation dominated the solve: go on at 2 N from its padded iterate
+            d = np.concatenate([d, np.zeros_like(d)])
+            start = trial, trial_omega
+            continue
         where = f"at 1 - v(0)/l = {eps:.6g} with N={len(d)}"
+        accept = tol if final else _COARSE_TOL
         half = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
         folded = not trial[1] < -_MODE1_MIN * np.abs(trial).max()  # d_1 ~ 0
-        if not residual <= tol or half or folded:
+        if not residual <= accept or half or folded:
             if done > 0.0 and start[0] is not d:
                 start = d, omega  # solve again from the last orbit, not a halving
                 continue
             # halve the continuation step: in eps on the first, in log a after it
             retries += 1
             if retries > _MAX_RETRIES:
-                if not residual <= tol:
-                    reason = f"collocation residual {residual:.3e} did not reach tol={tol:.3e}"
+                if not residual <= accept:
+                    reason = f"collocation residual {residual:.3e} did not reach tol={accept:.3e}"
                 elif half:
                     reason = "collocation met only the half-period alias"
                 else:
@@ -462,7 +533,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 eps = 1.0 - math.sqrt((1.0 - done) * (1.0 - eps))
             start = None
             continue
-        if np.max(np.abs(trial[-4:])) > _TAIL_TOL * np.max(np.abs(trial)):
+        if _tail_above_tol(trial):
             # solve again with twice the modes, from the padded trial
             if 2 * len(d) > _MAX_MODES:
                 raise ConvergenceError(f"Fourier tail still above 1e-15 {where}")
@@ -471,7 +542,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             continue
         d, omega, done = trial, trial_omega, eps
         steps += 1
-        if eps >= eps_target:
+        if final:
             break
         eps = min(eps_target, _NEAR_LOOP if done < _NEAR_LOOP else 1.0 - (1.0 - done) / _MAX_CUT)
         start = None

@@ -328,11 +328,16 @@ def _case_exponent(case: SolutionCase, n: int, alpha: float) -> float:
 def explicit_lambda_branches(
     case: SolutionCase, n: int, alpha: float, mu: float
 ) -> Tuple[float, float]:
-    """Both lambda values for which the explicit cosh profile exists.
+    """The two lambda values at which the family meets the solvability relation.
 
-    Returns (lam_plus, lam_minus), the two roots of the quadratic obtained
-    by eliminating the profile parameters.  Raises DomainError when the
-    radicand is negative (mu too negative for the requested family).
+    Returns (lam_plus, lam_minus), lam_plus >= lam_minus, the two roots of
+    the quadratic obtained by eliminating the profile parameters,
+    4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0 in lambda.  The cosh profile also
+    needs K2 > 0, which lam_minus always has; once mu exceeds
+    q^2 K2(lambda=0) - K0(lambda=0, mu=0), q = (n-4-alpha)/2, lam_plus has
+    K2 < 0 and no profile (build_cosh_solution raises ValidationError).
+    Raises DomainError when the radicand is negative (mu too negative for
+    the requested family).
     """
     _check_base(n, alpha, 2.0)  # validates n and alpha range; p checked via case
     p = _case_exponent(case, n, alpha)

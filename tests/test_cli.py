@@ -1,9 +1,11 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
 import ast
+import csv
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radial4
 from radial4 import jsonio
@@ -142,7 +146,7 @@ class TestOrbit:
                          id="1.0"),
             # 1e-3 l, N = 128 modes
             pytest.param("0.0017320508075688772",
-                         "a45c92c0a36531706f0e48dbda538ca4cc504a157dfc90299d2c6609f79cae29",
+                         "a1fd1aca8de87ad424003698c99ca59752f1459a890c731b907787ac0b6b161e",
                          id="1e-3l"),
         ],
     )
@@ -169,13 +173,13 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "20981c584c6d57b3188b899eed3b3f2614bf7ce1f6fa7bb6f1c85d62f22c42e4"),
+             "c584e503c97155884ee804e900d0cb147b60deb8f6e7bb5ccf440d4418cb5a90"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "180533551cebb8fbabad4c7104bcefffb61effb4f7f8900db1b3a2e9e9ed4a26"),
+             "16a65ce96210a59b502d8e50eeb7850c4f3216cba55a1556808a6869ca76edd6"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "b3f987dc257e83cd652162c3e6cd0b144442abbb9d30778fb9dc7914bb0e7677"),
+             "1e57160bcfa54c1044d6095331809cabaf2314ae7f52be5e09b9aa53d3ef5400"),
             (["--n", "6", "--alpha", "-4", "--p", "5"],
-             "296ae3d43bb9cdae9b4ccd4be74a56d639c35bb4673954e04667f519d832fd10"),
+             "63eaa3d3de519f49229d3f9141bd922475ce0ba14048cd0990b7d98f9b0328d4"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )
@@ -194,7 +198,7 @@ class TestHomoclinic:
         proc = run_child(["-m", "radial4.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "935d81e6b7b23c1766c4a2ebf6d52fd18907e76b976c21ad6744b8af4f94da99")
+            "0699009fd301c2aa79dc593a2f0b363dce685e307c047bead806ef0a79bb7356")
 
 
 class TestBestConstant:
@@ -864,3 +868,31 @@ class TestJsonEmission:
     def test_write_csv_uses_lf_endings(self):
         text = jsonio.write_csv(["x", "y"], [[1, 2.0], [3, None]])
         assert text == "x,y\n1,2\n3,\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_write_csv_matches_csv_writer(self, data):
+        # rows of floats take the template; the rest, csv.writer: same bytes
+        width = data.draw(st.integers(0, 4))
+        header = ["c"] * width
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        cells = st.one_of(floats, st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.none(),
+                          st.text(max_size=3))
+        rows = data.draw(st.lists(st.one_of(
+            st.lists(floats, min_size=width, max_size=width),
+            st.tuples(*[floats] * width),
+            st.lists(cells, max_size=5)), max_size=4))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([jsonio.csv_cell(c) for c in row])
+        assert jsonio.write_csv(header, rows) == buf.getvalue()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_write_csv_rejects_non_finite_floats(self, bad, where):
+        row = [1.0, -0.0, 5e-324]
+        row[where] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            jsonio.write_csv(["x", "y", "z"], [[0.5, 0.25, 0.125], row])

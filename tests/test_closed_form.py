@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radial4 import (
     CoshSolution,
@@ -16,8 +18,10 @@ from radial4 import (
     cosh_profile_derivatives,
     curve_rows,
     eval_u,
+    explicit_lambda_branches,
     radial_curve_rows,
 )
+from radial4.params import k0_value, k2_value
 
 BASE = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -162,3 +166,56 @@ class TestResidualAndRows:
         assert rows[0][0] == pytest.approx(1e-6, rel=1e-12)
         assert rows[-1][0] == pytest.approx(1e6, rel=1e-12)
         assert all(np.isfinite(row[1]) for row in rows)
+
+
+def _family_alpha(case, n, p):
+    """alpha that puts (n, alpha, p) in the family: the balance relation
+    (n+alpha)/2 + (n+beta)/(p+1) = n-2 with beta = alpha (CASE1), or with
+    (n+alpha)(n+beta) = (n-4-alpha)^2 (CASE2), solved for alpha."""
+    if case is SolutionCase.CASE1:
+        return ((p + 1.0) * (n - 4.0) - 2.0 * n) / (p + 3.0)
+    return (2.0 * (n - 4.0) - (p + 1.0) * n) / (p + 3.0)
+
+
+@st.composite
+def explicit_families(draw):
+    case = draw(st.sampled_from([SolutionCase.CASE1, SolutionCase.CASE2]))
+    n = draw(st.integers(5, 10))
+    p = draw(st.floats(1.2, 20.0))
+    mu = draw(st.floats(-1.0, 100.0))
+    return case, n, _family_alpha(case, n, p), p, mu
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(explicit_families())
+def test_lambda_branches_build_cosh_solutions(family):
+    # each branch is a root in lambda of 4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0,
+    # and the profile also needs K2 > 0, as nu^2 = K2 / (m^2 + (m-2)^2).
+    # K2 = A - lambda and K0 = B - q^2 lambda + mu, q = (n-4-alpha)/2, both
+    # fall as lambda grows, so a root with K2 <= 0 exists exactly when K0 > 0
+    # where K2 = 0, that is when mu > mu* = q^2 A - B: then the minus branch
+    # alone builds the profile (of the requested family, solving the
+    # equation), else both
+    case, n, alpha, p, mu = family
+    try:
+        branches = explicit_lambda_branches(case, n, alpha, mu)
+    except DomainError:
+        assume(False)
+    q = 0.5 * (n - 4.0 - alpha)
+    mu_star = q * q * k2_value(n, alpha, 0.0) - k0_value(n, alpha, 0.0, 0.0)
+    assume(abs(mu - mu_star) > 1e-6 * max(1.0, abs(mu_star)))
+    built = 0
+    for lam in branches:
+        params = ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=mu)
+        if k2_value(n, alpha, lam) <= 0.0:
+            assert lam == max(branches)
+            with pytest.raises(ValidationError, match="requires K2 > 0"):
+                build_cosh_solution(params)
+            continue
+        sol = build_cosh_solution(params)
+        assert sol.case_tag is case
+        v0, _, v2, _, v4 = cosh_profile_derivatives(sol, np.linspace(-4.0, 4.0, 17) / sol.nu)
+        terms = np.abs([v4, sol.K2 * v2, sol.K0 * v0, v0 ** p])
+        assert np.max(np.abs(v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** p) / terms.max(axis=0)) <= 1e-9
+        built += 1
+    assert built == (2 if mu < mu_star else 1)

@@ -233,9 +233,9 @@ def _fresh_homoclinic(lam: str):
     )
 
 
-# the first Newton solve at each doubled N, the one from the padded trial,
-# reports an infinite residual, so every doubling falls back to the padded
-# last orbit
+# the first Newton solve at each doubled N, the one from the padded trial
+# or iterate, reports an infinite residual, so every doubling falls back to
+# the padded last orbit
 _FIRST_SOLVE_AT_EACH_N_FAILS = (
     "import math\n"
     "from radial4 import orbits\n"
@@ -337,18 +337,19 @@ class TestPinnedArithmetic:
         assert repr(orbit.max_value) == "0.6844071248038927"
 
     def test_near_homoclinic_newton_iterations(self):
-        # two doublings, N = 32 -> 128; each solve at 2 N starts from the
-        # padded trial that failed the tail test at N (from the padded last
-        # orbit, these take 39 and 39), the first continuation step, to
-        # 1 - v(0)/l = 1/2, from the second-order Lindstedt-Poincare orbit,
-        # and the jump from 1/2 to 1 - 1e-6 from Lin's seed
+        # the first continuation step, to 1 - v(0)/l = 1/2, from the
+        # second-order Lindstedt-Poincare orbit, ends after 2 iterations at a
+        # residual of 6.5e-3; the jump from 1/2 to 1 - 1e-6 from Lin's seed
+        # moves twice to 2 N, N = 32 -> 128, each time from the padded
+        # iterate once truncation dominates (from the padded last orbit,
+        # these take 33 and 33)
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["18", "18"]
+        assert counts == ["12", "12"]
 
     def test_homoclinic_newton_iterations_per_mode_count(self):
-        # find_homoclinic(B0): the first step at N = 32 and, on its padded
-        # trial, at N = 64, the jump to 1 - 1e-6 from Lin's seed at N = 64,
-        # then the padded trial at N = 128
+        # find_homoclinic(B0): the first step at N = 32 (2 iterations) and
+        # the jump to 1 - 1e-6 from Lin's seed at N = 32 (4), which moves on
+        # from its padded iterate to N = 64 (4) and N = 128 (2)
         assert _fresh(
             "from radial4 import ProblemParams, find_homoclinic, orbits\n"
             "collocate, counts = orbits._collocate, {}\n"
@@ -359,13 +360,13 @@ class TestPinnedArithmetic:
             "orbits._collocate = counting\n"
             "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
             "print(*(f'{n}:{count}' for n, count in sorted(counts.items())))\n"
-        ) == ["32:11", "64:5", "128:2"]
+        ) == ["32:6", "64:4", "128:2"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
         # padded last orbit: the iterations and digits of that path alone
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "39", "1.7320508083240983e-06", "30.894024464132755", "2.2133638394003934"]
+            "33", "1.7320508082816e-06", "30.89402446418413", "2.213363839400393"]
 
     def test_twice_growing_stop_newton_iterations(self):
         # seed 21 #202 of the draws in test_orbits.py, with complex rates, so
@@ -380,14 +381,14 @@ class TestPinnedArithmetic:
             "orbit = find_periodic(4.3807119715585434e-06 * derive_coefficients(params).l, params)\n"
             "print(orbit.newton_iterations, orbit.continuation_steps, orbit.modes)\n"
         )
-        assert counts == ["55", "4", "256"]
+        assert counts == ["47", "4", "256"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400393", "0.9999999072321271", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072320026", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667971", "0.3333333024103996", "33"]
+            "0.7377879464667971", "0.3333333024105106", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

@@ -277,11 +277,13 @@ class TestPeriodicOracles:
 @pytest.mark.parametrize("params", [B0, SHIFTED], ids=["b0", "shifted"])
 @pytest.mark.parametrize("fraction", [1e-8, 1e-10])
 def test_newton_stops_at_the_rounding_floor(monkeypatch, params, fraction):
-    # below about 1e-8 l the correction stalls at rounding above _STEP_TOL
-    # once the residual is near 1e-15; each such solve ran all _MAX_NEWTON
-    # iterations (two at 1e-8 l on B0, three at 1e-10 l) before Newton
-    # stopped on a correction that no longer shrinks.  The stop is a
-    # convergence: no solve on the way fails
+    # below about 1e-8 l the correction of the final solve stalls at
+    # rounding above _STEP_TOL once the residual is near 1e-15; such solves
+    # once ran all _MAX_NEWTON iterations (two at 1e-8 l on B0, three at
+    # 1e-10 l) before Newton stopped on a correction that no longer shrinks.
+    # The stop is a convergence, and no solve on the way fails: each one
+    # before the final solve is an intermediate continuation point or a
+    # move to 2 N, and ends at a relative residual of at most 1e-2
     collocate, solves = orbits._collocate, []
 
     def recording(*args):
@@ -291,8 +293,11 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch, params, fraction):
 
     monkeypatch.setattr(orbits, "_collocate", recording)
     orbit = find_periodic(fraction * derive_coefficients(params).l, params)
-    assert all(its < orbits._MAX_NEWTON and residual <= 1e-8 for its, residual in solves)
-    assert orbit.residual_sup <= 1e-8 and orbit.modes == 256
+    *before, (its, residual) = solves
+    assert its < orbits._MAX_NEWTON and residual == orbit.residual_sup <= 1e-8
+    assert all(its < orbits._MAX_NEWTON and residual <= orbits._COARSE_TOL
+               for its, residual in before)
+    assert orbit.modes == 256
 
 
 @st.composite
@@ -379,17 +384,18 @@ TRIPLED = ProblemParams(n=7, alpha=1.4972, p=9.3859, lam=2.4441)
 
 def _inject_alias(monkeypatch, target, fold, times):
     """Make the first `times` Newton solves aimed at sum d_k = w0 = target
-    return the fold-fold alias of the orbit they reached, d_{fold k} = d_k
-    at omega / fold, with the same residual.  One call covers a step from
-    the Lindstedt-Poincare orbit or the last orbit, two cover Lin's seed and
-    its fallback to the last orbit, so the step must be halved.  Returns the
-    list of aliases returned and the list of (w0, N) of every call."""
+    that end at their own N (not on a move to 2 N) return the fold-fold
+    alias of the orbit they reached, d_{fold k} = d_k at omega / fold, with
+    the same residual.  One call covers a step from the Lindstedt-Poincare
+    orbit or the last orbit, two cover Lin's seed and its fallback to the
+    last orbit, so the step must be halved.  Returns the list of aliases
+    returned and the list of (w0, N) of every call."""
     collocate, aliases, calls = orbits._collocate, [], []
 
     def aliasing(d, omega, w0, l, *args):
         trial, trial_omega, its, residual = collocate(d, omega, w0, l, *args)
         calls.append((w0, len(d)))
-        if w0 != target or len(aliases) == times:
+        if w0 != target or len(trial) > len(d) or len(aliases) == times:
             return trial, trial_omega, its, residual
         alias = np.zeros_like(trial)
         alias[::fold] = trial[:len(alias[::fold])]
@@ -428,10 +434,11 @@ def test_period_tripled_alias_is_rejected(monkeypatch):
     # the orbit of three times the period (58.06 against 19.35 here) peaks
     # above l at its half period, as the orbit does, so only its vanishing
     # fundamental mode d_1 tells it apart.  Injected on the jump from
-    # 1 - v(0)/l = 1/2 to the target, which starts from Lin's seed, it is
-    # rejected; the fallback to the last orbit fails, and the jump is halved
-    # in log a.  Injected on the first step, where nothing falls back, it
-    # ends the solve when no halving is allowed
+    # 1 - v(0)/l = 1/2 to the target, which starts from Lin's seed at N = 32
+    # and goes on at N = 64 once truncation dominates, it is rejected there;
+    # the fallback to the last orbit fails, and the jump is halved in log a.
+    # Injected on the first step, where nothing falls back, it ends the
+    # solve when no halving is allowed
     coeff = derive_coefficients(TRIPLED)
     l = coeff.l
     a = 0.0023 * l
@@ -444,7 +451,7 @@ def test_period_tripled_alias_is_rejected(monkeypatch):
     (first, omega), = aliases
     assert first[::2].sum() - first[1::2].sum() > 0.0 and first[1] == 0.0
     assert 2.0 * math.pi / omega == pytest.approx(58.06, rel=1e-3)
-    assert calls[1:3] == [(a - l, orbits._MODES)] * 2
+    assert calls[1:4] == [(a - l, orbits._MODES)] + [(a - l, 2 * orbits._MODES)] * 2
     assert orbit.continuation_steps == 3
     # the halved jump ends at the geometric mean of a and l / 2
     halved = 1.0 - math.sqrt((1.0 - orbits._NEAR_LOOP) * (1.0 - (1.0 - a / l)))
@@ -544,12 +551,21 @@ def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
 
 
 def test_random_draw_newton_work(random_draw_solves):
-    # the Newton iterations of the 1,972 orbits: 37,457 on one BLAS thread
-    # and 37,461 on two
+    # the Newton iterations of the 1,972 orbits: 29,482 on one BLAS thread
+    # and 29,485 on two (37,457 and 37,461 while every solve ran to _STEP_TOL)
     orbits_found = [orbit for _, orbit, _ in random_draw_solves
                     if isinstance(orbit, orbits.PeriodicOrbit)]
     assert len(orbits_found) == 1972
-    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 37461
+    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 29485
+
+
+def test_random_draw_orbit_modes(random_draw_solves):
+    # the N of the 1,972 orbits: a solve that moves to 2 N before it
+    # converges lands on the N that the tail test picks for the converged
+    # orbit, as when every solve ran to _STEP_TOL
+    modes = Counter(orbit.modes for _, orbit, _ in random_draw_solves
+                    if isinstance(orbit, orbits.PeriodicOrbit))
+    assert modes == {32: 333, 64: 549, 128: 532, 256: 409, 512: 149}
 
 
 def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
@@ -564,8 +580,8 @@ def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
 
 def _fail_first_solve_at_each_doubling(monkeypatch):
     """Make the first Newton solve at each doubled N, the one from the padded
-    trial, report an infinite residual, so that every doubling falls back to
-    the padded last orbit.  Returns the set of N reached."""
+    trial or iterate, report an infinite residual, so that every doubling
+    falls back to the padded last orbit.  Returns the set of N reached."""
     collocate, seen = orbits._collocate, {orbits._MODES}
 
     def first_fails(d, omega, *args):
@@ -584,9 +600,10 @@ def _fail_first_solve_at_each_doubling(monkeypatch):
     ids=["b0", "n8-p4", "n10-p9.3", "n5-p11.4"],
 )
 def test_doubling_restart_meets_fallback(monkeypatch, params, fraction):
-    # the restart from the padded trial and the fallback to the padded last
-    # orbit reach the same orbit.  At 1e-6 l, b differs between them by up
-    # to rel 4e-9: v(0) = a enters as sum d_k = a - l, to about 1e-16 l
+    # the restart from the padded trial or iterate and the fallback to the
+    # padded last orbit reach the same orbit.  At 1e-6 l, b differs between
+    # them by up to rel 4e-9: v(0) = a enters as sum d_k = a - l, to about
+    # 1e-16 l
     a = fraction * derive_coefficients(params).l
     restarted = find_periodic(a, params)
     seen = _fail_first_solve_at_each_doubling(monkeypatch)
@@ -805,20 +822,28 @@ class TestFindHomoclinic:
         assert set(homoclinic_b0.to_dict()) == {"peak", "decay_rate"}
 
 
-def _plain_collocate(d, omega, w0, l, K2, K0, p, tol):
+def _plain_collocate(d, omega, w0, l, K2, K0, p, tol, coarse):
     """orbits._collocate with every array built afresh by an expression."""
     n = len(d)
     k = np.arange(n, dtype=float)
     k2, k4 = k * k, k ** 4
     cos = np.cos(np.outer(np.pi * (np.arange(n) + 0.5) / n, k))
+    between_cos = np.cos(np.outer(np.pi * np.arange(n + 1) / n, k))
     jac = np.zeros((n + 1, n + 1))
     jac[n, :n] = 1.0
     rhs = np.empty(n + 1)
-    converged = grew = False
-    last = math.nan
+    converged = rough = grew = False
+    last = theta = math.nan
 
     def relative_residual():
         return float(np.max(np.abs(rhs[:n])) / (K0 * l * np.max((1.0 + x) ** p)))
+
+    def truncation_dominates():
+        w = between_cos @ d / l
+        between = np.max(np.abs(between_cos @ (symbol * d)
+                                - K0 * l * np.expm1(p * np.log1p(np.maximum(w, -1.0)))))
+        return (between > orbits._TRUNCATION_RATIO * np.max(np.abs(rhs[:n]))
+                and between > orbits._TRUNCATION_FLOOR * K0 * l * np.max((1.0 + x) ** p))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(orbits._MAX_NEWTON + 1):
@@ -827,6 +852,11 @@ def _plain_collocate(d, omega, w0, l, K2, K0, p, tol):
             rhs[:n] = cos @ (symbol * d) - K0 * l * np.expm1(p * np.log1p(x))
             if converged or iteration == orbits._MAX_NEWTON:
                 break
+            if rough and relative_residual() <= orbits._COARSE_TOL:
+                return d, abs(omega), iteration, relative_residual()
+            tail = np.max(np.abs(d[-4:])) > orbits._TAIL_TOL * np.max(np.abs(d))
+            if theta < 0.5 and 2 * n <= orbits._MAX_MODES and tail and truncation_dominates():
+                return np.concatenate([d, np.zeros(n)]), abs(omega), iteration, relative_residual()
             rhs[n] = d.sum() - w0
             jac[:n, :n] = cos * symbol - (p * K0 * (1.0 + x) ** (p - 1.0))[:, None] * cos
             jac[:n, n] = cos @ ((4.0 * omega ** 3 * k4 + 2.0 * K2 * omega * k2) * d)
@@ -842,6 +872,7 @@ def _plain_collocate(d, omega, w0, l, K2, K0, p, tol):
             omega += step[n]
             tol_step = orbits._STEP_TOL
             converged = delta <= tol_step or theta < 0.5 and theta * delta <= tol_step
+            rough = coarse and theta * delta <= orbits._COARSE_TOL
         residual = relative_residual()
     return d, abs(omega), iteration, residual
 
@@ -851,9 +882,17 @@ class TestReusedArrays:
     or reused between calls; none of them may carry state from one to the next."""
 
     def test_cached_basis_is_read_only(self):
-        for array in orbits._basis(orbits._MODES):
+        for array in (*orbits._basis(orbits._MODES), orbits._between_nodes(orbits._MODES)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_between_nodes_sums_the_series_midway(self, n):
+        # sum_k d_k cos(pi j k / N), j = 0..N, is the real part of the
+        # length-2N FFT of d, zero-padded
+        d = np.random.default_rng(n).standard_normal(n) / (1.0 + np.arange(n)) ** 2
+        got = orbits._between_nodes(n) @ d
+        assert np.max(np.abs(got - np.fft.rfft(d, 2 * n).real)) <= 1e-14 * np.max(np.abs(d))
 
     def test_orbit_grid_is_read_only(self, orbit_b0):
         for array in orbit_b0._grid + (orbit_b0._grid_energies,):
@@ -882,10 +921,10 @@ class TestReusedArrays:
         eps = 0.12
         d, omega = orbits._small_orbit(orbits._MODES, eps, l, K2, K0, p)
         kept = d.copy()
-        first = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8)
+        first = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8, False)
         other = orbits._small_orbit(2 * orbits._MODES, eps, l, K2, K0, p)
-        orbits._collocate(*other, -eps * l, l, K2, K0, p, 1e-8)
-        second = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8)
+        orbits._collocate(*other, -eps * l, l, K2, K0, p, 1e-8, False)
+        second = orbits._collocate(d, omega, -eps * l, l, K2, K0, p, 1e-8, False)
         assert d.tobytes() == kept.tobytes()
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1:] == second[1:] and first[3] <= 1e-8
@@ -900,30 +939,35 @@ class TestReusedArrays:
         # every iterate of the buffered Newton solve from the first step's
         # start, bit for bit, against the same solve written as whole-array
         # expressions (p = 2 and 3 take numpy's fast paths for ** 1.0 and
-        # ** 2.0)
+        # ** 2.0), as the final step and as an intermediate one
         coeff = derive_coefficients(params)
         K2, K0, p, l = coeff.K2, coeff.K0, params.p, coeff.l
-        args = (*orbits._small_orbit(n, eps, l, K2, K0, p), -eps * l, l, K2, K0, p, 1e-8)
-        got, want = orbits._collocate(*args), _plain_collocate(*args)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        start = orbits._small_orbit(n, eps, l, K2, K0, p)
+        for coarse in (False, True):
+            args = (*start, -eps * l, l, K2, K0, p, 1e-8, coarse)
+            got, want = orbits._collocate(*args), _plain_collocate(*args)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
 
     @pytest.mark.parametrize(
-        "params, fraction, failed",
-        [(B0, 1e-8, []), (N5_P18, 0.04869516498675949, [4]),
-         (N10_P23, 1.6537038551435733e-05, [4, 6])],
-        ids=["b0-floor", "n5-p18.1-growing", "n10-p23.1-growing-apart"],
+        "params, fraction, failed, moves",
+        [(B0, 1e-8, [], 0), (B0, 1e-6, [], 2), (N5_P18, 0.04869516498675949, [4], 1),
+         (N10_P23, 1.6537038551435733e-05, [4, 6], 1)],
+        ids=["b0-floor", "b0-moves-to-2n", "n5-p18.1-growing", "n10-p23.1-growing-apart"],
     )
     def test_collocate_calls_of_a_solve_match_plain_expressions(self, monkeypatch, params,
-                                                                fraction, failed):
+                                                                fraction, failed, moves):
         # every Newton solve of one find_periodic, replayed through the plain
         # loop from the starts the continuation gave it: on B0 at 1e-8 l the
-        # N = 256 solve stops at the rounding floor; on n5-p18.1 the first
-        # step, to 1 - v(0)/l = 1/2, fails on a correction that grows twice
-        # in a row; and on n10-p23.1 the first step fails so too, and the
-        # jump from 1/2, from Lin's seed, fails at its sixth correction, the
-        # second that grows (the third grew, and the two between shrank).
-        # failed lists the iterations of the failed solves
+        # N = 256 solve stops at the rounding floor and every intermediate
+        # solve ends early; at 1e-6 l the N = 32 and N = 64 solves move on to
+        # 2 N once truncation dominates; on n5-p18.1 the first step, to
+        # 1 - v(0)/l = 1/2, fails on a correction that grows twice in a row;
+        # and on n10-p23.1 the first step fails so too, and the jump from
+        # 1/2, from Lin's seed, fails at its sixth correction, the second that
+        # grows (the third grew, and the two between shrank).  failed lists
+        # the iterations of the failed solves, moves counts the solves that
+        # return at 2 N
         collocate, calls = orbits._collocate, []
 
         def recording(*args):
@@ -934,6 +978,7 @@ class TestReusedArrays:
         monkeypatch.setattr(orbits, "_collocate", recording)
         find_periodic(fraction * derive_coefficients(params).l, params)
         assert [its for _, (_, _, its, residual) in calls if math.isinf(residual)] == failed
+        assert sum(len(out[0]) == 2 * len(args[0]) for args, out in calls) == moves
         for args, (d, *rest) in calls:
             want = _plain_collocate(*args)
             assert d.tobytes() == want[0].tobytes() and tuple(rest) == want[1:]

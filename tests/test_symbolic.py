@@ -5,13 +5,14 @@ import functools
 import pytest
 import sympy as sp
 
-from radial4 import ProblemParams, derive_coefficients, linearized_frequency
+from radial4 import ProblemParams, build_cosh_solution, derive_coefficients, linearized_frequency
 from radial4 import orbits
 from radial4.dynamics import energy
 from radial4.params import k0_value, k2_value
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
+CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
 N7_P2 = ProblemParams(n=7, alpha=1.0, p=2.0, lam=2.0, mu=1.0)  # no closed form
 
 omega, l, p = sp.symbols("omega l p", positive=True)
@@ -155,3 +156,52 @@ def test_energy_is_conserved_along_the_flow():
     e = sp.nsimplify(energy(y, K2, K0, p))
     flow = (y[1], y[2], y[3], K2 * y[2] - K0 * y[0] + y[0] ** p)
     assert sp.simplify(sum(e.diff(yi) * fi for yi, fi in zip(y, flow))) == 0
+
+
+@functools.cache
+def cosh_profile_terms():
+    """(v'''' - K2 v'' + K0 v) / v for v = C cosh(nu t)^m, with m, nu, C
+    and K0 symbolic, as a polynomial in 1/s, s = cosh(nu t): the even
+    derivatives hold sinh(nu t) only squared, which is s^2 - 1.  Returns
+    the symbols (s, m, nu, K0) and the coefficients of s^0, s^-2 and s^-4.
+    """
+    t = sp.Symbol("t", real=True)
+    s, C, nu, K0 = sp.symbols("s C nu K0", positive=True)
+    m = sp.Symbol("m", real=True)
+    v = C * sp.cosh(nu * t) ** m
+    ratio = sp.powsimp(sp.expand((v.diff(t, 4) - K2 * v.diff(t, 2) + K0 * v) / v), force=True)
+    ratio = sp.expand(ratio.subs(sp.sinh(nu * t), sp.sqrt(s ** 2 - 1)).subs(sp.cosh(nu * t), s))
+    poly = sp.Poly(sp.expand(ratio * s ** 4), s)
+    assert set(poly.monoms()) <= {(0,), (2,), (4,)}
+    return (s, m, nu, K0), tuple(poly.coeff_monomial(s ** k) for k in (4, 2, 0))
+
+
+def test_cosh_profile_solves_the_equation_under_the_solvability_relation():
+    # v^p / v = C^{p-1} s^{m (p-1)} = C^{p-1} / s^4 with m = -4/(p-1).  With
+    # closed_form's nu^2 = K2 / (m^2 + (m-2)^2) and C^{p-1} = m (m-1) (m-2)
+    # (m-3) nu^4, the s^-2 and s^-4 terms cancel, and the s^0 term vanishes
+    # for one K0 only, the one of 4 (p+1)^2 K2^2 = ((p+1)^2 + 4)^2 K0
+    (s, m, nu, K0), (c0, c2, c4) = cosh_profile_terms()
+    exponent = -4 / (p - 1)
+    nu_squared = K2 / (exponent ** 2 + (exponent - 2) ** 2)
+    values = {m: exponent, nu: sp.sqrt(nu_squared)}
+    amplitude = exponent * (exponent - 1) * (exponent - 2) * (exponent - 3) * nu_squared ** 2
+    assert sp.simplify(exponent * (p - 1) + 4) == 0
+    assert sp.simplify(c2.subs(values)) == 0
+    assert sp.simplify(c4.subs(values) - amplitude) == 0
+    relation, = sp.solve(c0.subs(values), K0)
+    assert sp.simplify(relation - 4 * (p + 1) ** 2 * K2 ** 2 / ((p + 1) ** 2 + 4) ** 2) == 0
+
+
+@pytest.mark.parametrize("params", [B0, SHIFTED, CONJUGATE], ids=["b0", "shifted", "conjugate"])
+def test_built_cosh_profile_meets_the_symbolic_terms(params):
+    # the m, nu, C, K2 and K0 that build_cosh_solution returns make each
+    # power of s cancel, to rounding
+    (s, m, nu, K0), terms = cosh_profile_terms()
+    sol = build_cosh_solution(params)
+    values = {m: sol.m, nu: sol.nu, K2: sol.K2, K0: sol.K0}
+    c0, c2, c4 = (float(term.subs(values)) for term in terms)
+    amplitude = sol.C ** (sol.p - 1.0)
+    assert abs(c4 - amplitude) <= 1e-13 * amplitude
+    scale = sol.K2 * (sol.m * sol.nu) ** 2
+    assert abs(c2) <= 1e-13 * scale and abs(c0) <= 1e-13 * scale
