@@ -21,7 +21,11 @@ orbit (Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that
 one step reaches every target with 1 - a/l <= 1/2.  Nearer the homoclinic
 loop an orbit follows ln a (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
 (1990) 401), so from 1/2 the continuation jumps straight to the target, from
-Lin's seed when the rates are real, and halves a failed jump in log a.
+Lin's seed when the rates are real, and halves a failed jump in log a.  The
+seed doubles the modes once for every fourfold growth of the period it
+predicts, so that the jump's first solve does not converge toward a
+truncated orbit, and only the final step is held to the tail test that
+doubles N.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -411,19 +415,29 @@ def _lin_seed(d: np.ndarray, omega: float, done: float, eps: float, l: float, la
     columns of the collocation matrix are orthogonal (the sum over the nodes
     of cos(i tau) cos(k tau) is N/2 for i = k > 0, N for i = k = 0, else 0),
     so one product with its transpose projects v - l onto the cosines.
+
+    The seed has N 2^floor(log_4(T_new / T_old)) modes, capped at
+    _MAX_MODES, for N = len(d): one doubling for every fourfold growth of
+    the period, so N grows about as the square root of the period.  At N
+    modes a jump that grows the period more than fourfold first converges
+    toward a truncated orbit, which the solve at 2 N then has to undo; a
+    seed at 2 N on every jump, or at N 2^round(log_4(T_new / T_old)), ends
+    some orbits at more modes than their tail needs.
     """
     n = len(d)
     a_old, a_new = l * (1.0 - done), l * (1.0 - eps)
     period = 2.0 * math.pi / omega
-    new_omega = 2.0 * math.pi / (period + 2.0 / lam2 * math.log(a_old / a_new))
+    new_period = period + 2.0 / lam2 * math.log(a_old / a_new)
+    new_omega = 2.0 * math.pi / new_period
+    m = min(n << int(math.log2(new_period / period)) // 2, _MAX_MODES)
     k = np.arange(n)
-    _, _, cos = _basis(n)
-    s = (math.pi - math.pi / n * (k + 0.5)) / new_omega  # |s| at the nodes
+    _, _, cos = _basis(m)
+    s = (math.pi - math.pi / m * (np.arange(m) + 0.5)) / new_omega  # |s| at the nodes
     hump = s <= 0.5 * period
     w = a_old * np.exp(-lam2 * (s - 0.5 * period)) - l
     # on the hump v(T_old/2 + s) - l = sum_k (-1)^k d_k cos(k omega s)
     w[hump] = np.cos(np.multiply.outer(omega * s[hump], k)) @ np.where(k % 2 == 0, d, -d)
-    seed = 2.0 / n * (cos.T @ w)
+    seed = 2.0 / m * (cos.T @ w)
     seed[0] *= 0.5
     return seed, new_omega
 
@@ -443,8 +457,10 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     frequency by O(eps^2).  Every later step goes straight to the target but
     cuts a at most 1e6-fold (_MAX_CUT), and starts from the last orbit or,
     when it cuts a more than tenfold from eps >= 1/2 with real rates, from
-    Lin's seed (_lin_seed); Lin's start, if Newton fails on it, is tried
-    once more from the last orbit, which is not a halving.  Only the final
+    Lin's seed (_lin_seed), which has N 2^floor(log_4(T_new / T_old)) modes,
+    at most 512: one doubling of N for every fourfold growth of the period.
+    Lin's start, if Newton fails on it, is tried once more from the last
+    orbit zero-padded to the seed's N, which is not a halving.  Only the final
     step is held to tol: a step short of the target ends as soon as Newton's
     next correction is estimated below 1e-2 and its relative residual is at
     most 1e-2 (_collocate), and is accepted at a residual of 1e-2.  A step
@@ -458,13 +474,14 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     a period gives int v (K0 - v^{p-1}) = 0, so an orbit with minimum a < l
     has its maximum above l.  d_1 >= -0.01 max |d| marks a k-fold alias,
     whose modes are k, 2k, ... only, so that d_1 = 0; the period-tripled
-    alias passes the first test.  N starts at 32 and doubles until the last
-    four coefficients of w are below 1e-15 of its largest; the solve at 2 N
-    starts from the zero-padded trial that failed that test and, should
-    Newton fail there, once more from the padded last orbit, again not a
-    halving.  A solve in which truncation dominates (_collocate) doubles N
-    before it converges, and the step goes on from its padded iterate in the
-    same way.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
+    alias passes the first test.  N starts at 32, and the final step doubles
+    it until the last four coefficients of w are below 1e-15 of its largest
+    (an intermediate step, accepted at 1e-2, is not held to that tail); the
+    solve at 2 N starts from the zero-padded trial that failed that test
+    and, should Newton fail there, once more from the padded last orbit,
+    again not a halving.  A solve in which truncation dominates (_collocate)
+    doubles N before it converges, and the step goes on from its padded
+    iterate in the same way.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
     are read off the coefficients.  Raises ConvergenceError after the sixth
     halving or when N would pass 512, ValidationError for a outside (0, l)
     or tol outside (0, 1e-4], RegimeError when no positive equilibrium
@@ -500,6 +517,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 start = _small_orbit(len(d), eps, l, K2, K0, p)
             elif lam2 is not None and done >= _NEAR_LOOP and 1.0 - done > 10.0 * (1.0 - eps):
                 start = _lin_seed(d, omega, done, eps, l, lam2)
+                # the step goes on at the seed's N, and so would its fallback
+                d = np.concatenate([d, np.zeros(len(start[0]) - len(d))])
             else:
                 start = d, omega
         trial, trial_omega, its, residual = _collocate(*start, w0, l, K2, K0, p, tol, not final)
@@ -533,7 +552,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 eps = 1.0 - math.sqrt((1.0 - done) * (1.0 - eps))
             start = None
             continue
-        if _tail_above_tol(trial):
+        if final and _tail_above_tol(trial):
             # solve again with twice the modes, from the padded trial
             if 2 * len(d) > _MAX_MODES:
                 raise ConvergenceError(f"Fourier tail still above 1e-15 {where}")

@@ -327,15 +327,15 @@ def _case_exponent(case: SolutionCase, n: int, alpha: float) -> float:
 
 def explicit_lambda_branches(
     case: SolutionCase, n: int, alpha: float, mu: float
-) -> Tuple[float, float]:
-    """The two lambda values at which the family meets the solvability relation.
+) -> Tuple[float, ...]:
+    """The lambda values at which the family has a cosh profile.
 
-    Returns (lam_plus, lam_minus), lam_plus >= lam_minus, the two roots of
-    the quadratic obtained by eliminating the profile parameters,
-    4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0 in lambda.  The cosh profile also
-    needs K2 > 0, which lam_minus always has; once mu exceeds
-    q^2 K2(lambda=0) - K0(lambda=0, mu=0), q = (n-4-alpha)/2, lam_plus has
-    K2 < 0 and no profile (build_cosh_solution raises ValidationError).
+    These are the roots lam_plus >= lam_minus of the quadratic obtained by
+    eliminating the profile parameters, 4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0
+    in lambda, that also give K2 > 0, which the profile needs; largest
+    first.  lam_minus always has K2 > 0.  lam_plus has it while mu is below
+    mu* = q^2 K2(lambda=0) - K0(lambda=0, mu=0), q = (n-4-alpha)/2, so the
+    result is (lam_plus, lam_minus) below mu* and (lam_minus,) above it.
     Raises DomainError when the radicand is negative (mu too negative for
     the requested family).
     """
@@ -359,4 +359,5 @@ def explicit_lambda_branches(
             f"branch radicand is negative ({radicand}); no real lambda for mu={mu}"
         )
     root = math.sqrt(radicand)
-    return (scale * (A + root) / denom, scale * (A - root) / denom)
+    roots = (scale * (A + root) / denom, scale * (A - root) / denom)
+    return tuple(lam for lam in roots if k2_value(n, alpha, lam) > 0.0)

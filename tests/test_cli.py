@@ -173,13 +173,13 @@ class TestHomoclinic:
         "flags, digest",
         [
             (B0_FLAGS + ["--format", "csv"],
-             "c584e503c97155884ee804e900d0cb147b60deb8f6e7bb5ccf440d4418cb5a90"),
+             "93b5488024843df1b478cdf1dc1cf67eeb998f5a63c8562c83d22c67f5bf8c86"),
             (B0_FLAGS + ["--lambda", str(80.0 / 9.0), "--format", "csv"],
-             "16a65ce96210a59b502d8e50eeb7850c4f3216cba55a1556808a6869ca76edd6"),
+             "2df4b1a7a23f185f35ca836c48945ec94307ea78f70f2a5fe211a909ccbf4085"),
             (["--n", "7", "--alpha", "1", "--p", "2", "--lambda", "2", "--mu", "1"],
-             "1e57160bcfa54c1044d6095331809cabaf2314ae7f52be5e09b9aa53d3ef5400"),
+             "8fe03e101d8b84d3399c3a28fff9197b1ea3f932993d0b342db7a4744bb44002"),
             (["--n", "6", "--alpha", "-4", "--p", "5"],
-             "63eaa3d3de519f49229d3f9141bd922475ce0ba14048cd0990b7d98f9b0328d4"),
+             "3f5c39fcc27c2a9a61765541db56ace52b51a0e3637d695aaa70af53e143fb98"),
         ],
         ids=["b0-csv", "shifted-csv", "n7-p2-json", "conjugate-json"],
     )

@@ -193,9 +193,9 @@ def test_lambda_branches_build_cosh_solutions(family):
     # and the profile also needs K2 > 0, as nu^2 = K2 / (m^2 + (m-2)^2).
     # K2 = A - lambda and K0 = B - q^2 lambda + mu, q = (n-4-alpha)/2, both
     # fall as lambda grows, so a root with K2 <= 0 exists exactly when K0 > 0
-    # where K2 = 0, that is when mu > mu* = q^2 A - B: then the minus branch
-    # alone builds the profile (of the requested family, solving the
-    # equation), else both
+    # where K2 = 0, that is when mu > mu* = q^2 A - B: then only the minus
+    # branch is returned, else both, and each builds the profile (of the
+    # requested family, solving the equation)
     case, n, alpha, p, mu = family
     try:
         branches = explicit_lambda_branches(case, n, alpha, mu)
@@ -204,18 +204,13 @@ def test_lambda_branches_build_cosh_solutions(family):
     q = 0.5 * (n - 4.0 - alpha)
     mu_star = q * q * k2_value(n, alpha, 0.0) - k0_value(n, alpha, 0.0, 0.0)
     assume(abs(mu - mu_star) > 1e-6 * max(1.0, abs(mu_star)))
-    built = 0
+    assert len(branches) == (2 if mu < mu_star else 1)
+    assert list(branches) == sorted(branches, reverse=True)
     for lam in branches:
         params = ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=mu)
-        if k2_value(n, alpha, lam) <= 0.0:
-            assert lam == max(branches)
-            with pytest.raises(ValidationError, match="requires K2 > 0"):
-                build_cosh_solution(params)
-            continue
+        assert k2_value(n, alpha, lam) > 0.0
         sol = build_cosh_solution(params)
         assert sol.case_tag is case
         v0, _, v2, _, v4 = cosh_profile_derivatives(sol, np.linspace(-4.0, 4.0, 17) / sol.nu)
         terms = np.abs([v4, sol.K2 * v2, sol.K0 * v0, v0 ** p])
         assert np.max(np.abs(v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** p) / terms.max(axis=0)) <= 1e-9
-        built += 1
-    assert built == (2 if mu < mu_star else 1)

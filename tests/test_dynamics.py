@@ -339,41 +339,45 @@ class TestPinnedArithmetic:
     def test_near_homoclinic_newton_iterations(self):
         # the first continuation step, to 1 - v(0)/l = 1/2, from the
         # second-order Lindstedt-Poincare orbit, ends after 2 iterations at a
-        # residual of 6.5e-3; the jump from 1/2 to 1 - 1e-6 from Lin's seed
-        # moves twice to 2 N, N = 32 -> 128, each time from the padded
-        # iterate once truncation dominates (from the padded last orbit,
-        # these take 33 and 33)
+        # residual of 6.5e-3; the jump from 1/2 to 1 - 1e-6 grows the period
+        # 6.6-fold, so Lin's seed has 2 N = 64 modes, and the solve moves on
+        # to N = 128 from its padded iterate once truncation dominates (from
+        # the padded last orbit, these take 29 and 29)
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
-        assert counts == ["12", "12"]
+        assert counts == ["7", "7"]
 
     def test_homoclinic_newton_iterations_per_mode_count(self):
-        # find_homoclinic(B0): the first step at N = 32 (2 iterations) and
-        # the jump to 1 - 1e-6 from Lin's seed at N = 32 (4), which moves on
-        # from its padded iterate to N = 64 (4) and N = 128 (2)
+        # find_homoclinic(B0), one Newton solve per N: the first step at
+        # N = 32 (2 iterations) and the jump to 1 - 1e-6 from Lin's seed at
+        # N = 64 (3), which moves on from its padded iterate to N = 128 (2)
         assert _fresh(
             "from radial4 import ProblemParams, find_homoclinic, orbits\n"
-            "collocate, counts = orbits._collocate, {}\n"
+            "collocate, solves = orbits._collocate, []\n"
             "def counting(d, *args):\n"
             "    out = collocate(d, *args)\n"
-            "    counts[len(d)] = counts.get(len(d), 0) + out[2]\n"
+            "    solves.append(f'{len(d)}:{out[2]}')\n"
             "    return out\n"
             "orbits._collocate = counting\n"
             "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
-            "print(*(f'{n}:{count}' for n, count in sorted(counts.items())))\n"
-        ) == ["32:6", "64:4", "128:2"]
+            "print(*solves)\n"
+        ) == ["32:2", "64:3", "128:2"]
 
     def test_doubling_fallback_digits(self):
         # with every restart failed, each doubling solves again from the
-        # padded last orbit: the iterations and digits of that path alone
+        # padded last orbit: the iterations and digits of that path alone.
+        # The jump's first solve is Lin's seed at N = 64, so its fallback
+        # starts from the last orbit padded to 64
         assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "33", "1.7320508082816e-06", "30.89402446418413", "2.213363839400393"]
+            "29", "1.7320508082816e-06", "30.89402446418413", "2.213363839400393"]
 
     def test_twice_growing_stop_newton_iterations(self):
         # seed 21 #202 of the draws in test_orbits.py, with complex rates, so
         # no Lin seed: the first step fails twice on a correction that grows
         # twice and is halved to 1 - v(0)/l = 1/8, from where the solve climbs
         # back to 1/2; the jump from there to the target fails from the last
-        # orbit at N = 64 and converges once halved in log a
+        # orbit and converges once halved in log a.  Every intermediate step
+        # stays at N = 32, as only the final step takes the 1e-15 tail test,
+        # and the final solve moves on to N = 256 as truncation dominates
         counts = _fresh(
             "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
             "params = ProblemParams(n=6, alpha=-1.4044341184486604, p=48.90248196605966,\n"
@@ -381,14 +385,14 @@ class TestPinnedArithmetic:
             "orbit = find_periodic(4.3807119715585434e-06 * derive_coefficients(params).l, params)\n"
             "print(orbit.newton_iterations, orbit.continuation_steps, orbit.modes)\n"
         )
-        assert counts == ["47", "4", "256"]
+        assert counts == ["44", "4", "256"]
 
     def test_homoclinic_profile_digits(self):
-        assert _fresh_homoclinic("lam=0.0") == ["2.2133638394003934", "0.9999999072320026", "33"]
+        assert _fresh_homoclinic("lam=0.0") == ["2.213363839400394", "0.9999999072311921", "33"]
 
     def test_homoclinic_profile_digits_shifted(self):
         assert _fresh_homoclinic("lam=80.0 / 9.0") == [
-            "0.7377879464667971", "0.3333333024105106", "33"]
+            "0.7377879464667971", "0.3333333024105391", "33"]
 
 
 # Dormand-Prince 5(4) tableau rows and error weights, in the loop form the

@@ -551,12 +551,12 @@ def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
 
 
 def test_random_draw_newton_work(random_draw_solves):
-    # the Newton iterations of the 1,972 orbits: 29,482 on one BLAS thread
-    # and 29,485 on two (37,457 and 37,461 while every solve ran to _STEP_TOL)
+    # the Newton iterations of the 1,972 orbits: 27,658 on one BLAS thread
+    # and 27,657 on two
     orbits_found = [orbit for _, orbit, _ in random_draw_solves
                     if isinstance(orbit, orbits.PeriodicOrbit)]
     assert len(orbits_found) == 1972
-    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 29485
+    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 27658
 
 
 def test_random_draw_orbit_modes(random_draw_solves):
@@ -571,7 +571,7 @@ def test_random_draw_orbit_modes(random_draw_solves):
 def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
     # a solve that wanders without a correction that grows twice runs all
     # _MAX_NEWTON iterations: seed 28 #247's jump from Lin's seed did while
-    # only two growths in a row stopped a solve.  The draws take 4.7 solves
+    # only two growths in a row stopped a solve.  The draws take 4.3 solves
     # each; fewer than 4 would mean that calls go unrecorded
     solves = [call for _, _, calls in random_draw_solves for call in calls]
     assert len(solves) > 4 * len(random_draw_solves)
@@ -644,6 +644,27 @@ def test_first_start_is_second_order(params):
     (d_far, omega_far), (d_near, omega_near) = misses
     assert 7.0 < d_far / d_near < 9.5
     assert 3.5 < omega_far / omega_near < 4.5
+
+
+@pytest.mark.parametrize(
+    "n, growth, modes",
+    [(32, 1.5, 32), (32, 3.9, 32), (32, 4.1, 64), (32, 15.9, 64), (32, 16.1, 128),
+     (32, 63.0, 128), (32, 64.5, 256), (128, 3.9, 128), (128, 4.1, 256), (256, 4.1, 512),
+     (256, 16.1, 512), (512, 64.5, 512)],
+)
+def test_lin_seed_doubles_n_per_fourfold_period_growth(n, growth, modes):
+    # the jump from B0's orbit at 1 - a/l = 1/2 to 1e-6 l, with lam2 chosen
+    # so that Lin's law grows the period by the given factor; the orbit is
+    # zero-padded to n modes, and the seed never passes _MAX_MODES
+    coeff = derive_coefficients(B0)
+    orbit = find_periodic(0.5 * coeff.l, B0)
+    d = np.zeros(n)
+    d[:orbit.modes] = orbit.coefficients
+    d[0] -= coeff.l
+    lam2 = 2.0 * math.log(0.5 / 1e-6) / ((growth - 1.0) * orbit.period)
+    seed, omega = orbits._lin_seed(d, orbit.omega, 0.5, 1.0 - 1e-6, coeff.l, lam2)
+    assert len(seed) == modes
+    assert 2.0 * math.pi / omega == pytest.approx(growth * orbit.period, rel=1e-9)
 
 
 def _ladder_orbit(monkeypatch, a, params):
@@ -951,7 +972,7 @@ class TestReusedArrays:
 
     @pytest.mark.parametrize(
         "params, fraction, failed, moves",
-        [(B0, 1e-8, [], 0), (B0, 1e-6, [], 2), (N5_P18, 0.04869516498675949, [4], 1),
+        [(B0, 1e-8, [], 1), (B0, 1e-6, [], 1), (N5_P18, 0.04869516498675949, [4], 1),
          (N10_P23, 1.6537038551435733e-05, [4, 6], 1)],
         ids=["b0-floor", "b0-moves-to-2n", "n5-p18.1-growing", "n10-p23.1-growing-apart"],
     )
@@ -959,9 +980,10 @@ class TestReusedArrays:
                                                                 fraction, failed, moves):
         # every Newton solve of one find_periodic, replayed through the plain
         # loop from the starts the continuation gave it: on B0 at 1e-8 l the
-        # N = 256 solve stops at the rounding floor and every intermediate
-        # solve ends early; at 1e-6 l the N = 32 and N = 64 solves move on to
-        # 2 N once truncation dominates; on n5-p18.1 the first step, to
+        # N = 256 solve stops at the rounding floor, every intermediate solve
+        # ends early and the final jump's N = 64 solve moves on to 2 N; at
+        # 1e-6 l the jump's solve from Lin's seed at N = 64 moves on to 2 N
+        # once truncation dominates; on n5-p18.1 the first step, to
         # 1 - v(0)/l = 1/2, fails on a correction that grows twice in a row;
         # and on n10-p23.1 the first step fails so too, and the jump from
         # 1/2, from Lin's seed, fails at its sixth correction, the second that

@@ -270,6 +270,9 @@ class TestExplicitLambdaBranches:
         plus, minus = explicit_lambda_branches(SolutionCase.CASE1, 6, 0.0, 0.0)
         assert plus == pytest.approx(80.0 / 9.0, rel=1e-12)
         assert minus == pytest.approx(0.0, abs=1e-12)
+        # above this family's mu* = 1, lam_plus has K2 < 0 and is left out
+        (minus,) = explicit_lambda_branches(SolutionCase.CASE1, 6, 0.0, 1.1)
+        assert k2_value(6, 0.0, minus) > 0.0
 
     def test_conjugate_weight_branches(self):
         # K2 = 10 - lam and K0 = 9(1 - lam), so the solvability quadratic
@@ -279,13 +282,22 @@ class TestExplicitLambdaBranches:
         assert minus == pytest.approx(-80.0, rel=1e-12)
 
     def test_unified_form_matches_plus_branch(self):
+        # the plus branch is returned exactly when the oracle's root has K2 > 0
         rng = np.random.default_rng(5)
+        returned = 0
         for _ in range(30):
             n = int(rng.integers(5, 10))
             alpha = float(rng.uniform(-1.9, n - 4.1))
             mu = float(rng.uniform(0.0, 2.0))
-            plus, _ = explicit_lambda_branches(SolutionCase.CASE1, n, alpha, mu)
-            assert unified_plus_branch(n, alpha, mu) == pytest.approx(plus, rel=1e-10)
+            branches = explicit_lambda_branches(SolutionCase.CASE1, n, alpha, mu)
+            plus = unified_plus_branch(n, alpha, mu)
+            if len(branches) == 2:
+                assert plus == pytest.approx(branches[0], rel=1e-10)
+                returned += 1
+            else:
+                assert k2_value(n, alpha, plus) <= 0.0
+                assert branches[0] < plus
+        assert 0 < returned < 30
 
     def test_case_family_requires_matching_alpha(self):
         with pytest.raises(ValidationError):
