@@ -35,7 +35,7 @@ _EXPORTS = {
                       " record_deviation run_identity_suite t_operator verify_identity"
                       " weighted_integral weighted_power_integral",
         "orbits": "HomoclinicProfile PeriodicOrbit SingularityVerdict Verdict classify_singularity"
-                  " find_homoclinic find_periodic linearized_frequency potential",
+                  " find_homoclinic find_periodic linearized_frequency",
         "params": "ConditionReport DerivedCoefficients ProblemParams SolutionCase beta_from_hyperbola"
                   " check_conditions derive_coefficients explicit_lambda_branches"
                   " k0_value k2_value",

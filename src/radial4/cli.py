@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -85,27 +86,25 @@ def _as_int(value) -> int:
     return result
 
 
-def _build_params(args) -> ProblemParams:
-    cfg = _load_config(getattr(args, "config", None))
+def _param_values(args) -> Dict:
+    """The instance's parameters under the config keys, which --vary also
+    names: each flag given, over the --config file, over the defaults
+    lambda = mu = 0 and beta = None (from the balance relation)."""
+    values = {"lambda": 0.0, "mu": 0.0, "beta": None, **_load_config(args.config)}
+    flags = {"n": args.n, "alpha": args.alpha, "beta": args.beta, "p": args.p_exp,
+             "lambda": args.lam, "mu": args.mu}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    return values
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cfg[key]
-        return default
 
-    n = pick(args.n, "n")
-    alpha = pick(args.alpha, "alpha")
-    p_exp = pick(args.p_exp, "p")
+def _build_params(values: Dict) -> ProblemParams:
+    n, alpha, p_exp = values.get("n"), values.get("alpha"), values.get("p")
     if n is None or alpha is None or p_exp is None:
         raise _UsageError("parameters --n, --alpha, --p are required (flags or config)")
-    lam = pick(args.lam, "lambda", 0.0)
-    mu = pick(args.mu, "mu", 0.0)
-    beta = pick(args.beta, "beta", None)
+    beta = values["beta"]
     try:
         n, alpha, p_exp = _as_int(n), float(alpha), float(p_exp)
-        lam, mu = float(lam), float(mu)
+        lam, mu = float(values["lambda"]), float(values["mu"])
         beta = None if beta is None else float(beta)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"parameter values must be numbers: {exc}")
@@ -143,18 +142,14 @@ def _write_stdout(text: str) -> None:
 
 
 def _sorted_eigenvalues(coeff) -> List:
-    eigs = list(coeff.eigenvalues)
     if coeff.eigenvalues_real:
-        return sorted((float(e.real) if isinstance(e, complex) else float(e) for e in eigs),
-                      reverse=True)
-    enc = []
-    for e in sorted((complex(e) for e in eigs), key=lambda z: (-z.real, -z.imag)):
-        enc.append({"re": e.real, "im": e.imag})
-    return enc
+        return sorted(coeff.eigenvalues, reverse=True)
+    eigs = sorted(map(complex, coeff.eigenvalues), key=lambda z: (-z.real, -z.imag))
+    return [{"re": e.real, "im": e.imag} for e in eigs]
 
 
 def _cmd_info(args) -> int:
-    params = _build_params(args)
+    params = _build_params(_param_values(args))
     coeff = derive_coefficients(params)
     report = check_conditions(params)
     doc = {
@@ -173,7 +168,7 @@ def _cmd_info(args) -> int:
 def _cmd_explicit(args) -> int:
     from .closed_form import build_cosh_solution, curve_rows, radial_curve_rows
 
-    params = _build_params(args)
+    params = _build_params(_param_values(args))
     sol = build_cosh_solution(params)
     if args.format == "csv":
         if args.curve == "radial":
@@ -200,7 +195,7 @@ def _cmd_explicit(args) -> int:
 def _cmd_orbit(args) -> int:
     from .orbits import find_periodic
 
-    params = _build_params(args)
+    params = _build_params(_param_values(args))
     if args.a is None:
         raise _UsageError("--a (orbit minimum value) is required")
     orbit = find_periodic(args.a, params, tol=args.tol)
@@ -217,7 +212,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_homoclinic(args) -> int:
     from .orbits import classify_singularity, find_homoclinic
 
-    params = _build_params(args)
+    params = _build_params(_param_values(args))
     profile = find_homoclinic(params)
     if args.format == "csv":
         header, rows = profile.samples.rows()
@@ -240,7 +235,7 @@ def _cmd_homoclinic(args) -> int:
 def _cmd_best_constant(args) -> int:
     from .variational import best_constant_numerical, phi_closed_form
 
-    params = _build_params(args)
+    params = _build_params(_param_values(args))
     doc = {"schema": SCHEMA, "params": params.to_dict()}
     if args.method == "numerical":
         result, mres = best_constant_numerical(params, L=args.grid_L, h=args.grid_h)
@@ -389,23 +384,11 @@ def _linspace(start: float, stop: float, num: int) -> List[float]:
     return values
 
 
-def _sweep_point(command: str, args, overrides: Dict[str, float]) -> Dict:
-    row: Dict[str, object] = dict(overrides)
+def _sweep_point(args, values: Dict, point: Dict[str, float]) -> Dict:
+    row: Dict[str, object] = dict(point)
     try:
-        flat = argparse.Namespace(**vars(args))
-        for key, val in overrides.items():
-            if key == "lambda":
-                flat.lam = val
-            elif key == "p":
-                flat.p_exp = val
-            elif key == "n":
-                flat.n = int(val)
-            elif key == "a":
-                flat.a = val
-            else:
-                setattr(flat, key, val)
-        params = _build_params(flat)
-        if command == "info":
+        params = _build_params({**values, **point})
+        if args.command == "info":
             coeff = derive_coefficients(params)
             report = check_conditions(params)
             row.update({
@@ -413,33 +396,25 @@ def _sweep_point(command: str, args, overrides: Dict[str, float]) -> Dict:
             })
             row.update(report.to_dict())
         else:
-            if flat.a is None:
+            a = point.get("a", args.a)
+            if a is None:
                 raise _UsageError("--a is required for orbit sweeps (fixed or varied)")
             from .orbits import find_periodic
 
-            orbit = find_periodic(float(flat.a), params, tol=args.tol)
+            orbit = find_periodic(a, params, tol=args.tol)
             row.update(orbit.to_dict())
         row["error"] = ""
-    except _UsageError:
-        raise
     except Radial4Error as exc:
         row["error"] = _exit_code_for(exc)
     return row
 
 
 def _cmd_sweep(args) -> int:
-    if args.command not in ("info", "orbit"):
-        raise _UsageError(f"sweep wraps 'info' or 'orbit', not {args.command!r}")
     axes = _parse_vary(args.vary)
-    points: List[Dict[str, float]] = []
-    if len(axes) == 1:
-        name, values = axes[0]
-        points = [{name: float(v)} for v in values]
-    else:
-        (n1, v1), (n2, v2) = axes
-        points = [{n1: float(a), n2: float(b)} for a in v1 for b in v2]
-
-    rows = [_sweep_point(args.command, args, pt) for pt in points]
+    values = _param_values(args)  # once, after the grid's usage errors
+    names = [name for name, _ in axes]
+    rows = [_sweep_point(args, values, dict(zip(names, point)))
+            for point in itertools.product(*(grid for _, grid in axes))]
 
     columns: List[str] = []
     for row in rows:

@@ -75,8 +75,6 @@ def csv_cell(value) -> str:
         return "false"
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

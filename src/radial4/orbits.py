@@ -46,8 +46,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import ReducedProblem, Trajectory
-from .errors import ConvergenceError, DomainError, RegimeError, ValidationError
+from .dynamics import ReducedProblem, Trajectory, energy
+from .errors import ConvergenceError, RegimeError, ValidationError
 from .params import ProblemParams, check_conditions, derive_coefficients
 
 _HOMOCLINIC_MIN = 1e-6  # minimum over l of the orbit that find_homoclinic reads
@@ -68,13 +68,6 @@ _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
 _NEAR_LOOP = 0.5
 _MAX_CUT = 1e6  # largest factor by which one later continuation step cuts a
 _MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
-
-
-def potential(s: float, K0: float, p: float) -> float:
-    """G(s) = s^{p+1}/(p+1) - (K0/2) s^2, the on-axis part of the energy."""
-    if s < 0.0:
-        raise DomainError(f"potential evaluated at s={s} < 0")
-    return s ** (p + 1.0) / (p + 1.0) - 0.5 * K0 * s * s
 
 
 def linearized_frequency(K2: float, K0: float, p: float) -> float:
@@ -611,12 +604,13 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     O(a^2), and away from its minimum it differs from the profile by O(a).
     Everything is read off the orbit's uniform grid of 8 N + 1 times
     (PeriodicOrbit._grid, computed once) on the half period s = t - T/2 >= 0,
-    from a copy, so that the orbit keeps its grid.  No energy is computed
-    here; samples.rows() computes the E column when CSV output asks for it:
+    from a copy, so that the orbit keeps its grid.  The one energy computed
+    here is G = energy((peak, 0, 0, 0)), of the rest state at the peak;
+    samples.rows() computes the E column when CSV output asks for it:
 
     - peak = max_value; the first sample is the peak state (peak, 0,
-      -sqrt(-2 G(peak)), 0) on the zero-energy level, so the odd
-      derivatives are exactly 0 there;
+      -sqrt(-2 G), 0) on the zero-energy level, so the odd derivatives are
+      exactly 0 there;
     - decay_rate is the smaller rate of an order-2 Prony fit
       (_prony_decay_rate) to v on the window 1e3 a < v < 1e-2 peak, where
       the e^{-lambda2 s} mode leads and the e^{-lambda1 s} mode is still
@@ -641,7 +635,7 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
     s, states = ts[half:] - ts[half], states[half:].copy()  # the orbit keeps its grid
     v, h = states[:, 0], float(s[1])
     peak, floor = orbit.max_value, 1e3 * orbit.a
-    g = potential(peak, K0, params.p)
+    g = energy((peak, 0.0, 0.0, 0.0), K2, K0, params.p)
     if not g < 0.0:
         raise ConvergenceError(f"peak {peak!r} is not below the zero of the potential")
     states[0] = (peak, 0.0, -math.sqrt(-2.0 * g), 0.0)

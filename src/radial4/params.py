@@ -213,10 +213,8 @@ def derive_coefficients(params: ProblemParams) -> DerivedCoefficients:
     w_minus = (complex(K2) - sq) / 2.0
     lam1 = _principal_sqrt(w_plus)
     lam2 = _principal_sqrt(w_minus)
-    lam3 = _negate(lam1)
-    lam4 = _negate(lam2)
     return DerivedCoefficients(K2=K2, K0=K0, discriminant=disc, l=l,
-                               lam1=lam1, lam2=lam2, lam3=lam3, lam4=lam4)
+                               lam1=lam1, lam2=lam2, lam3=-lam1, lam4=-lam2)
 
 
 def _principal_sqrt(z: complex) -> Eigenvalue:
@@ -224,10 +222,6 @@ def _principal_sqrt(z: complex) -> Eigenvalue:
     if abs(r.imag) <= 1e-14 * max(1.0, abs(r.real)):
         return abs(r.real) if r.real != 0.0 else 0.0
     return r
-
-
-def _negate(e: Eigenvalue) -> Eigenvalue:
-    return -e
 
 
 @dataclass(frozen=True)

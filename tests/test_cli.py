@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radial4
-from radial4 import jsonio
+from radial4 import cli, jsonio, orbits
 from radial4.cli import build_parser, main
 from radial4.errors import ValidationError
 
@@ -654,8 +654,51 @@ class TestSweep:
         assert main(["sweep", "info"] + B0_FLAGS + vary) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, message", [
+        (B0_FLAGS, "--a is required for orbit sweeps (fixed or varied)"),
+        # a missing parameter is reported before a missing --a
+        (["--alpha", "0", "--p", "5"], "parameters --n, --alpha, --p are required (flags or config)"),
+    ])
+    def test_orbit_sweep_without_a_is_usage_error(self, capsys, monkeypatch, flags, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("find_periodic called")
+
+        monkeypatch.setattr(orbits, "find_periodic", no_solve)
+        assert main(["sweep", "orbit"] + flags + ["--vary", "lambda=0:1:3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
 
 class TestConfig:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_config_matches_flags(self, capsys, tmp_path, fmt):
+        # the --vary names are the config keys: lambda varies over a config
+        # that sets it, and a flag wins over the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "alpha": 0.5, "p": 5.0, "lambda": 3.0, "mu": 0.25}))
+        tail = ["--vary", "lambda=0:8:5", "--vary", "n=6:7:2", "--format", fmt]
+        rc_cfg, out_cfg = run_text(capsys, ["sweep", "info", "--config", str(cfg), "--alpha", "0"]
+                                   + tail)
+        rc_flags, out_flags = run_text(capsys, ["sweep", "info"] + B0_FLAGS + ["--mu", "0.25"]
+                                       + tail)
+        assert rc_cfg == rc_flags == 0
+        assert out_cfg == out_flags
+
+    def test_sweep_reads_config_once(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "alpha": 0.0, "p": 5.0}))
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        rc, out = run_text(capsys, ["sweep", "info", "--config", str(cfg), "--vary", "mu=0:1:5"])
+        assert rc == 0 and len(out.splitlines()) == 6
+        assert opened == [str(cfg)]
+
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

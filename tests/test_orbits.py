@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from radial4 import (
     ConvergenceError,
+    DomainError,
     ProblemParams,
     ReducedProblem,
     RegimeError,
@@ -19,11 +20,11 @@ from radial4 import (
     build_cosh_solution,
     classify_singularity,
     derive_coefficients,
+    energy,
     find_homoclinic,
     find_periodic,
     linearized_frequency,
     phi_closed_form,
-    potential,
 )
 from radial4 import orbits
 from radial4.dynamics import OdeState, integrate
@@ -45,13 +46,25 @@ def homoclinic_b0():
     return find_homoclinic(B0)
 
 
+def potential(s, K0, p, K2=10.0):
+    """G(s) = s^{p+1}/(p+1) - (K0/2) s^2: the energy of the rest state at s,
+    which find_homoclinic reads at the peak."""
+    return energy((s, 0.0, 0.0, 0.0), K2, K0, p)
+
+
 class TestPotentialAndFrequency:
     def test_potential_at_equilibrium(self):
-        assert potential(EQUILIBRIUM, 9.0, 5.0) == pytest.approx(-9.0, rel=1e-14)
+        # a rest state has no K2 term
+        for K2 in (10.0, -3.0):
+            assert potential(EQUILIBRIUM, 9.0, 5.0, K2) == pytest.approx(-9.0, rel=1e-14)
 
     def test_potential_zero_crossing(self):
         s_star = (0.5 * 6.0 * 9.0) ** 0.25
         assert potential(s_star, 9.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_potential_rejects_negative_s(self):
+        with pytest.raises(DomainError, match="energy evaluated at v=-1e-300 < 0"):
+            potential(-1e-300, 9.0, 5.0)
 
     def test_frequency_value(self):
         om = linearized_frequency(10.0, 9.0, 5.0)
@@ -571,10 +584,16 @@ def test_random_draw_orbit_modes(random_draw_solves):
 def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
     # a solve that wanders without a correction that grows twice runs all
     # _MAX_NEWTON iterations: seed 28 #247's jump from Lin's seed did while
-    # only two growths in a row stopped a solve.  The draws take 4.3 solves
-    # each; fewer than 4 would mean that calls go unrecorded
+    # only two growths in a row stopped a solve.  The record holds every
+    # solve: each draw with an equilibrium has at least one, and the
+    # iterations recorded for each orbit sum to its newton_iterations
+    unrecorded = [i for i, (_, outcome, calls) in enumerate(random_draw_solves)
+                  if bool(calls) != (outcome is not None)]
+    mismatched = [i for i, (_, outcome, calls) in enumerate(random_draw_solves)
+                  if isinstance(outcome, orbits.PeriodicOrbit)
+                  and sum(its for _, its, _ in calls) != outcome.newton_iterations]
+    assert unrecorded == [] and mismatched == []
     solves = [call for _, _, calls in random_draw_solves for call in calls]
-    assert len(solves) > 4 * len(random_draw_solves)
     assert max(its for _, its, _ in solves) < orbits._MAX_NEWTON
 
 
