@@ -89,10 +89,16 @@ def _as_int(value) -> int:
 def _param_values(args) -> Dict:
     """The instance's parameters under the config keys, which --vary also
     names: each flag given, over the --config file, over the defaults
-    lambda = mu = 0 and beta = None (from the balance relation)."""
-    values = {"lambda": 0.0, "mu": 0.0, "beta": None, **_load_config(args.config)}
+    lambda = mu = 0 and beta = None (from the balance relation).  A config
+    key that names no parameter is a usage error."""
+    config = _load_config(args.config)
     flags = {"n": args.n, "alpha": args.alpha, "beta": args.beta, "p": args.p_exp,
              "lambda": args.lam, "mu": args.mu}
+    unknown = [key for key in config if key not in flags]
+    if unknown:
+        raise _UsageError(f"config file {args.config} has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}; the keys are {', '.join(flags)}")
+    values = {"lambda": 0.0, "mu": 0.0, "beta": None, **config}
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
     return values
 

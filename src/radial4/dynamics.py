@@ -115,15 +115,17 @@ def energy(y, K2: float, K0: float, p: float) -> float:
     if isinstance(y, OdeState):
         y = y.y
     v = y[0]
-    if np.min(v) < 0.0:
-        raise DomainError(f"energy evaluated at v={np.min(v)} < 0")
     power = pow
     if isinstance(v, np.ndarray):
+        if np.min(v) < 0.0:
+            raise DomainError(f"energy evaluated at v={np.min(v)} < 0")
         # numpy's array power does not round as the libm pow behind a scalar
         # ** does (x ** 2 is x * x, and v ** 6.0 runs a SIMD loop on AVX-512),
         # so each node takes the scalar ** and gets the digits it gets alone.
         def power(x, e):
             return np.array([c ** e for c in x.tolist()])
+    elif v < 0.0:  # a scalar state, compared directly: np.min on it costs microseconds
+        raise DomainError(f"energy evaluated at v={v} < 0")
     return (
         -y[1] * y[3]
         + 0.5 * power(y[2], 2)

@@ -25,6 +25,7 @@ from .errors import DomainError, Radial4Error, TailError, ValidationError
 from .specfun import omega_n
 
 _TAIL_REL = 1e-14
+_PANEL_WIDTH, _POINTS_PER_PANEL = 0.5, 16  # composite Gauss-Legendre panels in t
 # Largest grid half-width whose radii exp(T) stay finite.
 _T_MAX = math.log(sys.float_info.max)
 
@@ -90,10 +91,11 @@ TEST_FUNCTIONS: Dict[str, RadialTestFunction] = {
 }
 
 
-def _gl_panels(t_lo: float, t_hi: float, n_points: int, panel_width: float):
-    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi]."""
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    n_panels = max(1, int(math.ceil((t_hi - t_lo) / panel_width)))
+def _gl_panels(t_lo: float, t_hi: float):
+    """Composite Gauss-Legendre nodes/weights on [t_lo, t_hi], with
+    _POINTS_PER_PANEL nodes on each panel of width at most _PANEL_WIDTH."""
+    x, w = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
+    n_panels = max(1, int(math.ceil((t_hi - t_lo) / _PANEL_WIDTH)))
     edges = np.linspace(t_lo, t_hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -116,12 +118,11 @@ class QuadratureGrid:
         default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, T: float = 40.0, panel_width: float = 0.5,
-              points_per_panel: int = 16) -> "QuadratureGrid":
+    def build(cls, T: float = 40.0) -> "QuadratureGrid":
         if not 0.0 < T <= _T_MAX:
             raise ValidationError(
                 f"grid half-width must lie in (0, {_T_MAX:.6g}] so that exp(T) is finite, got {T}")
-        nodes, weights = _gl_panels(-T, T, points_per_panel, panel_width)
+        nodes, weights = _gl_panels(-T, T)
         return cls(nodes=nodes, weights=weights)
 
     @cached_property
@@ -390,20 +391,21 @@ def record_deviation(record: dict) -> float:
 
 _N_VALUES = (5, 6, 8)
 _ALPHAS = (-1.0, 0.0, 1.0, -3.0)
-_T_LADDER = (40.0, 90.0)
 
 
 def run_identity_suite() -> List[dict]:
     """Run every identity over the test functions, n in (5, 6, 8) and alpha
-    in (-1, 0, 1, -3), at lambda = mu = 0, with skip logic.
+    in (-1, 0, 1, -3), at lambda = mu = 0, on one grid of half-width T = 40,
+    with skip logic.
 
-    Combinations whose integrals fail the tail-decay precondition on every
-    grid in the retry ladder are recorded as skipped rather than failed;
-    parameter pairs outside the admissible alpha range are skipped too.
-    Returns one record per combination.
+    Combinations whose integrals fail the tail-decay precondition on that
+    grid, or whose scaling substitution is undefined, are recorded as
+    skipped with the reason rather than failed; parameter pairs outside the
+    admissible alpha range are skipped too.  Returns one record per
+    combination.
     """
     records: List[dict] = []
-    grids = {T: QuadratureGrid.build(T=T) for T in _T_LADDER}
+    grid = QuadratureGrid.build()
     for n in _N_VALUES:
         for alpha in _ALPHAS:
             if not (-n < alpha < n - 4):
@@ -421,20 +423,11 @@ def run_identity_suite() -> List[dict]:
                         "identity": ident.value, "function": fname,
                         "n": n, "alpha": alpha,
                     }
-                    report = None
-                    reason = ""
-                    for T in _T_LADDER:
-                        try:
-                            report = verify_identity(ident, u, n, alpha, 0.0, 0.0, grids[T])
-                            break
-                        except TailError as exc:
-                            reason = str(exc)
-                        except DomainError as exc:
-                            reason = str(exc)
-                            break
-                    if report is None:
+                    try:
+                        report = verify_identity(ident, u, n, alpha, 0.0, 0.0, grid)
+                    except (TailError, DomainError) as exc:
                         rec["status"] = "skipped"
-                        rec["reason"] = reason
+                        rec["reason"] = str(exc)
                     else:
                         rec["status"] = "ok"
                         rec.update(report.to_dict())

@@ -21,11 +21,11 @@ orbit (Nayfeh, Perturbation Methods, 1973, 4.1), which is close enough that
 one step reaches every target with 1 - a/l <= 1/2.  Nearer the homoclinic
 loop an orbit follows ln a (X.-B. Lin, Proc. Roy. Soc. Edinburgh 116A
 (1990) 401), so from 1/2 the continuation jumps straight to the target, from
-Lin's seed when the rates are real, and halves a failed jump in log a.  The
-seed doubles the modes once for every fourfold growth of the period it
-predicts, so that the jump's first solve does not converge toward a
-truncated orbit, and only the final step is held to the tail test that
-doubles N.
+Lin's seed when the rates are real.  A failed step, whatever its start, is
+only ever halved, the jump in log a (Allgower and Georg).  The seed doubles
+the modes once for every fourfold growth of the period it predicts, so that
+the jump's first solve does not converge toward a truncated orbit, and only
+the final step is held to the tail test that doubles N.
 
 The homoclinic (even, positive, decaying) profile is the limit of that
 family as the minimum a -> 0 (the periods grow like (2/lambda2) ln(1/a)).
@@ -63,10 +63,9 @@ _COARSE_TOL = 1e-2
 _TRUNCATION_FLOOR, _TRUNCATION_RATIO = 1e-6, 10.0
 _MAX_NEWTON = 40
 _MAX_RETRIES = 6  # halved continuation steps, in all, before giving up
-# 1 - a/l of the first continuation step, from which a step may start from
-# Lin's seed
+# 1 - a/l of the first continuation step, from which the next step jumps to
+# the target
 _NEAR_LOOP = 0.5
-_MAX_CUT = 1e6  # largest factor by which one later continuation step cuts a
 _MODE1_MIN = 1e-2  # -d_1 / max |d| below this marks a k-fold alias (orbits keep it above 0.17)
 
 
@@ -447,38 +446,35 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     minimum a is reached by continuation in eps = 1 - a/l.  The first step
     goes to min(eps, 1/2) from the second-order Lindstedt-Poincare orbit
     (_small_orbit), whose coefficients are off by O(eps^3 l) and its
-    frequency by O(eps^2).  Every later step goes straight to the target but
-    cuts a at most 1e6-fold (_MAX_CUT), and starts from the last orbit or,
-    when it cuts a more than tenfold from eps >= 1/2 with real rates, from
-    Lin's seed (_lin_seed), which has N 2^floor(log_4(T_new / T_old)) modes,
-    at most 512: one doubling of N for every fourfold growth of the period.
-    Lin's start, if Newton fails on it, is tried once more from the last
-    orbit zero-padded to the seed's N, which is not a halving.  Only the final
-    step is held to tol: a step short of the target ends as soon as Newton's
-    next correction is estimated below 1e-2 and its relative residual is at
-    most 1e-2 (_collocate), and is accepted at a residual of 1e-2.  A step
-    on which Newton fails from any other start (a singular Jacobian, a
-    non-finite or twice-grown correction, a relative residual above the
-    step's tolerance, or an alias) is halved and tried again: the first step
-    in eps, a later one in log a, to the geometric mean of the two minima.
-    A halved first step climbs back to 1/2 before the jump.  Two tests
-    reject aliases.  v(pi/omega) <= l marks the half-period alias, an orbit
-    of twice the period with v(pi/omega) = a: integrating the equation over
-    a period gives int v (K0 - v^{p-1}) = 0, so an orbit with minimum a < l
-    has its maximum above l.  d_1 >= -0.01 max |d| marks a k-fold alias,
-    whose modes are k, 2k, ... only, so that d_1 = 0; the period-tripled
-    alias passes the first test.  N starts at 32, and the final step doubles
-    it until the last four coefficients of w are below 1e-15 of its largest
-    (an intermediate step, accepted at 1e-2, is not held to that tail); the
-    solve at 2 N starts from the zero-padded trial that failed that test
-    and, should Newton fail there, once more from the padded last orbit,
-    again not a halving.  A solve in which truncation dominates (_collocate)
-    doubles N before it converges, and the step goes on from its padded
-    iterate in the same way.  period = 2 pi / omega, b = v''(0) and max_value = v(pi/omega)
-    are read off the coefficients.  Raises ConvergenceError after the sixth
-    halving or when N would pass 512, ValidationError for a outside (0, l)
-    or tol outside (0, 1e-4], RegimeError when no positive equilibrium
-    exists.
+    frequency by O(eps^2).  Every later step goes straight to the target,
+    from the last orbit or, when it cuts a more than tenfold from eps >= 1/2
+    with real rates, from Lin's seed (_lin_seed), which has N
+    2^floor(log_4(T_new / T_old)) modes, at most 512: one doubling of N for
+    every fourfold growth of the period.  Only the final step is held to
+    tol: a step short of the target ends as soon as Newton's next correction
+    is estimated below 1e-2 and its relative residual is at most 1e-2
+    (_collocate), and is accepted at a residual of 1e-2.  A step on which
+    Newton fails, from any start (a singular Jacobian, a non-finite or
+    twice-grown correction, a relative residual above the step's tolerance,
+    or an alias), is halved and tried again at the N already reached: the
+    first step in eps, a later one in log a, to the geometric mean of the
+    two minima.  A halved first step climbs back to 1/2 before the jump.
+    Two tests reject aliases.  v(pi/omega) <= l marks the half-period alias,
+    an orbit of twice the period with v(pi/omega) = a: integrating the
+    equation over a period gives int v (K0 - v^{p-1}) = 0, so an orbit with
+    minimum a < l has its maximum above l.  d_1 >= -0.01 max |d| marks a
+    k-fold alias, whose modes are k, 2k, ... only, so that d_1 = 0; the
+    period-tripled alias passes the first test.  N starts at 32, and the
+    final step doubles it until the last four coefficients of w are below
+    1e-15 of its largest (an intermediate step, accepted at 1e-2, is not
+    held to that tail); the solve at 2 N starts from the zero-padded trial
+    that failed that test.  A solve in which truncation dominates
+    (_collocate) doubles N before it converges, and the step goes on from
+    its padded iterate in the same way.  period = 2 pi / omega, b = v''(0)
+    and max_value = v(pi/omega) are read off the coefficients.  Raises
+    ConvergenceError after the sixth halving or when N would pass 512,
+    ValidationError for a outside (0, l) or tol outside (0, 1e-4],
+    RegimeError when no positive equilibrium exists.
     """
     coeff = derive_coefficients(params)
     problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
@@ -510,7 +506,9 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
                 start = _small_orbit(len(d), eps, l, K2, K0, p)
             elif lam2 is not None and done >= _NEAR_LOOP and 1.0 - done > 10.0 * (1.0 - eps):
                 start = _lin_seed(d, omega, done, eps, l, lam2)
-                # the step goes on at the seed's N, and so would its fallback
+                # pad d to the seed's N: a solve has moved on to 2 N when it
+                # returns more modes than d, and should this one fail, the
+                # halved step starts from d at the N already reached
                 d = np.concatenate([d, np.zeros(len(start[0]) - len(d))])
             else:
                 start = d, omega
@@ -526,9 +524,6 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
         half = not trial[::2].sum() - trial[1::2].sum() > 0.0  # v(pi/omega) <= l
         folded = not trial[1] < -_MODE1_MIN * np.abs(trial).max()  # d_1 ~ 0
         if not residual <= accept or half or folded:
-            if done > 0.0 and start[0] is not d:
-                start = d, omega  # solve again from the last orbit, not a halving
-                continue
             # halve the continuation step: in eps on the first, in log a after it
             retries += 1
             if retries > _MAX_RETRIES:
@@ -556,7 +551,7 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
         steps += 1
         if final:
             break
-        eps = min(eps_target, _NEAR_LOOP if done < _NEAR_LOOP else 1.0 - (1.0 - done) / _MAX_CUT)
+        eps = min(eps_target, _NEAR_LOOP) if done < _NEAR_LOOP else eps_target
         start = None
 
     k = np.arange(len(d), dtype=float)

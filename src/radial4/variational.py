@@ -83,6 +83,7 @@ def _operator_symbol(n: int, h: float, K2: float, K0: float) -> np.ndarray:
 # Largest grid minimize_rayleigh accepts; each of its float arrays then
 # takes 8 MB.
 _MAX_NODES = 1_000_001
+_MAX_ITER = 400  # iterations minimize_rayleigh takes before it gives up
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ class MinimizeResult:
     iterations: int
 
 
-def minimize_rayleigh(params: ProblemParams, L: float, h: float,
-                      max_iter: int = 400) -> MinimizeResult:
+def minimize_rayleigh(params: ProblemParams, L: float, h: float) -> MinimizeResult:
     """Minimize the discrete quotient by preconditioned fixed-point descent.
 
     The nodes of [-L, L] spaced h apart form one periodic grid.  Starts from
@@ -105,8 +105,8 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
     Petviashvili-type iteration (Pelinovsky & Stepanyants, SIAM J. Numer.
     Anal. 42 (2004) 1110).  Stops when the relative quotient change drops
     below 1e-10; raises ConvergenceError when even the most damped step
-    (1e-4) raises the quotient, or after max_iter iterations.  Warns when
-    the minimizer has not decayed below 1e-8 at the grid ends.  Raises
+    (1e-4) raises the quotient, or after 400 iterations (_MAX_ITER).  Warns
+    when the minimizer has not decayed below 1e-8 at the grid ends.  Raises
     ValidationError, before allocating, for L or h that is not finite and
     positive and for grids of more than _MAX_NODES nodes.
     """
@@ -145,7 +145,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
 
     v = lp_normalize(v)
     q = quotient(v)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         rhs = h * np.abs(v) ** (p - 1.0) * v
         u = np.fft.irfft(np.fft.rfft(rhs) / symbol, n_nodes)
         u = lp_normalize(np.abs(u))
@@ -169,7 +169,7 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float,
             break
     else:
         raise ConvergenceError(
-            f"quotient minimization did not converge within {max_iter} iterations"
+            f"quotient minimization did not converge within {_MAX_ITER} iterations"
         )
 
     edge = max(abs(float(v[0])), abs(float(v[-1])))

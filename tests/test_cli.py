@@ -718,6 +718,20 @@ class TestConfig:
         assert rc == 0
         assert doc["K2"] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("command", [["info"], ["sweep", "info", "--vary", "mu=0:1:3"]],
+                             ids=["info", "sweep"])
+    @pytest.mark.parametrize("key", ["lamda", "a"])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, command, key):
+        # a misspelt key once ran with its parameter at the default; "a" is
+        # a sweep axis and a flag, but no parameter of the instance
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "alpha": 0.0, "p": 5.0, key: 3.0}))
+        assert main(command + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: config file {cfg} has unknown key(s) '{key}'; "
+                                "the keys are n, alpha, beta, p, lambda, mu\n")
+
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path):
         assert main(["info", "--config", str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()

@@ -233,31 +233,14 @@ def _fresh_homoclinic(lam: str):
     )
 
 
-# the first Newton solve at each doubled N, the one from the padded trial
-# or iterate, reports an infinite residual, so every doubling falls back to
-# the padded last orbit
-_FIRST_SOLVE_AT_EACH_N_FAILS = (
-    "import math\n"
-    "from radial4 import orbits\n"
-    "collocate, seen = orbits._collocate, {orbits._MODES}\n"
-    "def first_fails(d, omega, *args):\n"
-    "    if len(d) in seen:\n"
-    "        return collocate(d, omega, *args)\n"
-    "    seen.add(len(d))\n"
-    "    return d, omega, 0, math.inf\n"
-    "orbits._collocate = first_fails\n"
-)
-
-
-def _fresh_near_homoclinic(lam: str, setup: str = ""):
+def _fresh_near_homoclinic(lam: str, fraction: str = "1e-6"):
     """Newton iterations, and repr of b, period and max_value, of
-    find_periodic(1e-6 l) on (6, 0, 5, lam, 0) after setup, in a fresh
+    find_periodic(fraction l) on (6, 0, 5, lam, 0), in a fresh
     interpreter."""
     return _fresh(
-        setup
-        + "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
+        "from radial4 import ProblemParams, derive_coefficients, find_periodic\n"
         f"params = ProblemParams(n=6, alpha=0.0, p=5.0, {lam})\n"
-        "orbit = find_periodic(1e-6 * derive_coefficients(params).l, params)\n"
+        f"orbit = find_periodic({fraction} * derive_coefficients(params).l, params)\n"
         "print(orbit.newton_iterations, repr(orbit.b), repr(orbit.period), "
         "repr(orbit.max_value))\n"
     )
@@ -341,10 +324,16 @@ class TestPinnedArithmetic:
         # second-order Lindstedt-Poincare orbit, ends after 2 iterations at a
         # residual of 6.5e-3; the jump from 1/2 to 1 - 1e-6 grows the period
         # 6.6-fold, so Lin's seed has 2 N = 64 modes, and the solve moves on
-        # to N = 128 from its padded iterate once truncation dominates (from
-        # the padded last orbit, these take 29 and 29)
+        # to N = 128 from its padded iterate once truncation dominates
         counts = [_fresh_near_homoclinic(lam)[0] for lam in ("lam=0.0", "lam=80.0 / 9.0")]
         assert counts == ["7", "7"]
+
+    def test_nearer_homoclinic_newton_iterations(self):
+        # B0 at 1e-10 l: the first step to 1/2 (2 iterations at N = 32), then
+        # one jump to the target from Lin's seed at N = 64 (5), which moves
+        # on to N = 128 as truncation dominates (9) and to N = 256 on the
+        # tail test (3).  Through an intermediate orbit at 5e-7 l it took 24
+        assert _fresh_near_homoclinic("lam=0.0", "1e-10")[0] == "19"
 
     def test_homoclinic_newton_iterations_per_mode_count(self):
         # find_homoclinic(B0), one Newton solve per N: the first step at
@@ -361,14 +350,6 @@ class TestPinnedArithmetic:
             "find_homoclinic(ProblemParams(n=6, alpha=0.0, p=5.0))\n"
             "print(*solves)\n"
         ) == ["32:2", "64:3", "128:2"]
-
-    def test_doubling_fallback_digits(self):
-        # with every restart failed, each doubling solves again from the
-        # padded last orbit: the iterations and digits of that path alone.
-        # The jump's first solve is Lin's seed at N = 64, so its fallback
-        # starts from the last orbit padded to 64
-        assert _fresh_near_homoclinic("lam=0.0", _FIRST_SOLVE_AT_EACH_N_FAILS) == [
-            "29", "1.7320508082816e-06", "30.89402446418413", "2.213363839400393"]
 
     def test_twice_growing_stop_newton_iterations(self):
         # seed 21 #202 of the draws in test_orbits.py, with complex rates, so

@@ -277,7 +277,7 @@ class TestPeriodicOracles:
     def test_near_homoclinic_period_law(self, params):
         # near the loop T(a) = (2/lambda2) ln(1/a) + const + O(a^2), as
         # lambda1 = 3 lambda2 here, and v''(0) = b -> lambda2^2 a.  Met to
-        # 3.1e-8 and 7.0e-8 in T, 1.9e-8 in b; N = 128 and 256 modes
+        # 3.2e-8 and 8.6e-8 in T, 2.5e-8 in b; N = 128 and 256 modes
         coeff = derive_coefficients(params)
         near, nearer = (find_periodic(f * coeff.l, params) for f in (1e-6, 1e-8))
         assert nearer.modes == 256
@@ -399,10 +399,9 @@ def _inject_alias(monkeypatch, target, fold, times):
     """Make the first `times` Newton solves aimed at sum d_k = w0 = target
     that end at their own N (not on a move to 2 N) return the fold-fold
     alias of the orbit they reached, d_{fold k} = d_k at omega / fold, with
-    the same residual.  One call covers a step from the Lindstedt-Poincare
-    orbit or the last orbit, two cover Lin's seed and its fallback to the
-    last orbit, so the step must be halved.  Returns the list of aliases
-    returned and the list of (w0, N) of every call."""
+    the same residual.  One call covers a step from any start, so the step
+    must be halved.  Returns the list of aliases returned and the list of
+    (w0, N) of every call."""
     collocate, aliases, calls = orbits._collocate, [], []
 
     def aliasing(d, omega, w0, l, *args):
@@ -448,10 +447,10 @@ def test_period_tripled_alias_is_rejected(monkeypatch):
     # above l at its half period, as the orbit does, so only its vanishing
     # fundamental mode d_1 tells it apart.  Injected on the jump from
     # 1 - v(0)/l = 1/2 to the target, which starts from Lin's seed at N = 32
-    # and goes on at N = 64 once truncation dominates, it is rejected there;
-    # the fallback to the last orbit fails, and the jump is halved in log a.
-    # Injected on the first step, where nothing falls back, it ends the
-    # solve when no halving is allowed
+    # and goes on at N = 64 once truncation dominates, it is rejected there,
+    # and the jump is halved in log a, at the N = 64 already reached.
+    # Injected on the first step, it ends the solve when no halving is
+    # allowed
     coeff = derive_coefficients(TRIPLED)
     l = coeff.l
     a = 0.0023 * l
@@ -464,10 +463,11 @@ def test_period_tripled_alias_is_rejected(monkeypatch):
     (first, omega), = aliases
     assert first[::2].sum() - first[1::2].sum() > 0.0 and first[1] == 0.0
     assert 2.0 * math.pi / omega == pytest.approx(58.06, rel=1e-3)
-    assert calls[1:4] == [(a - l, orbits._MODES)] + [(a - l, 2 * orbits._MODES)] * 2
-    assert orbit.continuation_steps == 3
     # the halved jump ends at the geometric mean of a and l / 2
     halved = 1.0 - math.sqrt((1.0 - orbits._NEAR_LOOP) * (1.0 - (1.0 - a / l)))
+    assert calls[1:4] == [(a - l, orbits._MODES), (a - l, 2 * orbits._MODES),
+                          (-halved * l, 2 * orbits._MODES)]
+    assert orbit.continuation_steps == 3
     assert {w0 for w0, _ in calls if a - l < w0 < -orbits._NEAR_LOOP * l} == {-halved * l}
     for name in ("period", "b", "max_value"):
         assert getattr(orbit, name) == pytest.approx(getattr(plain, name), rel=1e-9)
@@ -497,14 +497,15 @@ def test_every_orbit_peaks_above_the_equilibrium(instance):
     assert find_periodic(10.0 ** log_fraction * l, params).max_value > l
 
 
-def _random_draws(seed, count=250):
-    """Instances over the whole admissible region: n in 5..10, alpha in
-    (-2, n-4), p log-uniform in (1.2, 60), a/l log-uniform in (1e-6, 0.99),
-    lambda and mu each 0 or U(0, 3) with even odds."""
+def _random_draws(seed, count=250, singular=False):
+    """Instances over the whole admissible region: n in 5..10, alpha
+    uniform in (-2, n-4), or in (-n, -2] if singular, p log-uniform in
+    (1.2, 60), a/l log-uniform in (1e-6, 0.99), lambda and mu each 0 or
+    U(0, 3) with even odds."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(5, 10)
-        alpha = rng.uniform(-2.0, n - 4.0)
+        alpha = rng.uniform(-n, -2.0) if singular else rng.uniform(-2.0, n - 4.0)
         p = math.exp(rng.uniform(math.log(1.2), math.log(60.0)))
         fraction = math.exp(rng.uniform(math.log(1e-6), math.log(0.99)))
         lam = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
@@ -512,11 +513,10 @@ def _random_draws(seed, count=250):
         yield ProblemParams(n=n, alpha=alpha, p=p, lam=lam, mu=mu), fraction
 
 
-@pytest.fixture(scope="module")
-def random_draw_solves():
-    """find_periodic on the 2,000 draws of seeds 21 to 28: per draw, the
-    orbit, the ConvergenceError or None (K0 <= 0), and the (N, iterations,
-    residual) of each of its Newton solves."""
+def _solve_draws(draws):
+    """find_periodic on each draw: per draw, the orbit, the ConvergenceError
+    or None (K0 <= 0), and the (N, iterations, residual) of each of its
+    Newton solves."""
     collocate, results = orbits._collocate, []
 
     def recording(d, *args):
@@ -526,28 +526,31 @@ def random_draw_solves():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "_collocate", recording)
-        for seed in range(21, 29):
-            for params, fraction in _random_draws(seed):
-                coeff, calls = derive_coefficients(params), []
-                if coeff.K0 <= 0.0:
-                    results.append((params, None, calls))
-                    continue
-                try:
-                    outcome = find_periodic(fraction * coeff.l, params)
-                except ConvergenceError as exc:
-                    outcome = exc
-                results.append((params, outcome, calls))
+        for params, fraction in draws:
+            coeff, calls = derive_coefficients(params), []
+            if coeff.K0 <= 0.0:
+                results.append((params, None, calls))
+                continue
+            try:
+                outcome = find_periodic(fraction * coeff.l, params)
+            except ConvergenceError as exc:
+                outcome = exc
+            results.append((params, outcome, calls))
     return results
 
 
-def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
-    # every draw gives an orbit that peaks above l, has a negative
-    # fundamental mode and meets tol, or needs more than the 512 modes of
-    # the cap (27 draws); one draw has K0 < 0 and no equilibrium.  Halved in
-    # 1 - a/l rather than in log a, four draws near the loop with complex
-    # rates missed tol (seed 23 #88, 25 #41, 26 #210 and 28 #40)
+@pytest.fixture(scope="module")
+def random_draw_solves():
+    """_solve_draws on the 2,000 draws of seeds 21 to 28."""
+    return _solve_draws(draw for seed in range(21, 29) for draw in _random_draws(seed))
+
+
+def _outcomes(solves):
+    """Counts of the outcomes of _solve_draws, after checking that each
+    draw gives an orbit that peaks above l, has a negative fundamental mode
+    and meets tol, or needs more than the 512 modes of the cap."""
     outcomes = Counter()
-    for params, orbit, _ in random_draw_solves:
+    for params, orbit, _ in solves:
         if orbit is None:
             outcomes["no equilibrium"] += 1
             continue
@@ -560,16 +563,34 @@ def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
         assert orbit.coefficients[1] < 0.0
         assert orbit.residual_sup <= 1e-8
         outcomes["orbit"] += 1
-    assert outcomes == {"orbit": 1972, "mode cap": 27, "no equilibrium": 1}
+    return outcomes
+
+
+def _newton_work(solves):
+    return sum(orbit.newton_iterations for _, orbit, _ in solves
+               if isinstance(orbit, orbits.PeriodicOrbit))
+
+
+def test_random_draws_give_an_orbit_or_the_mode_cap(random_draw_solves):
+    # 27 draws need more than the mode cap; one has K0 < 0 and no
+    # equilibrium.  Halved in 1 - a/l rather than in log a, four draws near
+    # the loop with complex rates missed tol (seed 23 #88, 25 #41, 26 #210
+    # and 28 #40)
+    assert _outcomes(random_draw_solves) == {"orbit": 1972, "mode cap": 27, "no equilibrium": 1}
 
 
 def test_random_draw_newton_work(random_draw_solves):
-    # the Newton iterations of the 1,972 orbits: 27,658 on one BLAS thread
-    # and 27,657 on two
-    orbits_found = [orbit for _, orbit, _ in random_draw_solves
-                    if isinstance(orbit, orbits.PeriodicOrbit)]
-    assert len(orbits_found) == 1972
-    assert sum(orbit.newton_iterations for orbit in orbits_found) <= 27658
+    # the Newton iterations of the 1,972 orbits: 27,504 on one BLAS thread
+    # and 27,503 on two
+    assert _newton_work(random_draw_solves) <= 27504
+
+
+def test_random_draws_below_alpha_minus_two():
+    # the paper's non-periodic regime alpha in (-n, -2]: 250 draws of seed
+    # 5, with 2,683 Newton iterations on one BLAS thread and on two
+    solves = _solve_draws(_random_draws(5, singular=True))
+    assert _outcomes(solves) == {"orbit": 204, "mode cap": 5, "no equilibrium": 41}
+    assert _newton_work(solves) == 2683
 
 
 def test_random_draw_orbit_modes(random_draw_solves):
@@ -599,8 +620,8 @@ def test_no_random_draw_solve_runs_out_of_newton_iterations(random_draw_solves):
 
 def _fail_first_solve_at_each_doubling(monkeypatch):
     """Make the first Newton solve at each doubled N, the one from the padded
-    trial or iterate, report an infinite residual, so that every doubling
-    falls back to the padded last orbit.  Returns the set of N reached."""
+    trial or iterate, report an infinite residual, so that the step is
+    halved at that N.  Returns the set of N reached."""
     collocate, seen = orbits._collocate, {orbits._MODES}
 
     def first_fails(d, omega, *args):
@@ -618,29 +639,18 @@ def _fail_first_solve_at_each_doubling(monkeypatch):
     [(B0, 1e-3), (N8_P4, 1e-3), (N10_P9, 0.006987657359575838), (N5_P11, 0.0008355571996189617)],
     ids=["b0", "n8-p4", "n10-p9.3", "n5-p11.4"],
 )
-def test_doubling_restart_meets_fallback(monkeypatch, params, fraction):
-    # the restart from the padded trial or iterate and the fallback to the
-    # padded last orbit reach the same orbit.  At 1e-6 l, b differs between
-    # them by up to rel 4e-9: v(0) = a enters as sum d_k = a - l, to about
-    # 1e-16 l
+def test_failed_doubling_restart_is_halved_to_the_same_orbit(monkeypatch, params, fraction):
+    # a failed restart from the padded trial or iterate at 2 N is halved
+    # like any other failed solve, and the halved step, which starts at the
+    # N already reached, leads to the same orbit
     a = fraction * derive_coefficients(params).l
     restarted = find_periodic(a, params)
     seen = _fail_first_solve_at_each_doubling(monkeypatch)
-    fallback = find_periodic(a, params)
-    assert restarted.modes == fallback.modes == max(seen) > orbits._MODES
+    halved = find_periodic(a, params)
+    assert restarted.modes == halved.modes == max(seen) > orbits._MODES
+    assert halved.continuation_steps > restarted.continuation_steps
     for name in ("b", "period", "max_value"):
-        assert getattr(restarted, name) == pytest.approx(getattr(fallback, name), rel=1e-12)
-
-
-def test_doubling_fallback_is_not_a_halving(monkeypatch):
-    # B0 at 1e-6 l takes no halving (2 steps: 1 - v(0)/l = 1/2 and the
-    # target); with none allowed, its two fallbacks (N = 64 and 128) still
-    # reach the orbit
-    monkeypatch.setattr(orbits, "_MAX_RETRIES", 0)
-    seen = _fail_first_solve_at_each_doubling(monkeypatch)
-    orbit = find_periodic(1e-6 * EQUILIBRIUM, B0)
-    assert seen == {32, 64, 128} and orbit.continuation_steps == 2
-    assert _dp_half_period_error(orbit, _dp_segments(orbit)) <= 1e-8
+        assert getattr(restarted, name) == pytest.approx(getattr(halved, name), rel=1e-12)
 
 
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0)
