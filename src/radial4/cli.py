@@ -16,8 +16,9 @@ so that parameter sweeps and scripted studies can sort outcomes without
 parsing messages.
 
 Each handler imports the solver modules it needs, so commands that do
-scalar arithmetic only (info, sweep info, explicit as JSON, best-constant
-in closed form) never load numpy.
+scalar arithmetic only (info, sweep info, explicit in every format,
+best-constant in closed form) never load numpy; their records are tuples,
+so they do not load dataclasses either.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import jsonio
 from .errors import ConvergenceError, Radial4Error, RegimeError
-from .params import ProblemParams, check_conditions, derive_coefficients
+from .params import ProblemParams, _linspace, check_conditions, derive_coefficients
 
 SCHEMA = "1"
 
@@ -373,21 +374,6 @@ def _parse_vary(specs: Sequence[str]) -> List:
     if total > _MAX_SWEEP_POINTS:
         raise _UsageError(f"sweep grid has {total} points, exceeding the cap of {_MAX_SWEEP_POINTS}")
     return [(name, values) for name, _, values in axes]
-
-
-def _linspace(start: float, stop: float, num: int) -> List[float]:
-    """np.linspace(start, stop, num) on Python floats, equal bit for bit."""
-    delta = stop - start
-    if num == 1:
-        return [0.0 * delta + start]
-    div = num - 1
-    step = delta / div
-    if step == 0.0:  # numpy's branch for a step that underflows to zero
-        values = [i / div * delta + start for i in range(num)]
-    else:
-        values = [i * step + start for i in range(num)]
-    values[-1] = stop
-    return values
 
 
 def _sweep_point(args, values: Dict, point: Dict[str, float]) -> Dict:

@@ -8,23 +8,27 @@ whenever the coefficients satisfy the solvability relation
 K2^2 / K0 = ((p+1)^2 + 4)^2 / (4 (p+1)^2).  Pulled back through
 u(r) = r^{-(n-4-alpha)/2} v(-log r) this yields the two-parameter radial
 profile u(r) = (C / 2^m) r^{-gamma} (1 + r^{2 nu})^m.
+
+CoshSolution is a tuple record, and the profile functions take one point
+and use math: sampling a profile for CSV output loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DomainError, NoExplicitSolutionError, ValidationError
-from .params import ProblemParams, SolutionCase, derive_coefficients
+from .params import (
+    ProblemParams, SolutionCase, _linspace, _overflow_error, derive_coefficients,
+)
 
 _RELATION_TOL = 1e-9
 _CASE_TOL = 1e-9
+_LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class CoshSolution:
+class CoshSolution(NamedTuple):
     """Explicit profile v(t) = C (cosh(nu t))^m of the reduced equation.
 
     gamma_decay is the leading power of the radial profile at r -> 0:
@@ -46,29 +50,34 @@ def build_cosh_solution(params: ProblemParams) -> CoshSolution:
     """Construct the explicit cosh profile for the given parameters.
 
     Raises NoExplicitSolutionError when (K2, K0) fail the solvability
-    relation, ValidationError when K2 <= 0, DomainError when the amplitude
-    power is nonpositive.
+    relation, ValidationError when K2 <= 0 or a side of the relation or the
+    amplitude overflows, DomainError when the amplitude power is nonpositive.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
     if not (K2 > 0.0):
         raise ValidationError(f"cosh profile requires K2 > 0, got K2={K2}")
     P = p + 1.0
-    lhs = K2 * K2 * 4.0 * P * P
-    rhs = K0 * (P * P + 4.0) ** 2
-    if abs(lhs - rhs) > _RELATION_TOL * max(abs(lhs), abs(rhs), 1.0):
-        raise NoExplicitSolutionError(
-            "coefficients fail the solvability relation "
-            f"4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0: lhs={lhs}, rhs={rhs}"
-        )
-    m = -4.0 / (p - 1.0)
-    nu = math.sqrt(K2 / (m * m + (m - 2.0) ** 2))
-    amp_power = m * (m - 1.0) * (m - 2.0) * (m - 3.0) * nu ** 4
-    if not (amp_power > 0.0):
-        raise DomainError(
-            f"amplitude power m(m-1)(m-2)(m-3) nu^4 = {amp_power} is not positive"
-        )
-    C = amp_power ** (1.0 / (p - 1.0))
+    try:
+        lhs = K2 * K2 * 4.0 * P * P
+        rhs = K0 * (P * P + 4.0) ** 2
+        if not math.isfinite(lhs - rhs):  # an infinite side passes any tolerance
+            raise _overflow_error(params)
+        if abs(lhs - rhs) > _RELATION_TOL * max(abs(lhs), abs(rhs), 1.0):
+            raise NoExplicitSolutionError(
+                "coefficients fail the solvability relation "
+                f"4 (p+1)^2 K2^2 = ((p+1)^2+4)^2 K0: lhs={lhs}, rhs={rhs}"
+            )
+        m = -4.0 / (p - 1.0)
+        nu = math.sqrt(K2 / (m * m + (m - 2.0) ** 2))
+        amp_power = m * (m - 1.0) * (m - 2.0) * (m - 3.0) * nu ** 4
+        if not (amp_power > 0.0):
+            raise DomainError(
+                f"amplitude power m(m-1)(m-2)(m-3) nu^4 = {amp_power} is not positive"
+            )
+        C = amp_power ** (1.0 / (p - 1.0))
+    except OverflowError:
+        raise _overflow_error(params) from None
     case_tag = _classify_case(params, m)
     gamma_decay = (params.n - 4.0 - params.alpha) / 2.0 + nu * m
     return CoshSolution(
@@ -92,21 +101,19 @@ def _classify_case(params: ProblemParams, m: float) -> SolutionCase:
     return SolutionCase.GENERIC
 
 
-def cosh_profile_derivatives(sol: CoshSolution, t) -> Tuple[np.ndarray, ...]:
-    """(v, v', v'', v''', v'''') of the cosh profile, overflow-safe.
+def cosh_profile_derivatives(sol: CoshSolution, t: float) -> Tuple[float, ...]:
+    """(v, v', v'', v''', v'''') of the cosh profile at t, overflow-safe.
 
     Powers of cosh are taken through log-cosh so large |t| underflows to
     zero instead of overflowing; odd derivatives carry tanh factors.
     """
-    import numpy as np
-    t = np.asarray(t, dtype=float)
     m, nu, C = sol.m, sol.nu, sol.C
-    ax = np.abs(nu * t)
-    log_cosh = ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-    th = np.tanh(nu * t)
-    P0 = np.exp(m * log_cosh)
-    P2 = np.exp((m - 2.0) * log_cosh)
-    P4 = np.exp((m - 4.0) * log_cosh)
+    ax = abs(nu * t)
+    log_cosh = ax + math.log1p(math.exp(-2.0 * ax)) - _LOG2
+    th = math.tanh(nu * t)
+    P0 = math.exp(m * log_cosh)
+    P2 = math.exp((m - 2.0) * log_cosh)
+    P4 = math.exp((m - 4.0) * log_cosh)
     v0 = C * P0
     v1 = C * m * nu * th * P0
     v2 = C * nu ** 2 * (m * m * P0 - m * (m - 1.0) * P2)
@@ -119,48 +126,40 @@ def cosh_profile_derivatives(sol: CoshSolution, t) -> Tuple[np.ndarray, ...]:
     return v0, v1, v2, v3, v4
 
 
-def eval_u(sol: CoshSolution, r):
-    """Radial profile u(r) = (C/2^m) r^{-gamma} (1 + r^{2 nu})^m.
+def eval_u(sol: CoshSolution, r: float) -> float:
+    """Radial profile u(r) = (C/2^m) r^{-gamma} (1 + r^{2 nu})^m at r > 0.
 
     Evaluated in log space so extreme radii neither overflow nor lose the
-    power-law tails.
+    power-law tails; a value past the float range is inf.
     """
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if r <= 0.0:
         raise DomainError("radial profile is defined for r > 0 only")
-    m, nu, C = sol.m, sol.nu, sol.C
-    log_r = np.log(r)
+    m, nu = sol.m, sol.nu
+    log_r = math.log(r)
     # log(1 + r^{2 nu}) computed from the side that keeps exp() below 1
-    two_nu_log_r = 2.0 * nu * log_r
-    log_one_plus = np.where(
-        two_nu_log_r > 0.0,
-        two_nu_log_r + np.log1p(np.exp(-np.abs(two_nu_log_r))),
-        np.log1p(np.exp(np.minimum(two_nu_log_r, 0.0))),
-    )
-    log_u = (
-        math.log(C)
-        - m * math.log(2.0)
-        - sol.gamma_decay * log_r
-        + m * log_one_plus
-    )
-    return np.exp(log_u)
+    x = 2.0 * nu * log_r
+    log_one_plus = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+    log_u = math.log(sol.C) - m * _LOG2 - sol.gamma_decay * log_r + m * log_one_plus
+    try:
+        return math.exp(log_u)
+    except OverflowError:
+        return math.inf
 
 
 def curve_rows(sol: CoshSolution, t_lo: float = -12.0, t_hi: float = 12.0, num: int = 2001):
     """Sampled profile rows (t, v, dv, d2v, d3v, residual) for CSV output."""
-    import numpy as np
-    ts = np.linspace(t_lo, t_hi, num)
-    v0, v1, v2, v3, v4 = cosh_profile_derivatives(sol, ts)
-    res = v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** sol.p
-    header = ("t", "v", "dv", "d2v", "d3v", "residual")
-    rows = list(zip(ts.tolist(), v0.tolist(), v1.tolist(), v2.tolist(), v3.tolist(), res.tolist()))
-    return header, rows
+    K2, K0, p = sol.K2, sol.K0, sol.p
+    rows = []
+    try:
+        for t in _linspace(t_lo, t_hi, num):
+            v0, v1, v2, v3, v4 = cosh_profile_derivatives(sol, t)
+            rows.append((t, v0, v1, v2, v3, v4 - K2 * v2 + K0 * v0 - v0 ** p))
+    except OverflowError:
+        raise ValidationError(f"the profile's v^p overflows a float (C={sol.C}, p={p})") from None
+    return ("t", "v", "dv", "d2v", "d3v", "residual"), rows
 
 
 def radial_curve_rows(sol: CoshSolution, r_lo: float = 1e-6, r_hi: float = 1e6, num: int = 2001):
     """Sampled radial rows (r, u) on a log-spaced grid for CSV output."""
-    import numpy as np
-    rs = np.logspace(math.log10(r_lo), math.log10(r_hi), num)
-    us = eval_u(sol, rs)
-    return ("r", "u"), list(zip(rs.tolist(), us.tolist()))
+    rs = [10.0 ** e for e in _linspace(math.log10(r_lo), math.log10(r_hi), num)]
+    return ("r", "u"), [(r, eval_u(sol, r)) for r in rs]

@@ -48,7 +48,7 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):  # not a record: a NamedTuple is a tuple too
         out.append("[")
         for i, v in enumerate(obj):
             if i:

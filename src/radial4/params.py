@@ -13,6 +13,11 @@ radial equation into the autonomous fourth-order ODE
 
 Everything downstream (closed forms, orbits, best constants) runs on the
 pair (K2, K0) computed here.
+
+The records here are immutable ``NamedTuple``s, not dataclasses: the
+``dataclasses`` module imports ``inspect`` and ``ast``, which would cost a
+scalar command more than its arithmetic.  ``ProblemParams`` validates on
+every construction path.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, ValidationError
 
@@ -71,47 +76,46 @@ def _check_base(n: int, alpha: float, p: float) -> None:
         raise ValidationError(f"exponent p must exceed 1, got p={p}")
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(namedtuple("ProblemParams", "n alpha p lam mu beta")):
     """Validated parameter bundle (n, alpha, beta, p, lambda, mu).
 
     ``beta`` may be omitted; it is then recomputed from the balance
     relation.  When supplied it must satisfy the relation to 1e-12.
     ``lam`` is the gradient-term coefficient (serialized as "lambda").
+    A tuple record: every way to build one (the constructor, ``_make`` and
+    ``_replace``) validates and normalizes.
     """
 
-    n: int
-    alpha: float
-    p: float
-    lam: float = 0.0
-    mu: float = 0.0
-    beta: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_base(self.n, self.alpha, self.p)
-        _check_finite(lam=self.lam, mu=self.mu)
-        if self.beta is not None:
-            _check_finite(beta=self.beta)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "mu", float(self.mu))
-        computed = beta_from_hyperbola(self.n, self.alpha, self.p)
+    def __new__(cls, n: int, alpha: float, p: float, lam: float = 0.0, mu: float = 0.0,
+                beta: Optional[float] = None) -> "ProblemParams":
+        _check_base(n, alpha, p)
+        _check_finite(lam=lam, mu=mu)
+        if beta is not None:
+            _check_finite(beta=beta)
+        n, alpha, p = int(n), float(alpha), float(p)
+        computed = beta_from_hyperbola(n, alpha, p)
         if not math.isfinite(computed):
             raise ValidationError(
                 f"the balance relation gives a non-finite beta={computed} "
-                f"for n={self.n}, alpha={self.alpha}, p={self.p}"
+                f"for n={n}, alpha={alpha}, p={p}"
             )
-        if self.beta is None:
-            object.__setattr__(self, "beta", computed)
+        if beta is None:
+            beta = computed
         else:
-            object.__setattr__(self, "beta", float(self.beta))
-            if abs(self.beta - computed) > _HYPERBOLA_TOL * max(1.0, abs(computed)):
+            beta = float(beta)
+            if abs(beta - computed) > _HYPERBOLA_TOL * max(1.0, abs(computed)):
                 raise ValidationError(
                     "beta violates the exponent balance relation: "
-                    f"got {self.beta}, relation requires {computed}"
+                    f"got {beta}, relation requires {computed}"
                 )
+        return super().__new__(cls, n, alpha, p, float(lam), float(mu), beta)
+
+    @classmethod
+    def _make(cls, iterable) -> "ProblemParams":
+        # the base's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -127,8 +131,7 @@ class ProblemParams:
 Eigenvalue = Union[float, complex]
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
+class DerivedCoefficients(NamedTuple):
     """Reduced-ODE coefficients and the linearization eigenvalues at v = 0.
 
     K2, K0 are the coefficients of v'''' - K2 v'' + K0 v = v^p.  ``l`` is the
@@ -224,8 +227,7 @@ def _principal_sqrt(z: complex) -> Eigenvalue:
     return r
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Boolean parameter-regime report.
 
     c1, c2, c3 are the three sufficient conditions under which the quadratic
@@ -355,3 +357,18 @@ def explicit_lambda_branches(
     root = math.sqrt(radicand)
     roots = (scale * (A + root) / denom, scale * (A - root) / denom)
     return tuple(lam for lam in roots if k2_value(n, alpha, lam) > 0.0)
+
+
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    """np.linspace(start, stop, num) on Python floats, equal bit for bit."""
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:  # numpy's branch for a step that underflows to zero
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values

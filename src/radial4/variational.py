@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .closed_form import build_cosh_solution
 from .errors import (
@@ -36,8 +35,7 @@ class ConstantSource(Enum):
     NUMERICAL = "Numerical"
 
 
-@dataclass(frozen=True)
-class BestConstantResult:
+class BestConstantResult(NamedTuple):
     """1-D infimum phi and the radial constant it induces in n dimensions."""
 
     phi: float
@@ -86,8 +84,7 @@ _MAX_NODES = 1_000_001
 _MAX_ITER = 400  # iterations minimize_rayleigh takes before it gives up
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Minimized quotient value and the iterations it took."""
 
     value: float

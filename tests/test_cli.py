@@ -1,6 +1,7 @@
 """Command-line behavior: documents, exit codes, determinism."""
 
 import ast
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -13,13 +14,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radial4
 from radial4 import cli, jsonio, orbits
 from radial4.cli import build_parser, main
-from radial4.errors import ValidationError
+from radial4.errors import DomainError, ValidationError
+from radial4.params import SolutionCase, explicit_lambda_branches
+from test_closed_form import _family_alpha as family_alpha
 
 B0_FLAGS = ["--n", "6", "--alpha", "0", "--p", "5"]
 PEAK_B0 = 24.0 ** 0.25
@@ -255,7 +258,7 @@ class TestBestConstant:
         (["best-constant", "--method", "numerical"],
          "e872c0c8f0e8caa8cb2152e998fc2b96e55c9e3020f0149a245b2b826c7c5635"),
         (["explicit", "--format", "csv", "--curve", "radial"],
-         "73b4ab59501007a7c4a9368b57211cc82fd2b27f019d144abf9566d6639a6b7a"),
+         "aa151cfaa0ab75e8880e13283d9ed7671f7a688e37f87d065569658d111cfc0b"),
     ],
     ids=["best-constant", "best-constant-numerical", "explicit-radial-csv"],
 )
@@ -291,8 +294,10 @@ class TestDependencies:
             "import radial4.cli\n"
             "from radial4 import jsonio\n"
             "b0 = ['--n', '6', '--alpha', '0', '--p', '5']\n"
+            "csv = ['--format', 'csv']\n"
             "for argv in (['info'] + b0, ['sweep', 'info'] + b0 + ['--vary', 'lambda=0:8:5'],\n"
-            "             ['explicit'] + b0, ['best-constant'] + b0):\n"
+            "             ['explicit'] + b0, ['explicit'] + b0 + csv,\n"
+            "             ['explicit'] + b0 + csv + ['--curve', 'radial'], ['best-constant'] + b0):\n"
             "    with redirect_stdout(io.StringIO()):\n"
             "        assert radial4.cli.main(argv) == 0, argv\n"
             "try:\n"
@@ -302,6 +307,9 @@ class TestDependencies:
             "else:\n"
             "    raise AssertionError('an object() was serialized')\n"
             "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')]\n"
+            "assert not loaded, loaded\n"
+            "# the records are tuples: dataclasses would import inspect, ast and dis\n"
+            "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
         src = os.path.dirname(os.path.dirname(radial4.__file__))
@@ -345,9 +353,10 @@ class TestDependencies:
         assert uncalled == []
 
     def test_every_dataclass_field_is_read_in_the_package(self):
-        # Each field of an exported dataclass is read as an attribute in the
-        # package.  PeriodicOrbit's newton_iterations and continuation_steps
-        # are the solve's work counters, kept for a solver stats record.
+        # Each field of an exported dataclass or NamedTuple record is read as
+        # an attribute in the package.  PeriodicOrbit's newton_iterations and
+        # continuation_steps are the solve's work counters, kept for a solver
+        # stats record.
         kept = {"PeriodicOrbit.newton_iterations", "PeriodicOrbit.continuation_steps"}
         package = os.path.dirname(radial4.__file__)
         read = set()
@@ -357,13 +366,23 @@ class TestDependencies:
                     tree = ast.parse(fh.read())
                 read.update(node.attr for node in ast.walk(tree)
                             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
-        unread = []
+        unread, records = [], []
         for name in radial4.__all__:
             obj = getattr(radial4, name)
-            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
-                unread += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
-                           if f.name not in read and f"{name}.{f.name}" not in kept]
+            if not isinstance(obj, type):
+                continue
+            if dataclasses.is_dataclass(obj):
+                fields = [f.name for f in dataclasses.fields(obj)]
+            elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                fields = list(obj._fields)
+                records.append(name)
+            else:
+                continue
+            unread += [f"{name}.{field}" for field in fields
+                       if field not in read and f"{name}.{field}" not in kept]
         assert unread == []
+        assert sorted(records) == ["BestConstantResult", "ConditionReport", "CoshSolution",
+                                   "DerivedCoefficients", "MinimizeResult", "ProblemParams"]
 
 
 def run_child(args, blas_threads=None):
@@ -900,6 +919,93 @@ class TestExitCodes:
         assert code == 1
         assert head.startswith(b"t,v,dv,d")
         assert err == b""
+
+
+# the subcommands that run on scalar arithmetic alone
+SCALAR_COMMANDS = [["info"], ["explicit"], ["explicit", "--format", "csv"],
+                   ["explicit", "--format", "csv", "--curve", "radial"], ["best-constant"],
+                   ["sweep", "info"]]
+PARAM_NAMES = ("n", "alpha", "beta", "p", "lambda", "mu")
+
+
+def _number_text():
+    """Any float (nan, infinities and subnormals too), a huge or small
+    integer, or a number near the admissible region, as flag text."""
+    return st.one_of(
+        st.floats().map(repr),
+        st.integers(-10 ** 400, 10 ** 400).map(str),
+        st.integers(-3, 12).map(str),
+        st.floats(-12.0, 12.0).map(repr),
+    )
+
+
+@st.composite
+def _scalar_argv(draw):
+    """argv of a scalar subcommand; each parameter is missing, any number,
+    or, for one instance in three, an instance of a closed-form family with
+    mu drawn from the whole float range."""
+    command = draw(st.sampled_from(SCALAR_COMMANDS))
+    values = {name: draw(st.none() | _number_text()) for name in PARAM_NAMES}
+    if draw(st.integers(0, 2)) == 0:
+        case = draw(st.sampled_from([SolutionCase.CASE1, SolutionCase.CASE2]))
+        n, p = draw(st.integers(5, 12)), draw(st.floats(1.0, 1e6, exclude_min=True))
+        mu = draw(st.floats(allow_nan=False, allow_infinity=False))
+        alpha = family_alpha(case, n, p)
+        try:
+            lams = explicit_lambda_branches(case, n, alpha, mu)
+        except (DomainError, ValidationError):
+            lams = ()
+        values = {"n": str(n), "alpha": repr(alpha), "beta": None, "p": repr(p),
+                  "lambda": repr(draw(st.sampled_from(lams))) if lams else None,
+                  "mu": repr(mu)}
+    argv = command + [f"--{name}={text}" for name, text in values.items() if text is not None]
+    if command[0] == "sweep":
+        name = draw(st.sampled_from(PARAM_NAMES + ("a",)))
+        start, stop = draw(_number_text()), draw(_number_text())
+        argv.append(f"--vary={name}={start}:{stop}:{draw(st.integers(1, 3))}")
+    return argv
+
+
+class TestArgvProperty:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_scalar_argv())
+    # one example per way out of ProblemParams: n not a float, a non-finite
+    # alpha, p, lambda, mu or beta, n < 5, alpha outside (-n, n-4), p <= 1, a
+    # non-finite beta from the relation, beta off the relation, beta given
+    # on it and beta from the relation
+    @example(["info", "--n=1" + "0" * 400, "--alpha=0", "--p=5"])
+    @example(["info", "--n=6", "--alpha=nan", "--p=5"])
+    @example(["explicit", "--n=6", "--alpha=0", "--p=inf"])
+    @example(["best-constant", "--n=6", "--alpha=0", "--p=5", "--lambda=-inf"])
+    @example(["info", "--n=6", "--alpha=0", "--p=5", "--mu=nan"])
+    @example(["info", "--n=6", "--alpha=0", "--p=5", "--beta=inf"])
+    @example(["info", "--n=4", "--alpha=0", "--p=5"])
+    @example(["info", "--n=6", "--alpha=2", "--p=5"])
+    @example(["info", "--n=6", "--alpha=0", "--p=1"])
+    @example(["info", "--n=100", "--alpha=0", "--p=1e308"])
+    @example(["explicit", "--n=6", "--alpha=0", "--p=5", "--beta=1"])
+    @example(["explicit", "--n=6", "--alpha=-4", "--p=5", "--beta=12", "--format", "csv",
+              "--curve", "radial"])
+    @example(["explicit", "--n=6", "--alpha=0", "--p=5", "--format", "csv"])
+    @example(["sweep", "info", "--n=6", "--alpha=0", "--p=5", "--vary=lambda=-1e308:1e308:3"])
+    # ((p+1)^2 + 4)^2 in the solvability relation and v^p in the CSV
+    # residual overflow a float: validation errors, not an OverflowError
+    @example(["explicit", "--n=5", "--alpha=0.0", "--p=1.157920892373162e+77"])
+    @example(["explicit", "--n=6", "--alpha=-1.2", "--p=2.0", "--mu=1e+160",
+              "--lambda=-2.1666666666666667e+80", "--format", "csv"])
+    def test_scalar_commands_map_every_input_to_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3, 4, 5), (code, err.getvalue())
+        if code == 0:
+            text = out.getvalue()
+            if "csv" in argv or argv[0] == "sweep":
+                assert text.count("\n") >= 2
+            else:
+                json.loads(text)
+        else:
+            assert out.getvalue() == "" and err.getvalue()
 
 
 class TestJsonEmission:

@@ -28,6 +28,15 @@ SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
 CONJUGATE = ProblemParams(n=6, alpha=-4.0, p=5.0, beta=12.0)
 
 
+def profile(sol, ts):
+    """The five scalar derivatives at each t, as five arrays."""
+    return np.array([cosh_profile_derivatives(sol, t) for t in ts]).T
+
+
+def radial(sol, rs):
+    return np.array([eval_u(sol, r) for r in rs])
+
+
 class TestBuild:
     def test_base_profile(self):
         sol = build_cosh_solution(BASE)
@@ -63,13 +72,24 @@ class TestBuild:
         with pytest.raises(ValidationError):
             build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0, lam=11.0))
 
+    @pytest.mark.parametrize("params", [
+        # 4 (p+1)^2 K2^2 is inf, ((p+1)^2+4)^2 K0 about 1e190: an infinite
+        # side met the relation's tolerance, and a profile came out
+        ProblemParams(n=6, alpha=0.0, p=1e10, lam=-1e150),
+        # ((p+1)^2 + 4)^2 overflows a float
+        ProblemParams(n=5, alpha=0.0, p=1.157920892373162e77),
+    ], ids=["infinite-side", "power-overflows"])
+    def test_overflowing_relation_is_a_validation_error(self, params):
+        with pytest.raises(ValidationError, match="coefficients overflow"):
+            build_cosh_solution(params)
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("params", [BASE, SHIFTED, CONJUGATE], ids=["base", "shifted", "conjugate"])
     def test_residual_vanishes(self, params):
         sol = build_cosh_solution(params)
         ts = np.linspace(-12.0, 12.0, 4001)
-        v0, _, v2, _, v4 = cosh_profile_derivatives(sol, ts)
+        v0, _, v2, _, v4 = profile(sol, ts)
         res = np.abs(v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** sol.p)
         assert np.max(res / np.maximum(1.0, v0 ** sol.p)) < 1e-12
 
@@ -84,11 +104,11 @@ class TestDerivatives:
             exact = cosh_profile_derivatives(sol, t)
             for order in (1, 2, 3, 4):
                 fd = (hi[order - 1] - lo[order - 1]) / (2.0 * h)
-                assert fd == pytest.approx(float(exact[order]), rel=1e-7, abs=1e-7)
+                assert fd == pytest.approx(exact[order], rel=1e-7, abs=1e-7)
 
     def test_large_argument_underflows_cleanly(self):
         sol = build_cosh_solution(BASE)
-        vals = cosh_profile_derivatives(sol, np.array([-800.0, 800.0]))
+        vals = profile(sol, [-800.0, 800.0])
         for arr in vals:
             assert np.all(np.isfinite(arr))
         assert np.all(vals[0] >= 0.0)
@@ -96,8 +116,8 @@ class TestDerivatives:
     def test_even_symmetry(self):
         sol = build_cosh_solution(SHIFTED)
         ts = np.linspace(0.1, 8.0, 50)
-        v, dv = cosh_profile_derivatives(sol, ts)[:2]
-        v_neg, dv_neg = cosh_profile_derivatives(sol, -ts)[:2]
+        v, dv = profile(sol, ts)[:2]
+        v_neg, dv_neg = profile(sol, -ts)[:2]
         assert np.allclose(v, v_neg, rtol=1e-15)
         assert np.allclose(dv, -dv_neg, rtol=1e-14)
 
@@ -108,30 +128,34 @@ class TestRadialProfile:
         sol = build_cosh_solution(SHIFTED)
         q = (6 - 4 - 0.0) / 2.0
         r = np.logspace(-3, 3, 200)
-        v_at = cosh_profile_derivatives(sol, -np.log(r))[0]
-        assert np.allclose(eval_u(sol, r), r ** (-q) * v_at, rtol=1e-12)
+        v_at = profile(sol, -np.log(r))[0]
+        assert np.allclose(radial(sol, r), r ** (-q) * v_at, rtol=1e-12)
 
     def test_bounded_at_origin_for_base_instance(self):
         sol = build_cosh_solution(BASE)
-        u0 = float(eval_u(sol, np.array([1e-8]))[0])
+        u0 = eval_u(sol, 1e-8)
         assert math.isfinite(u0)
         assert u0 == pytest.approx(384.0 ** 0.25, rel=1e-10)
 
     def test_singular_at_origin_for_conjugate_instance(self):
         sol = build_cosh_solution(CONJUGATE)
-        u = eval_u(sol, np.array([1e-4, 1e-5]))
+        u = radial(sol, [1e-4, 1e-5])
         # gamma_decay = 2: one decade in r is four orders of magnitude in u
         assert u[1] / u[0] == pytest.approx(100.0, rel=1e-4)
 
+    def test_value_past_the_float_range_is_inf(self):
+        # gamma_decay = 2, so u(1e-200) is about 1e400
+        assert eval_u(build_cosh_solution(CONJUGATE), 1e-200) == math.inf
+
     def test_extreme_radii_stay_finite(self):
         sol = build_cosh_solution(BASE)
-        u = eval_u(sol, np.array([1e-150, 1e150]))
+        u = radial(sol, [1e-150, 1e150])
         assert np.all(np.isfinite(u))
 
     def test_rejects_nonpositive_radius(self):
         sol = build_cosh_solution(BASE)
         with pytest.raises(DomainError):
-            eval_u(sol, np.array([0.0, 1.0]))
+            eval_u(sol, 0.0)
 
 
 class TestEmdenFowlerMap:
@@ -141,13 +165,13 @@ class TestEmdenFowlerMap:
         r = np.logspace(-2, 2, 9)
         for n, alpha, p, q in ((6, 0.0, 5.0, 1.0), (8, -1.0, 1.8, 2.5)):
             sol = build_cosh_solution(ProblemParams(n=n, alpha=alpha, p=p))
-            v_at = cosh_profile_derivatives(sol, -np.log(r))[0]
-            assert np.allclose(eval_u(sol, r) / v_at, r ** -q, rtol=1e-12)
+            v_at = profile(sol, -np.log(r))[0]
+            assert np.allclose(radial(sol, r) / v_at, r ** -q, rtol=1e-12)
 
     def test_inverse_rejects_nonpositive_radius(self):
         sol = build_cosh_solution(BASE)
         with pytest.raises(DomainError):
-            eval_u(sol, np.array([-1.0]))
+            eval_u(sol, -1.0)
 
 
 class TestResidualAndRows:
@@ -211,6 +235,6 @@ def test_lambda_branches_build_cosh_solutions(family):
         assert k2_value(n, alpha, lam) > 0.0
         sol = build_cosh_solution(params)
         assert sol.case_tag is case
-        v0, _, v2, _, v4 = cosh_profile_derivatives(sol, np.linspace(-4.0, 4.0, 17) / sol.nu)
+        v0, _, v2, _, v4 = profile(sol, np.linspace(-4.0, 4.0, 17) / sol.nu)
         terms = np.abs([v4, sol.K2 * v2, sol.K0 * v0, v0 ** p])
         assert np.max(np.abs(v4 - sol.K2 * v2 + sol.K0 * v0 - v0 ** p) / terms.max(axis=0)) <= 1e-9

@@ -17,6 +17,7 @@ from radial4 import (
     k0_value,
     k2_value,
 )
+from radial4 import jsonio
 from radial4.cli import _sorted_eigenvalues
 
 B0 = dict(n=6, alpha=0.0, p=5.0, lam=0.0, mu=0.0)
@@ -114,6 +115,56 @@ class TestValidation:
         params = ProblemParams(**B0)
         with pytest.raises(AttributeError):
             params.alpha = 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda p: p._replace(alpha=7.0),
+        lambda p: p._replace(alpha=math.nan),
+        lambda p: ProblemParams._make([6, 7.0, 5.0, 0.0, 0.0, None]),
+        lambda p: ProblemParams._make([6, math.inf, 5.0, 0.0, 0.0, None]),
+    ], ids=["replace-range", "replace-nan", "make-range", "make-inf"])
+    def test_tuple_constructors_validate(self, build):
+        # a NamedTuple's _make and _replace build through tuple.__new__;
+        # ProblemParams routes them through its validating constructor
+        with pytest.raises(ValidationError, match="alpha must"):
+            build(ProblemParams(**B0))
+
+    def test_tuple_constructors_normalize(self):
+        params = ProblemParams(**B0)
+        assert ProblemParams._make(params) == params
+        moved = params._replace(lam=2, beta=None)
+        assert moved == ProblemParams(n=6, alpha=0.0, p=5.0, lam=2.0)
+        assert type(moved.lam) is float and type(moved.beta) is float
+
+
+def _records():
+    """One of each tuple record, built the way the package builds it."""
+    from radial4 import build_cosh_solution, minimize_rayleigh, phi_closed_form
+
+    params = ProblemParams(**B0)
+    return [params, derive_coefficients(params), check_conditions(params),
+            build_cosh_solution(params), phi_closed_form(params),
+            minimize_rayleigh(params, L=20.0, h=0.1)]
+
+
+RECORDS = _records()
+RECORD_IDS = [type(record).__name__ for record in RECORDS]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_record_is_frozen(self, record):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_json_refuses_a_record(self, record):
+        # a NamedTuple is a tuple, which dumps would otherwise write as an
+        # array of its fields
+        with pytest.raises(ValidationError, match="cannot serialize object of type"):
+            jsonio.dumps({"record": record})
 
 
 class TestDerivedCoefficients:

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radial4 import cli
-from radial4.cli import _linspace as linspace, _parse_vary, _UsageError
+from radial4.cli import _parse_vary, _UsageError
+from radial4.params import _linspace as linspace
 
 
 def numpy_axis(name, start, stop, count):

@@ -39,7 +39,7 @@ class TestRayleighQuotient:
         """The cosh profile at the nodes of [-L, L] spaced h apart."""
         sol = build_cosh_solution(params)
         ts = np.linspace(-L, L, 2 * int(round(L / h)) + 1)
-        return cosh_profile_derivatives(sol, ts)[0]
+        return np.array([cosh_profile_derivatives(sol, t)[0] for t in ts])
 
     def test_exact_profile_attains_constant(self):
         q = rayleigh_quotient(self.profile(B0), 0.01, 10.0, 9.0, 5.0)
