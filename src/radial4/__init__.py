@@ -13,8 +13,8 @@ submodule, and the first access to a name imports only the module that
 defines it.  Scalar work (coefficients, conditions, the cosh solution, the
 closed-form best constant) therefore never loads numpy.
 
-The Dormand-Prince integrator (integrate, rhs, Event, OdeState, Trajectory)
-is not exported: no solver calls it.  It stays in radial4.dynamics as an
+The Dormand-Prince integrator (integrate, rhs, Trajectory) is not
+exported: no solver calls it.  It stays in radial4.dynamics as an
 independent ODE oracle for the tests and a target of the benchmark tracer.
 """
 

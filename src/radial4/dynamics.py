@@ -1,14 +1,13 @@
-"""Reduced-equation dynamics: first-order system, adaptive integration, events.
+"""Reduced-equation dynamics: the reduced problem, its first integral, and
+an adaptive integrator kept as an independent ODE oracle.
 
 The fourth-order equation v'''' - K2 v'' + K0 v = v^p is integrated as the
-first-order system y = (v, v', v'', v''').  The integrator is an embedded
-Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
-Solving ODEs I, II.4) with PI step-size control and terminal events
-refined by bisection with single-step re-integration from the bracketing
-node, so event states carry the full integration accuracy.
+first-order system y = (v, v', v'', v''') by an embedded Dormand-Prince 5(4)
+pair (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+with PI step-size control.  No solver calls it: the orbits come from Fourier
+collocation in ``orbits``, and the tests check them against it.
 
-Every step -- in the integration loop and in event refinement -- goes
-through one scalar kernel, ``_dp5_step``: its seven
+Every step goes through one scalar kernel, ``_dp5_step``: its seven
 stages are unrolled on four Python floats with the right-hand side
 inlined, because numpy's per-call overhead on 4-element arrays costs more
 than the arithmetic.  Accepted nodes collect in plain lists and become the
@@ -25,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 
-_BLOWUP_BOUND = 1e12
 _MIN_TOL, _MAX_TOL = 1e-13, 1e-6
+_MAX_STEPS = 1_000_000
 
 State = Tuple[float, float, float, float]
 
@@ -54,30 +53,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-@dataclass(frozen=True)
-class OdeState:
-    """Phase point (t, (v, v', v'', v''')) of the reduced system."""
-
-    t: float
-    y: State
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        y = tuple(float(c) for c in self.y)
-        if len(y) != 4:
-            raise ValidationError(f"state vector must have 4 components, got {len(y)}")
-        object.__setattr__(self, "y", y)
-
-
 class ReducedProblem:
     """Coefficient carrier (K2, K0, p) for the reduced equation."""
 
     def __init__(self, K2: float, K0: float, p: float):
         if not p > 1.0:
             raise ValidationError(f"exponent p must exceed 1, got p={p}")
-        self.K2 = float(K2)
-        self.K0 = float(K0)
-        self.p = float(p)
+        self.K2, self.K0, self.p = float(K2), float(K0), float(p)
 
     def energy(self, y) -> float:
         return energy(y, self.K2, self.K0, self.p)
@@ -101,8 +83,6 @@ def _field(y, K2: float, K0: float, p: float) -> State:
 # Not called in the package: a target of perfbench/tracer.py, which counts its calls.
 def rhs(y, K2: float, K0: float, p: float) -> np.ndarray:
     """Right-hand side of the first-order system; requires v >= 0."""
-    if isinstance(y, OdeState):
-        y = y.y
     return np.array(_field(y, K2, K0, p), dtype=float)
 
 
@@ -112,8 +92,6 @@ def energy(y, K2: float, K0: float, p: float) -> float:
     y may also be a (4, M) array of M states, for an array of M energies,
     each equal bit for bit to the energy of its state alone.
     """
-    if isinstance(y, OdeState):
-        y = y.y
     v = y[0]
     power = pow
     if isinstance(v, np.ndarray):
@@ -135,36 +113,15 @@ def energy(y, K2: float, K0: float, p: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class Event:
-    """Terminal event: integration stops at the first root of fn.
-
-    fn(t, y) receives the state y as a 4-tuple of floats (v, v', v'', v'''),
-    so it may index y but not apply array operations to it.  direction +1
-    triggers on rising crossings (g goes from < 0 to >= 0), -1 on falling
-    crossings, 0 on both.  A g that starts at exactly zero does not trigger
-    until it has left zero first.
-    """
-
-    name: str
-    fn: Callable[[float, State], float]
-    direction: int = 0
-
-
 @dataclass
 class Trajectory:
-    """Accepted integration nodes, step counts and how the run stopped.
-
-    stop_reason names the ending (see integrate), and the run stops at ts[-1].
-    """
+    """Nodes ts, states ys and, for an integrate run, its accepted and rejected steps."""
 
     problem: ReducedProblem
     ts: np.ndarray
     ys: np.ndarray
-    n_accepted: int
-    n_rejected: int
-    stop_reason: str
-    event_name: Optional[str] = None
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     @property
     def energies(self) -> np.ndarray:
@@ -267,7 +224,7 @@ def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: fl
         d2 = _rms(
             (f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1, (f1[2] - f[2]) / s2, (f1[3] - f[3]) / s3
         ) / h0
-    except DomainError:
+    except (DomainError, OverflowError):  # the probe left v >= 0, or v**p overflowed
         d2 = d1
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
@@ -275,77 +232,41 @@ def _initial_step(y: State, f: State, tol: float, span: float, K2: float, K0: fl
 
 
 # Not called in the package: the tests' ODE oracle, and a target of perfbench/tracer.py.
-def integrate(
-    y0: OdeState,
-    t_end: float,
-    tol: float,
-    problem: ReducedProblem,
-    events: Sequence[Event] = (),
-    max_step: float = math.inf,
-    max_steps: int = 1_000_000,
-) -> Trajectory:
-    """Integrate forward from y0.t to t_end with local error per step <= tol.
+def integrate(t0: float, y0: State, t_end: float, tol: float, problem: ReducedProblem) -> Trajectory:
+    """Integrate from y0 = (v, v', v'', v''') at t0 to t_end, local error per step <= tol.
 
-    Every way the run can end is a returned Trajectory, told apart by its
-    stop_reason: "t_end"; "event", at the first triggered terminal event,
-    whose name is event_name; "blowup", once the state norm passes 1e12, or
-    at y0 itself when v**p overflows there (a one-node run); "domain", when
-    the solution runs into v = 0 so that the nonlinearity cannot be
-    evaluated.  Raises ConvergenceError when the step size underflows away
-    from the v = 0 boundary or the run takes more than max_steps steps.  A
-    step with a stage below v = 0 is retried at half the size; one whose
-    error estimate is not finite (or whose v**p overflows) at a quarter.
+    Returns the accepted nodes, the last at t_end, or raises: DomainError
+    when y0 has v < 0; ConvergenceError when v**p overflows at y0, when the
+    step size underflows (where the solution blows up or runs into v = 0),
+    or after _MAX_STEPS steps.  A step with a stage below v = 0 is retried
+    at half the size; one whose error estimate is not finite (or whose v**p
+    overflows) at a quarter.
     """
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValidationError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
-    t0 = float(y0.t)
-    t_end = float(t_end)
+    t0, t_end = float(t0), float(t_end)
     if not t_end > t0:
         raise ValidationError(f"t_end={t_end} must exceed the initial time {t0}")
 
     K2, K0, p = problem.K2, problem.K0, problem.p
-    y = y0.y
+    y = tuple(map(float, y0))
     if y[0] < 0.0:
         raise DomainError(f"initial state has v={y[0]} < 0")
-    t = t0
-    ts: List[float] = [t]
-    ys: List[State] = [y]
-    n_acc = 0
-    n_rej = 0
-
-    def build(stop_reason: str, ev_name: Optional[str] = None) -> Trajectory:
-        return Trajectory(
-            problem=problem,
-            ts=np.array(ts),
-            ys=np.array(ys),
-            n_accepted=n_acc,
-            n_rejected=n_rej,
-            stop_reason=stop_reason,
-            event_name=ev_name,
-        )
-
     try:
         f = _field(y, K2, K0, p)
     except OverflowError:
-        return build("blowup")
-    v_floor = 1e-9 * max(1.0, abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3]))
-    ev_prev = [e.fn(t, y) for e in events]
+        raise ConvergenceError(f"v**p overflows at the initial state v={y[0]}") from None
+    t, ts, ys = t0, [t0], [y]
+    n_acc = n_rej = 0
 
-    h = min(_initial_step(y, f, tol, t_end - t0, K2, K0, p), max_step)
+    h = _initial_step(y, f, tol, t_end - t0, K2, K0, p)
     a0, a1, a2, a3 = abs(y[0]), abs(y[1]), abs(y[2]), abs(y[3])  # |y|, kept with y
     err_prev = 1.0
-    steps = 0
     while t < t_end:
-        if steps >= max_steps:
-            raise ConvergenceError(
-                f"integration exceeded {max_steps} steps before reaching t_end={t_end}"
-            )
-        steps += 1
-        h = min(h, t_end - t, max_step)
-        h_floor = 1e-14 * max(1.0, abs(t))
-        if h < h_floor:
-            if y[0] <= v_floor:
-                return build("domain")
+        if n_acc + n_rej >= _MAX_STEPS:
+            raise ConvergenceError(f"integration exceeded {_MAX_STEPS} steps before t_end={t_end}")
+        h = min(h, t_end - t)
+        if h < 1e-14 * max(1.0, abs(t)):
             raise ConvergenceError(f"step size underflowed at t={t} (h={h})")
 
         try:
@@ -378,71 +299,13 @@ def integrate(
 
         # Accepted.
         n_acc += 1
-        t_new = t + h
-
-        triggered = None
-        for i, e in enumerate(events):
-            g_new = e.fn(t_new, y_new)
-            g_old = ev_prev[i]
-            rising = g_old < 0.0 and g_new >= 0.0
-            falling = g_old > 0.0 and g_new <= 0.0
-            hit = (e.direction > 0 and rising) or (e.direction < 0 and falling) or (
-                e.direction == 0 and (rising or falling)
-            )
-            if hit and triggered is None:
-                triggered = (e, g_old)
-            ev_prev[i] = g_new
-
-        if triggered is not None:
-            e, g_old = triggered
-            t_ev, y_ev = _refine_event(t, y, f, h, e, g_old, problem)
-            ts.append(t_ev)
-            ys.append(y_ev)
-            return build("event", e.name)
-
-        t, y, f = t_new, y_new, f_new
+        t, y, f = t + h, y_new, f_new
         a0, a1, a2, a3 = b0, b1, b2, b3
         ts.append(t)
         ys.append(y)
-
-        if max(b0, b1, b2, b3) > _BLOWUP_BOUND:
-            return build("blowup")
 
         fac = 0.9 * err ** -0.2 * err_prev ** 0.04 if err > 1e-12 else 5.0
         h *= min(5.0, max(0.2, fac))
         err_prev = max(err, 1e-12)
 
-    return build("t_end")
-
-
-def _refine_event(t_node, y_node, f_node, h, event: Event, g_old: float, problem: ReducedProblem):
-    """Locate an event root inside one accepted step by substep bisection.
-
-    Each probe re-integrates a single Dormand-Prince step of size delta
-    from the bracketing node, so the refined state has one-step accuracy.
-    Returns (t, y) at the root, with v clipped to >= 0.
-    """
-    K2, K0, p = problem.K2, problem.K0, problem.p
-    lo, hi = 0.0, h
-    y_hi = None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13 * max(1.0, abs(t_node) + h):
-            break
-        try:
-            y_mid = _dp5_step(y_node, f_node, mid, K2, K0, p)[0]
-            g_mid = event.fn(t_node + mid, y_mid)
-        except DomainError:
-            # Stage poked past v=0: the crossing is earlier.
-            hi = mid
-            continue
-        if (g_old > 0.0 and g_mid <= 0.0) or (g_old < 0.0 and g_mid >= 0.0):
-            hi = mid
-            y_hi = y_mid
-        else:
-            lo = mid
-    delta = hi
-    if y_hi is None:
-        y_hi = _dp5_step(y_node, f_node, delta, K2, K0, p)[0]
-    return t_node + delta, (max(y_hi[0], 0.0), y_hi[1], y_hi[2], y_hi[3])
-
+    return Trajectory(problem, np.array(ts), np.array(ys), n_acc, n_rej)

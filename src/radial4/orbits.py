@@ -74,11 +74,15 @@ def linearized_frequency(K2: float, K0: float, p: float) -> float:
 
     Perturbations w about v = l obey w'''' - K2 w'' - (p-1) K0 w = 0, whose
     purely imaginary root pair gives omega^2 = (sqrt(K2^2+4(p-1)K0)-K2)/2.
+    Raises ValidationError when 4 (p-1) K0 is lost against K2^2, so omega is 0.
     """
     if K0 <= 0.0:
         raise RegimeError(f"no positive equilibrium for K0={K0} <= 0")
     disc = math.sqrt(K2 * K2 + 4.0 * (p - 1.0) * K0)
-    return math.sqrt(0.5 * (disc - K2))
+    omega = math.sqrt(0.5 * (disc - K2))
+    if not omega > 0.0:
+        raise ValidationError(f"linearized frequency rounds to 0 at K2={K2}, K0={K0}, p={p}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -473,8 +477,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
     its padded iterate in the same way.  period = 2 pi / omega, b = v''(0)
     and max_value = v(pi/omega) are read off the coefficients.  Raises
     ConvergenceError after the sixth halving or when N would pass 512,
-    ValidationError for a outside (0, l) or tol outside (0, 1e-4],
-    RegimeError when no positive equilibrium exists.
+    ValidationError for tol outside (0, 1e-4] or a outside (0, l) or so
+    small that 1 - a/l rounds to 1, RegimeError when K0 <= 0.
     """
     coeff = derive_coefficients(params)
     problem = ReducedProblem(coeff.K2, coeff.K0, params.p)
@@ -483,8 +487,8 @@ def find_periodic(a: float, params: ProblemParams, tol: float = 1e-8) -> Periodi
             f"periodic orbits require a positive equilibrium (K0={coeff.K0} <= 0)"
         )
     l = coeff.l
-    if not (0.0 < a < l):
-        raise ValidationError(f"minimum value a={a} must lie strictly inside (0, {l})")
+    if not (0.0 < a < l and 1.0 - a / l < 1.0):  # continuation in 1 - a/l must keep a > 0
+        raise ValidationError(f"minimum value a={a} must lie inside (0, {l}) with 1 - a/l < 1")
     if not (0.0 < tol <= 1e-4):
         raise ValidationError(f"Newton residual tolerance {tol} out of range (0, 1e-4]")
 
@@ -642,8 +646,7 @@ def find_homoclinic(params: ProblemParams) -> HomoclinicProfile:
 
     stride = max(1, round(_ROW_SPACING / (float(coeff.lam2) * h)))
     keep = np.arange(0, int(np.sum(v >= floor)), stride)
-    samples = Trajectory(problem=orbit.problem, ts=s[keep], ys=states[keep],
-                         n_accepted=0, n_rejected=0, stop_reason="truncated")
+    samples = Trajectory(problem=orbit.problem, ts=s[keep], ys=states[keep])
     return HomoclinicProfile(peak=peak, decay_rate=decay_rate, samples=samples)
 
 

@@ -333,7 +333,7 @@ def explicit_lambda_branches(
     mu* = q^2 K2(lambda=0) - K0(lambda=0, mu=0), q = (n-4-alpha)/2, so the
     result is (lam_plus, lam_minus) below mu* and (lam_minus,) above it.
     Raises DomainError when the radicand is negative (mu too negative for
-    the requested family).
+    the requested family), and ValidationError when it overflows or is nan.
     """
     _check_base(n, alpha, 2.0)  # validates n and alpha range; p checked via case
     p = _case_exponent(case, n, alpha)
@@ -351,9 +351,9 @@ def explicit_lambda_branches(
         )
         denom = 8.0 * P * P * (p + 3.0) ** 2
     if radicand < 0.0:
-        raise DomainError(
-            f"branch radicand is negative ({radicand}); no real lambda for mu={mu}"
-        )
+        raise DomainError(f"branch radicand is negative ({radicand}); no real lambda for mu={mu}")
+    if not math.isfinite(radicand):
+        raise ValidationError(f"branch radicand is not finite ({radicand}) for p={p}, mu={mu}")
     root = math.sqrt(radicand)
     roots = (scale * (A + root) / denom, scale * (A - root) / denom)
     return tuple(lam for lam in roots if k2_value(n, alpha, lam) > 0.0)

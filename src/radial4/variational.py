@@ -105,7 +105,8 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float) -> MinimizeResu
     (1e-4) raises the quotient, or after 400 iterations (_MAX_ITER).  Warns
     when the minimizer has not decayed below 1e-8 at the grid ends.  Raises
     ValidationError, before allocating, for L or h that is not finite and
-    positive and for grids of more than _MAX_NODES nodes.
+    positive, L/h that is not an integer >= 1 and grids of more than
+    _MAX_NODES nodes; and when the operator's symbol leaves the float range.
     """
     coeff = derive_coefficients(params)
     K2, K0, p = coeff.K2, coeff.K0, params.p
@@ -119,8 +120,8 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float) -> MinimizeResu
     if 2.0 * L / h + 1.0 > _MAX_NODES:
         raise ValidationError(f"grid with L/h = {L / h} exceeds the cap of {_MAX_NODES} nodes")
     n_half = int(round(L / h))
-    if abs(L / h - n_half) > 1e-9 * max(1.0, L / h):
-        raise ValidationError(f"L/h must be integral, got {L / h}")
+    if n_half < 1 or abs(L / h - n_half) > 1e-9 * max(1.0, L / h):
+        raise ValidationError(f"L/h must be integral and at least 1, got {L / h}")
     n_nodes = 2 * n_half + 1
     import numpy as np
     ts = np.linspace(-L, L, n_nodes)
@@ -129,7 +130,11 @@ def minimize_rayleigh(params: ProblemParams, L: float, h: float) -> MinimizeResu
         sech = 1.0 / np.cosh(ts)
     v = sech ** (4.0 / (p - 1.0))
 
-    symbol = _operator_symbol(n_nodes, h, K2, K0)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            symbol = _operator_symbol(n_nodes, h, K2, K0)
+    except (OverflowError, FloatingPointError):  # as h**4 does for h = 1e-90 or 1e300
+        raise ValidationError(f"the operator's symbol leaves the float range at h={h}") from None
 
     def lp_normalize(u: np.ndarray) -> np.ndarray:
         den = h * float(np.sum(np.abs(u) ** (p + 1.0)))

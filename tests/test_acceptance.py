@@ -35,7 +35,7 @@ from radial4 import (
     verify_identity,
 )
 from radial4.cli import main
-from radial4.dynamics import OdeState, integrate
+from radial4.dynamics import integrate
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
 SHIFTED = ProblemParams(n=6, alpha=0.0, p=5.0, lam=80.0 / 9.0)
@@ -89,7 +89,7 @@ def test_energy_conserved_over_three_periods():
     start = time.perf_counter()
     for k in range(3):
         t0 = k * orbit.period
-        traj = integrate(OdeState(t0, anchor), t0 + orbit.period, 1e-10, problem)
+        traj = integrate(t0, anchor, t0 + orbit.period, 1e-10, problem)
         es = traj.energies
         if e0 is None:
             e0 = float(es[0])

@@ -12,6 +12,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,8 @@ import radial4
 from radial4 import cli, jsonio, orbits
 from radial4.cli import build_parser, main
 from radial4.errors import DomainError, ValidationError
-from radial4.params import SolutionCase, explicit_lambda_branches
+from radial4.identities import TEST_FUNCTIONS, IdentityId
+from radial4.params import SolutionCase, explicit_lambda_branches, k0_value
 from test_closed_form import _family_alpha as family_alpha
 
 B0_FLAGS = ["--n", "6", "--alpha", "0", "--p", "5"]
@@ -966,6 +969,106 @@ def _scalar_argv(draw):
     return argv
 
 
+# the subcommands that solve with numpy; "verify-manifest" stands for verify
+# with a drawn manifest file
+NUMPY_COMMANDS = [["orbit"], ["orbit", "--format", "csv"], ["homoclinic"],
+                  ["homoclinic", "--format", "csv"], ["verify"], ["verify-manifest"],
+                  ["sweep", "orbit"], ["best-constant", "--method", "numerical"]]
+MANIFEST_KEYS = ("identity", "function", "n", "alpha", "lambda", "mu")
+
+
+def _manifest_case(draw):
+    """A manifest case: each field missing, of the right kind or not."""
+    case = {}
+    for key in MANIFEST_KEYS:
+        if key == "identity":
+            pool = [ident.value for ident in IdentityId]
+        elif key == "function":
+            pool = list(TEST_FUNCTIONS)
+        else:
+            pool = [float(x) for x in (-6, -3, -2, -1, 0, 0.5, 1, 2, 6, 7)]
+        value = draw(st.none() | st.sampled_from(pool) | st.floats() | st.text(max_size=3)
+                     | st.integers(-10 ** 30, 10 ** 30))
+        if value is not None:
+            case[key] = value
+    return case
+
+
+@st.composite
+def _numpy_argv(draw, command):
+    """(argv, manifest) of a numpy subcommand.  One instance in two lies in
+    the admissible region (n >= 5, -n < alpha < n - 4, p > 1, small lambda
+    and mu), with a in (0, l) when l exists and tol in [1e-12, 1e-4] or
+    missing; the others, and the command's own flags, are any number or
+    missing.  manifest is the JSON document of verify-manifest, else None."""
+    if command[0].startswith("verify"):
+        argv = ["verify"]
+        if draw(st.booleans()):
+            argv.append(f"--tolerance={draw(_number_text())}")
+        if command != ["verify-manifest"]:
+            return argv, None
+        argv += ["--manifest", "MANIFEST"]
+        if draw(st.booleans()):
+            argv.append(f"--T={draw(_number_text())}")
+        return argv, {"cases": [_manifest_case(draw) for _ in range(draw(st.integers(0, 3)))]}
+    flags = {name: draw(st.none() | _number_text()) for name in PARAM_NAMES + ("a", "tol")}
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 8))
+        alpha = draw(st.floats(-n, n - 4.0, exclude_min=True, exclude_max=True))
+        p = draw(st.floats(1.0, 12.0, exclude_min=True))
+        lam, mu = draw(st.floats(-4.0, 12.0)), draw(st.floats(-2.0, 4.0))
+        flags.update(n=str(n), alpha=repr(alpha), beta=None, p=repr(p), mu=repr(mu),
+                     tol=draw(st.none() | st.floats(1e-12, 1e-4).map(repr)))
+        flags["lambda"] = repr(lam)
+        k0 = k0_value(n, alpha, lam, mu)
+        fraction = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        try:
+            if k0 > 0.0:
+                flags["a"] = repr(fraction * k0 ** (1.0 / (p - 1.0)))
+        except OverflowError:  # l past the float range, for p near 1
+            pass
+    if command[0] not in ("orbit", "sweep"):
+        del flags["a"], flags["tol"]
+    argv = command + [f"--{name}={text}" for name, text in flags.items() if text is not None]
+    if command[0] == "sweep":
+        name = draw(st.sampled_from(PARAM_NAMES + ("a",)))
+        start, stop = draw(_number_text()), draw(_number_text())
+        argv.append(f"--vary={name}={start}:{stop}:{draw(st.integers(1, 3))}")
+    if command[0] == "best-constant":
+        for flag in ("grid-L", "grid-h"):
+            if draw(st.booleans()):
+                argv.append(f"--{flag}={draw(_number_text())}")
+    return argv, None
+
+
+def _assert_exit_mapped(argv):
+    """main(argv) returns a mapped exit code and writes stdout only on exit 0.
+
+    The minimizer's warning that its profile has not decayed goes to stderr
+    as one line, as on the command line; any other warning, numpy's
+    included, is an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("always", message="minimizer has boundary contamination")
+        code = main(argv)
+    assert code in (0, 1, 3, 4, 5), (code, err.getvalue())
+    text = out.getvalue()
+    if code == 0:
+        if "csv" in argv or argv[0] == "sweep":
+            assert text.count("\n") >= 2
+        else:
+            json.loads(text)
+    elif code == 3 and argv[0] == "verify" and text:
+        # verify writes its report before it fails the tolerance gate
+        doc = json.loads(text)
+        assert doc["n_ok"] == 0 or doc["worst_rel_err"] > doc["tolerance"]
+        assert err.getvalue()
+    else:
+        assert text == "" and err.getvalue()
+
+
 class TestArgvProperty:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(_scalar_argv())
@@ -994,18 +1097,21 @@ class TestArgvProperty:
     @example(["explicit", "--n=6", "--alpha=-1.2", "--p=2.0", "--mu=1e+160",
               "--lambda=-2.1666666666666667e+80", "--format", "csv"])
     def test_scalar_commands_map_every_input_to_an_exit_code(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 3, 4, 5), (code, err.getvalue())
-        if code == 0:
-            text = out.getvalue()
-            if "csv" in argv or argv[0] == "sweep":
-                assert text.count("\n") >= 2
-            else:
-                json.loads(text)
-        else:
-            assert out.getvalue() == "" and err.getvalue()
+        _assert_exit_mapped(argv)
+
+    # each example solves, so the budget is small
+    @pytest.mark.parametrize("command", NUMPY_COMMANDS, ids=" ".join)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_numpy_commands_map_every_input_to_an_exit_code(self, command, data):
+        argv, manifest = data.draw(_numpy_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            if manifest is not None:
+                path = os.path.join(tmp, "manifest.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(manifest, fh)
+                argv = [path if arg == "MANIFEST" else arg for arg in argv]
+            _assert_exit_mapped(argv)
 
 
 class TestJsonEmission:

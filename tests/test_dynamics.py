@@ -20,7 +20,8 @@ from radial4 import (
     energy,
     find_periodic,
 )
-from radial4.dynamics import Event, OdeState, _dp5_step, _field, _rms, integrate, rhs
+from radial4 import dynamics
+from radial4.dynamics import _dp5_step, _field, _rms, integrate, rhs
 
 B0 = ReducedProblem(10.0, 9.0, 5.0)
 EQUILIBRIUM = 3.0 ** 0.5  # K0^{1/(p-1)} for (K0, p) = (9, 5)
@@ -36,11 +37,6 @@ class TestRhsAndEnergy:
     def test_equilibrium_is_stationary(self):
         out = rhs((EQUILIBRIUM, 0.0, 0.0, 0.0), 10.0, 9.0, 5.0)
         assert np.allclose(out, 0.0, atol=1e-13)
-
-    def test_state_and_vector_inputs_agree(self):
-        state = OdeState(0.0, (1.0, 0.2, -0.3, 0.4))
-        assert np.allclose(rhs(state, 10.0, 9.0, 5.0), rhs(state.y, 10.0, 9.0, 5.0))
-        assert energy(state, 10.0, 9.0, 5.0) == energy(state.y, 10.0, 9.0, 5.0)
 
     def test_negative_v_rejected(self):
         with pytest.raises(DomainError):
@@ -60,35 +56,29 @@ class TestRhsAndEnergy:
 
 
 class TestStateValidation:
-    def test_wrong_length(self):
-        with pytest.raises(ValidationError):
-            OdeState(0.0, (1.0, 2.0, 3.0))
-
     def test_integrate_rejects_bad_tol(self):
-        y0 = OdeState(0.0, (1.0, 0.0, 0.0, 0.0))
+        y0 = (1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            integrate(y0, 1.0, 1e-3, B0)
+            integrate(0.0, y0, 1.0, 1e-3, B0)
         with pytest.raises(ValidationError):
-            integrate(y0, 1.0, 1e-14, B0)
+            integrate(0.0, y0, 1.0, 1e-14, B0)
 
     def test_integrate_rejects_backward_span(self):
-        y0 = OdeState(1.0, (1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValidationError):
-            integrate(y0, 1.0, 1e-9, B0)
+            integrate(1.0, (1.0, 0.0, 0.0, 0.0), 1.0, 1e-9, B0)
 
     def test_integrate_rejects_negative_initial_v(self):
         with pytest.raises(DomainError):
-            integrate(OdeState(0.0, (-1.0, 0.0, 0.0, 0.0)), 1.0, 1e-9, B0)
+            integrate(0.0, (-1.0, 0.0, 0.0, 0.0), 1.0, 1e-9, B0)
 
 
 class TestAccuracy:
     def test_tracks_decaying_profile(self):
         # the saddle at the origin amplifies local error like e^{3t}, so the
         # achievable window shrinks with tol; at 1e-12 the first four units
-        # stay at 1e-7 and the glide persists past t = 7 before v reaches 0
-        y0 = OdeState(0.0, homoclinic_state(0.0))
-        traj = integrate(y0, 10.0, 1e-12, B0)
-        assert traj.ts[-1] > 7.0
+        # stay at 1e-7 and the glide persists to t = 7 before v reaches 0
+        traj = integrate(0.0, homoclinic_state(0.0), 7.0, 1e-12, B0)
+        assert traj.ts[-1] == 7.0
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
         for window, bound in ((4.0, 1e-7), (6.0, 2e-5)):
             mask = traj.ts <= window
@@ -98,109 +88,70 @@ class TestAccuracy:
     def test_equilibrium_stays_put(self):
         # the rest point is a saddle, so rounding in the right-hand side
         # seeds e^{3t} growth; five time units keeps that below 1e-9
-        y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
-        traj = integrate(y0, 5.0, 1e-10, B0)
-        assert traj.stop_reason == "t_end"
+        traj = integrate(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0), 5.0, 1e-10, B0)
+        assert traj.ts[-1] == 5.0
         assert np.max(np.abs(traj.ys[:, 0] - EQUILIBRIUM)) < 1e-9
 
     def test_energy_drift_small_on_bounded_orbit(self):
         # the orbit is hyperbolic, so rounding noise ejects the trajectory
         # a little after t=8; seven units stays safely on the loop
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        traj = integrate(y0, 7.0, 1e-10, B0)
+        traj = integrate(0.0, (1.0, 0.0, 0.7836654928917256, 0.0), 7.0, 1e-10, B0)
         es = traj.energies
         assert np.max(np.abs(es - es[0])) < 1e-8
 
     def test_step_stats_accumulate(self):
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        traj = integrate(y0, 8.0, 1e-10, B0)
+        traj = integrate(0.0, (1.0, 0.0, 0.7836654928917256, 0.0), 8.0, 1e-10, B0)
         assert traj.n_accepted == len(traj.ts) - 1
         assert traj.n_rejected >= 0
 
 
 class TestFailureModes:
-    def test_blow_up_carries_partial_trajectory(self):
+    def test_blow_up_raises(self):
         # G(3) > 0 puts the start above the zero-energy barrier
-        traj = integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        assert traj.stop_reason == "blowup"
-        assert traj.ts[-1] > 0.0
-        assert float(np.max(np.abs(traj.ys[-1]))) > 1e12
+        with pytest.raises(ConvergenceError, match="step size underflowed"):
+            integrate(0.0, (3.0, 0.0, 0.0, 0.0), 20.0, 1e-9, B0)
 
-    def test_domain_crossing_carries_partial_trajectory(self):
-        # steep downhill start dives into v = 0
-        traj = integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        assert traj.stop_reason == "domain"
-        assert traj.event_name is None
-        assert traj.ys[-1, 0] >= 0.0
+    def test_domain_crossing_raises(self):
+        # steep downhill start dives into v = 0, where the step size underflows
+        with pytest.raises(ConvergenceError, match="step size underflowed"):
+            integrate(0.0, (0.5, -2.0, 0.0, 0.0), 20.0, 1e-9, B0)
 
     def test_initial_overflow_is_blow_up(self):
         # 30**300 overflows a float before the first step
-        traj = integrate(OdeState(0.0, (30.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
-                         ReducedProblem(10.0, 9.0, 300.0))
-        assert traj.stop_reason == "blowup"
-        assert traj.ts.tolist() == [0.0]
-        assert traj.ys.tolist() == [[30.0, 0.0, 0.0, 0.0]]
-        assert (traj.n_accepted, traj.n_rejected) == (0, 0)
+        with pytest.raises(ConvergenceError, match="overflows at the initial state"):
+            integrate(0.0, (30.0, 0.0, 0.0, 0.0), 1.0, 1e-10, ReducedProblem(10.0, 9.0, 300.0))
 
     def test_initial_step_underflow_is_convergence_error(self):
         # 1000**50 is finite, but its size in tol units is not, so the
         # first-step estimate rounds to zero
         with pytest.raises(ConvergenceError, match="initial step size underflowed"):
-            integrate(OdeState(0.0, (1000.0, 0.0, 0.0, 0.0)), 1.0, 1e-10,
-                      ReducedProblem(0.0, 0.0, 50.0))
+            integrate(0.0, (1000.0, 0.0, 0.0, 0.0), 1.0, 1e-10, ReducedProblem(0.0, 0.0, 50.0))
 
-    def test_max_steps_guard(self):
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        with pytest.raises(ConvergenceError):
-            integrate(y0, 1000.0, 1e-12, B0, max_steps=10)
+    def test_overflowing_first_step_probe(self):
+        # the first-step estimate probes f one Euler step ahead, where
+        # v = 1 + h 10 puts v**100000 past the float range; the estimate
+        # falls back on y and f, and the run ends as a blow-up does
+        with pytest.raises(ConvergenceError, match="step size underflowed"):
+            integrate(0.0, (1.0, 10.0, 0.0, 0.0), 0.01, 1e-6, ReducedProblem(10.0, 9.0, 1e5))
 
-
-class TestEvents:
-    def test_falling_derivative_event_at_peak(self):
-        y0 = OdeState(-3.0, homoclinic_state(-3.0))
-        ev = Event("crest", lambda t, y: y[1], direction=-1)
-        traj = integrate(y0, 3.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason == "event"
-        assert traj.event_name == "crest"
-        # the refined event state is appended as the final node
-        assert traj.ts[-1] == pytest.approx(0.0, abs=1e-8)
-        assert abs(traj.ys[-1, 1]) < 1e-9
-
-    def test_direction_filter_ignores_opposite_crossing(self):
-        y0 = OdeState(-3.0, homoclinic_state(-3.0))
-        ev = Event("valley", lambda t, y: y[1], direction=+1)
-        traj = integrate(y0, 3.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason == "t_end"
-
-    def test_event_starting_at_zero_is_armed_not_fired(self):
-        # v'(0) = 0 at the crest; a falling event must not trigger at start
-        y0 = OdeState(0.0, homoclinic_state(0.0))
-        ev = Event("crest", lambda t, y: y[1], direction=-1)
-        traj = integrate(y0, 2.0, 1e-11, B0, events=(ev,))
-        assert traj.stop_reason == "t_end"
-
-    def test_bidirectional_event(self):
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        ev = Event("level", lambda t, y: y[0] - 1.5, direction=0)
-        traj = integrate(y0, 8.0, 1e-10, B0, events=(ev,))
-        assert traj.event_name == "level"
-        assert traj.ys[-1, 0] == pytest.approx(1.5, abs=1e-9)
+    def test_max_steps_guard(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+        with pytest.raises(ConvergenceError, match="exceeded 10 steps"):
+            integrate(0.0, (1.0, 0.0, 0.7836654928917256, 0.0), 1000.0, 1e-12, B0)
 
 
 class TestNodesAndRows:
     def test_nodes_match_profile(self):
         # nodes inside [-3, 1] keep saddle error growth below the bound;
         # past t=2 it dominates at any tolerance
-        y0 = OdeState(-3.0, homoclinic_state(-3.0))
-        traj = integrate(y0, 3.0, 1e-12, B0)
+        traj = integrate(-3.0, homoclinic_state(-3.0), 3.0, 1e-12, B0)
         sol = build_cosh_solution(ProblemParams(n=6, alpha=0.0, p=5.0))
         mask = traj.ts <= 1.0
         err = np.abs(traj.ys[mask, 0] - [cosh_profile_derivatives(sol, t)[0] for t in traj.ts[mask]])
         assert np.max(err) < 2e-8
 
     def test_rows_header(self):
-        y0 = OdeState(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0))
-        traj = integrate(y0, 1.0, 1e-9, B0)
+        traj = integrate(0.0, (EQUILIBRIUM, 0.0, 0.0, 0.0), 1.0, 1e-9, B0)
         header, rows = traj.rows()
         assert header == ("t", "v", "dv", "d2v", "d3v", "E")
         assert len(rows) == len(traj.ts)
@@ -249,53 +200,49 @@ def _fresh_near_homoclinic(lam: str, fraction: str = "1e-6"):
 class TestPinnedArithmetic:
     """Exact step counts and digits, so a kernel rewrite must keep every rounding."""
 
-    def test_event_run(self):
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        ev = Event("crest", lambda t, y: y[1], direction=-1)
-        traj = integrate(y0, 3.0, 1e-10, B0, events=(ev,))
-        assert (traj.n_accepted, traj.n_rejected) == (120, 0)
-        assert traj.stop_reason == "event"
-        assert repr(float(traj.ts[-1])) == "2.2185678741936554"
-        assert _final_state(traj) == (
-            "(2.112009425473248, -1.5958935561943832e-13, "
-            "-1.5839589923103228, -1.0238354233860214e-07)"
-        )
-
     def test_domain_crossing_run(self):
-        # the dive into v = 0 rejects most of its steps on negative-v stages
-        traj = integrate(OdeState(0.0, (0.5, -2.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        assert traj.stop_reason == "domain"
-        assert (traj.n_accepted, traj.n_rejected) == (34, 91)
-        assert repr(float(traj.ts[-1])) == "0.24970292650469178"
+        # the dive toward v = 0, cut just before the step size underflows
+        # there: six steps with a stage below v = 0 are retried at half
+        # their size
+        traj = integrate(0.0, (0.5, -2.0, 0.0, 0.0), 0.2497029265, 1e-9, B0)
+        assert (traj.n_accepted, traj.n_rejected) == (19, 6)
         assert _final_state(traj) == (
-            "(5.691384092809336e-15, -2.009037295341816, "
-            "-0.09923397216574671, -0.6512939293764524)"
+            "(9.442049626971066e-12, -2.0090372953414617, "
+            "-0.09923397216259872, -0.6512939293728249)"
         )
+        with pytest.raises(ConvergenceError,
+                           match=r"at t=0\.24970292650469178 \(h=9\.614674039522623e-15\)"):
+            integrate(0.0, (0.5, -2.0, 0.0, 0.0), 20.0, 1e-9, B0)
 
     def test_blow_up_run(self):
-        traj = integrate(OdeState(0.0, (3.0, 0.0, 0.0, 0.0)), 20.0, 1e-9, B0)
-        assert traj.stop_reason == "blowup"
+        # the climb toward the blow-up, cut where v''' nears 1e12
+        traj = integrate(0.0, (3.0, 0.0, 0.0, 0.0), 1.0596, 1e-9, B0)
         assert (traj.n_accepted, traj.n_rejected) == (354, 0)
-        assert repr(float(traj.ts[-1])) == "1.05963062661038"
         assert _final_state(traj) == (
-            "(1172.7095832075954, 621339.2017177903, "
-            "658409948.0611593, 1046539871385.1346)"
+            "(1153.9839295681716, 601654.7502475356, "
+            "627370727.4918797, 981280008289.7367)"
         )
 
     def test_overflowing_stage_run(self):
-        # on the way up a stage's v**p overflows; that step is retried at a
-        # quarter of its size, as for a non-finite error estimate
-        traj = integrate(
-            OdeState(0.0, (0.5, 0.0, 1e4, 0.0)), 50.0, 1e-6, ReducedProblem(10.0, 9.0, 100.0)
+        # cut before v**p overflows in a stage, the run rejects 15 steps on
+        # their error estimate alone
+        problem = ReducedProblem(10.0, 9.0, 100.0)
+        traj = integrate(0.0, (0.5, 0.0, 1e4, 0.0), 0.0134, 1e-6, problem)
+        assert (traj.n_accepted, traj.n_rejected) == (59, 15)
+        assert _final_state(traj) == (
+            "(1.450645033984886, 823.4707173713858, "
+            "12366306.090559008, 342720156967.339)"
         )
-        assert traj.stop_reason == "blowup"
-        assert (traj.n_accepted, traj.n_rejected) == (62, 17)
-        assert repr(float(traj.ts[-1])) == "0.013423670744757645"
+        # uncut, the step from t = 0.0082 grows to h = 0.021, where a stage's
+        # v**p overflows; that step is retried at a quarter of its size, and
+        # the digits of the time where the step size underflows follow from it
+        with pytest.raises(ConvergenceError,
+                           match=r"at t=0\.013471287603334905 \(h=9\.650940724731635e-15\)"):
+            integrate(0.0, (0.5, 0.0, 1e4, 0.0), 50.0, 1e-6, problem)
 
     def test_extrema_times(self):
         # step counts of a run over one and a half periods, from a trough
-        y0 = OdeState(0.0, (1.0, 0.0, 0.7836654928917256, 0.0))
-        traj = integrate(y0, 7.0, 1e-11, B0)
+        traj = integrate(0.0, (1.0, 0.0, 0.7836654928917256, 0.0), 7.0, 1e-11, B0)
         assert (traj.n_accepted, traj.n_rejected) == (598, 0)
 
     def test_periodic_orbit_digits(self):

@@ -27,7 +27,7 @@ from radial4 import (
     phi_closed_form,
 )
 from radial4 import orbits
-from radial4.dynamics import OdeState, integrate
+from radial4.dynamics import integrate
 from radial4.params import k0_value, k2_value
 
 B0 = ProblemParams(n=6, alpha=0.0, p=5.0)
@@ -71,6 +71,16 @@ class TestPotentialAndFrequency:
         assert om == pytest.approx(math.sqrt((math.sqrt(244.0) - 10.0) / 2.0), rel=1e-14)
         assert 2.0 * math.pi / om == pytest.approx(SMALL_ORBIT_PERIOD, rel=1e-13)
 
+    def test_frequency_lost_to_rounding_is_a_validation_error(self):
+        # (5, 1 - 2^-52, 2): K0 = 1.1e-31 vanishes against K2^2 = 81, so the
+        # root pair rounds to omega = 0, which the first orbit divides by
+        params = ProblemParams(n=5, alpha=0.9999999999999998, p=2.0)
+        coeff = derive_coefficients(params)
+        with pytest.raises(ValidationError, match="linearized frequency rounds to 0"):
+            linearized_frequency(coeff.K2, coeff.K0, params.p)
+        with pytest.raises(ValidationError, match="linearized frequency rounds to 0"):
+            find_homoclinic(params)
+
 
 class TestFindPeriodic:
     def test_reference_orbit(self, orbit_b0):
@@ -90,7 +100,7 @@ class TestFindPeriodic:
         # a DP run from that anchor closes the loop as well; hyperbolicity
         # amplifies integration noise by ~1e7 over one loop, which caps how
         # tightly its endpoint can return to the start
-        loop = integrate(OdeState(0.0, tuple(y_start)), orbit_b0.period, 1e-11, orbit_b0.problem)
+        loop = integrate(0.0, y_start, orbit_b0.period, 1e-11, orbit_b0.problem)
         assert np.max(np.abs(loop.ys[-1] - y_start)) < 5e-5
 
     def test_orbit_symmetric_about_half_period(self, orbit_b0):
@@ -154,7 +164,9 @@ class TestFindPeriodic:
         s_star = (0.5 * 6.0 * 9.0) ** 0.25
         assert EQUILIBRIUM < orbit_b0.max_value < s_star
 
-    @pytest.mark.parametrize("a", [0.0, -0.5, 2.5])
+    # at the last two, 1 - a/l rounds to 1, so the continuation in it would
+    # end at a = 0
+    @pytest.mark.parametrize("a", [0.0, -0.5, 2.5, 1.1988706634323248e-115, 5e-324])
     def test_minimum_outside_well_rejected(self, a):
         with pytest.raises(ValidationError):
             find_periodic(a, B0)
@@ -224,7 +236,7 @@ def _dp_half_period_error(orbit, segments=1):
     sup = np.max(np.abs(orbit.sample(np.linspace(0.0, orbit.period / 2.0, 257)) * scale), axis=0)
     worst = 0.0
     for j in range(segments):
-        y = integrate(OdeState(taus[j], tuple(ends[j])), taus[j + 1], 1e-12, scaled).ys[-1]
+        y = integrate(taus[j], ends[j], taus[j + 1], 1e-12, scaled).ys[-1]
         worst = max(worst, float(np.max(np.abs(y - ends[j + 1]) / sup)))
     return worst
 
@@ -781,7 +793,7 @@ class TestHomoclinicOracles:
         ts, ys = prof.samples.ts, prof.samples.ys
         worst = 0.0
         for i in np.unique(np.linspace(0, len(ts) - 2, 16).astype(int)):
-            run = integrate(OdeState(ts[i], ys[i]), ts[i + 1], 1e-12, prof.samples.problem)
+            run = integrate(ts[i], ys[i], ts[i + 1], 1e-12, prof.samples.problem)
             worst = max(worst, float(np.max(np.abs(run.ys[-1] - ys[i + 1]))))
         assert worst <= 1e-10 * prof.peak
 
@@ -852,7 +864,6 @@ class TestFindHomoclinic:
         vs = homoclinic_b0.samples.ys[:, 0]
         assert np.all(np.diff(vs) < 0.0)
         assert np.max(np.abs(homoclinic_b0.samples.energies)) < 1e-8
-        assert homoclinic_b0.samples.stop_reason == "truncated"
 
     def test_shifted_profile(self):
         prof = find_homoclinic(SHIFTED)

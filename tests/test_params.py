@@ -359,3 +359,13 @@ class TestExplicitLambdaBranches:
     def test_negative_radicand_raises(self):
         with pytest.raises(DomainError):
             explicit_lambda_branches(SolutionCase.CASE1, 6, 0.0, -1e6)
+
+    @pytest.mark.parametrize("case, alpha, mu", [
+        (SolutionCase.CASE1, 1.5294117647058822, 1e300),  # p = 31
+        (SolutionCase.CASE2, -3.0, 1e308),  # p = 7/3
+    ], ids=["case1", "case2"])
+    def test_overflowing_radicand_is_a_validation_error(self, case, alpha, mu):
+        # P^2 (p+3)^4 (P^2+4)^2 mu / scale^2 overflows, and sqrt(inf) would
+        # give an infinite branch
+        with pytest.raises(ValidationError, match="radicand is not finite"):
+            explicit_lambda_branches(case, 6, alpha, mu)

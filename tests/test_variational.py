@@ -138,6 +138,16 @@ class TestMinimize:
         with pytest.raises(ValidationError, match="L/h must be integral"):
             minimize_rayleigh(B0, L=10.0, h=0.3)
 
+    def test_single_node_grid_rejected(self):
+        # L/h = 3.5e-76 lies within 1e-9 of the integer 0: a grid of one node
+        with pytest.raises(ValidationError, match="L/h must be integral and at least 1"):
+            minimize_rayleigh(B0, L=40.0, h=1.157920892373162e77)
+
+    @pytest.mark.parametrize("L, h", [(1e300, 1e300), (1e-85, 1e-90)], ids=["over", "under"])
+    def test_spacing_whose_fourth_power_leaves_the_float_range(self, L, h):
+        with pytest.raises(ValidationError, match="symbol leaves the float range"):
+            minimize_rayleigh(B0, L=L, h=h)
+
 
 class TestPeriodicOperator:
     @staticmethod
